@@ -272,16 +272,6 @@ def transform_cloud(cloud: PointCloud, pose: Pose) -> PointCloud:
     return PointCloud(pts, nrm)
 
 
-def merge_clouds(clouds: list[PointCloud]) -> PointCloud:
-    clouds = [c for c in clouds if len(c)]
-    if not clouds:
-        return PointCloud(np.zeros((0, 3)))
-    with_normals = all(c.has_normals for c in clouds)
-    pts = np.vstack([c.points for c in clouds])
-    nrm = np.vstack([c.normals for c in clouds]) if with_normals else None
-    return PointCloud(pts, nrm)
-
-
 class SpatialIndex:
     """Immutable nearest-neighbor index over a PointCloud.
 

@@ -1,18 +1,25 @@
 """Normal estimation and 33-bin fast point feature histograms.
 
-The descriptor follows the usual FPFH construction: per point, three Darboux
-angle features over radius neighbors are histogrammed into 11 bins each
-(simplified histograms, SPFH), then neighbor SPFHs are blended in with inverse
-distance weights and each 11-bin block is normalized to sum 100. Features
-depend only on relative geometry, so a rigidly moved cloud (with moved
-normals) produces the same descriptors.
+The descriptor follows the FPFH construction of Rusu, Blodow and Beetz
+("Fast Point Feature Histograms for 3D registration", ICRA 2009): per point,
+three Darboux angle features over radius neighbors are histogrammed into 11
+bins each (simplified histograms, SPFH), then neighbor SPFHs are blended in
+with inverse distance weights and each 11-bin block is normalized to sum 100.
+Features depend only on relative geometry, so a rigidly moved cloud (with
+moved normals) produces the same descriptors.
+
+All neighbour pairs come from one KD-tree pair query and are processed as
+flat arrays; histogram counts and the neighbour blend add each pair in
+(source, target) order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
 from insertsim.geom import PointCloud
@@ -36,6 +43,16 @@ class FeatureCloud:
 
     def __len__(self) -> int:
         return len(self.keypoints)
+
+    # Indexes over the cloud, each built on first use and kept with it, so a
+    # cloud registered in many RANSAC rounds or against many scans is indexed once.
+    @cached_property
+    def keypoint_tree(self) -> cKDTree:
+        return cKDTree(self.keypoints.points)
+
+    @cached_property
+    def descriptor_tree(self) -> cKDTree:
+        return cKDTree(self.descriptors)
 
 
 def estimate_normals(cloud: PointCloud, k: int = 10, viewpoint=(0.0, 0.0, 0.0)) -> PointCloud:
@@ -94,29 +111,23 @@ def compute_features(cloud: PointCloud, radius: float, normal_k: int = 10,
     if not cloud.has_normals:
         cloud = estimate_normals(cloud, k=normal_k, viewpoint=viewpoint)
     n = len(cloud)
-    tree = cKDTree(cloud.points)
-    neighbor_lists = tree.query_ball_point(cloud.points, r=radius)
+    # every neighbour pair in both directions, sorted by (source, target):
+    # the order in which the blend below accumulates
+    pairs = cKDTree(cloud.points).query_pairs(radius, output_type="ndarray")
+    keys = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]]))
+    src, tgt = np.divmod(keys, n)
+    neighbors = np.bincount(src, minlength=n)
 
-    degenerate = [i for i, nbrs in enumerate(neighbor_lists) if len(nbrs) - 1 < MIN_NEIGHBORS]
-    if degenerate:
+    degenerate = np.flatnonzero(neighbors < MIN_NEIGHBORS)
+    if len(degenerate):
         example = degenerate[0]
-        found = len(neighbor_lists[example]) - 1
         if not _retry or len(degenerate) > max(1, n // 10):
             raise DegenerateFeatureError(
                 f"{len(degenerate)} of {n} points have too few neighbors within "
-                f"{radius} (e.g. point {example}: {found} < {MIN_NEIGHBORS})"
+                f"{radius} (e.g. point {example}: {neighbors[example]} < {MIN_NEIGHBORS})"
             )
-        keep = np.ones(n, dtype=bool)
-        keep[degenerate] = False
+        keep = neighbors >= MIN_NEIGHBORS
         return compute_features(cloud.select(keep), radius, normal_k, viewpoint, _retry=False)
-
-    src_idx, tgt_idx = [], []
-    for i, nbrs in enumerate(neighbor_lists):
-        nbrs = [j for j in sorted(nbrs) if j != i]
-        src_idx.extend([i] * len(nbrs))
-        tgt_idx.extend(nbrs)
-    src = np.array(src_idx, dtype=np.int64)
-    tgt = np.array(tgt_idx, dtype=np.int64)
 
     alpha, phi, theta, dist, ok = _pair_features(
         cloud.points[src], cloud.normals[src], cloud.points[tgt], cloud.normals[tgt]
@@ -127,18 +138,17 @@ def compute_features(cloud: PointCloud, radius: float, normal_k: int = 10,
         BINS_PER_FEATURE + _bin_index(phi[ok], -1.0, 1.0),
         2 * BINS_PER_FEATURE + _bin_index(theta[ok], -np.pi, np.pi),
     ])
-    rows = np.concatenate([src, src, src])
-    spfh = np.zeros((n, DESCRIPTOR_SIZE))
-    np.add.at(spfh, (rows, cols), 1.0)
+    cells = np.tile(src, 3) * DESCRIPTOR_SIZE + cols
+    spfh = np.bincount(cells, minlength=n * DESCRIPTOR_SIZE).astype(np.float64)
+    spfh = spfh.reshape(n, DESCRIPTOR_SIZE)
 
     # blend neighbor SPFHs with inverse-distance weights; the cap keeps
-    # near-duplicate points from dominating the histogram
+    # near-duplicate points from dominating the histogram. Each CSR row sums
+    # its pairs in (source, target) order, one pair at a time.
     inv_d = 1.0 / np.maximum(dist, 0.05 * radius)
-    weighted = np.zeros((n, DESCRIPTOR_SIZE))
-    np.add.at(weighted, src, spfh[tgt] * inv_d[:, None])
-    neighbor_counts = np.zeros(n)
-    np.add.at(neighbor_counts, src, 1.0)
-    fpfh = spfh + weighted / neighbor_counts[:, None]
+    neighbor_counts = np.bincount(src, minlength=n)
+    blend = csr_array((inv_d, tgt, np.concatenate([[0], np.cumsum(neighbor_counts)])), shape=(n, n))
+    fpfh = spfh + (blend @ spfh) / neighbor_counts[:, None]
 
     # normalize each 11-bin block to sum 100
     for b in range(3):

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from insertsim.geom import PointCloud, Pose, pose_compose, quat_from_matrix
 from insertsim.registration.params import DivergenceError, RegistrationParams
+from insertsim.registration.rigid import kabsch_transform
 
 _POS_CONVERGE = 1e-9   # m, incremental translation
 _ROT_CONVERGE = 1e-8   # rad, incremental rotation
@@ -22,22 +23,21 @@ class IcpResult(NamedTuple):
 
 
 def icp_refine(scan: PointCloud, init_aligned_ref: PointCloud, params: RegistrationParams,
-               initial_pose: Pose = None) -> IcpResult:
+               initial_pose: Pose = None, scan_tree: Optional[cKDTree] = None) -> IcpResult:
     """Refine the alignment of an already coarsely aligned reference cloud.
 
     The moving cloud is `init_aligned_ref`; correspondences are nearest scan
     points within `icp_max_correspondence_dist`. The returned pose composes
     the incremental refinement with `initial_pose` (the coarse estimate that
     produced the aligned cloud), i.e. it maps the original reference frame
-    into the scan frame.
+    into the scan frame. `scan_tree`, a cKDTree over `scan.points`, is
+    built here when not given.
     """
     if len(scan) == 0 or len(init_aligned_ref) == 0:
         raise ValueError("clouds must be non-empty")
     if initial_pose is None:
         initial_pose = Pose.identity()
-    from insertsim.registration.rigid import kabsch_transform
-
-    tree = cKDTree(scan.points)
+    tree = scan_tree if scan_tree is not None else cKDTree(scan.points)
     moving = init_aligned_ref.points.copy()
     cutoff = params.icp_max_correspondence_dist
     R_total = np.eye(3)

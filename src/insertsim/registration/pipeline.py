@@ -12,9 +12,11 @@ caller can decide to rescan and retry.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from insertsim.geom import PointCloud, quat_distance, transform_cloud
 from insertsim.registration.features import FeatureCloud, compute_features
@@ -26,21 +28,35 @@ from insertsim.registration.params import (
     RegistrationResult,
 )
 from insertsim.registration.preprocess import preprocess
-from insertsim.registration.ransac import ransac_register
+from insertsim.registration.ransac import correspondence_candidates, ransac_register
 
 _FITNESS_SENTINEL = 1e6  # effectively infinite start for the best fitness
 
 
 @dataclass(frozen=True)
 class PreparedCloud:
-    """Conditioned cloud: coarse keypoints with descriptors, fine refine cloud."""
+    """Conditioned cloud: coarse keypoints with descriptors, fine refine cloud.
+
+    It owns the KD-trees that registration queries: the keypoint and
+    descriptor trees of `features` and the tree over `fine` that ICP matches
+    against. Each is built on first use and kept, so no outer loop and no
+    later estimate_pose call against the same prepared cloud rebuilds one.
+    """
 
     features: FeatureCloud
     fine: PointCloud
 
+    @cached_property
+    def fine_tree(self) -> cKDTree:
+        return cKDTree(self.fine.points)
+
 
 def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> PreparedCloud:
-    """Preprocess and describe a cloud once; reusable across estimate_pose calls."""
+    """Preprocess and describe a cloud once; reusable across estimate_pose calls.
+
+    Outlier removal, the voxel grid(s), normals and FPFH run here, once per
+    cloud. The KD-trees are built lazily by the returned PreparedCloud.
+    """
     coarse = preprocess(cloud, params)
     if params.icp_voxel_size is not None:
         # refine on a finer grid than the correspondence stage: point-to-point
@@ -63,6 +79,8 @@ def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
     scan_p = prepare_cloud(scan, params)
     if ref_prepared is None:
         ref_prepared = prepare_cloud(ref, params)
+    # the seed only changes the RANSAC sampling; correspondences are per pair
+    candidates = correspondence_candidates(scan_p.features, ref_prepared.features)
 
     f_best = _FITNESS_SENTINEL
     best_pose = None
@@ -72,11 +90,12 @@ def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
     for loop in range(params.max_outer_loops):
         loops += 1
         coarse = ransac_register(scan_p.features, ref_prepared.features, params,
-                                 _loop_seed(seed, loop))
+                                 _loop_seed(seed, loop), candidates)
         if quat_distance(coarse.pose.orientation, params.q0) < params.rho_rot:
             try:
                 aligned_fine = transform_cloud(ref_prepared.fine, coarse.pose)
-                refined = icp_refine(scan_p.fine, aligned_fine, params, initial_pose=coarse.pose)
+                refined = icp_refine(scan_p.fine, aligned_fine, params, initial_pose=coarse.pose,
+                                     scan_tree=scan_p.fine_tree)
             except DivergenceError:
                 refined = None  # coarse pose too far off; try another loop
             if refined is not None and refined.fitness < f_best and \

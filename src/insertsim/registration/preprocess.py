@@ -25,6 +25,12 @@ def statistical_outlier_removal(cloud: PointCloud, mean_k: int, std_ratio: float
     return cloud.select(keep)
 
 
+def _voxel_sums(inverse: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+    """Per-voxel column sums, added in point order."""
+    return np.column_stack([np.bincount(inverse, weights=values[:, c], minlength=m)
+                            for c in range(values.shape[1])])
+
+
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     """Centroid per occupied voxel; output sorted by voxel key for determinism.
 
@@ -35,20 +41,19 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     if n == 0:
         raise ValueError("cannot downsample an empty cloud")
     keys = np.floor(cloud.points / voxel_size).astype(np.int64)
-    uniq, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
-    m = len(uniq)
-    # first original point index per voxel (reverse write: lowest index wins)
-    first = np.zeros(m, dtype=np.int64)
-    first[inverse[::-1]] = np.arange(n - 1, -1, -1)
-    sums = np.zeros((m, 3))
-    np.add.at(sums, inverse, cloud.points)
-    centroids = sums / counts[:, None]
+    # row-major cell numbers sort like the (x, y, z) key rows; an oversized
+    # grid raises here instead of wrapping
+    keys -= keys.min(axis=0)
+    cells = np.ravel_multi_index(keys.T, keys.max(axis=0) + 1)
+    _, first, inverse, counts = np.unique(cells, return_index=True, return_inverse=True,
+                                          return_counts=True)
+    m = len(counts)
+    centroids = _voxel_sums(inverse, cloud.points, m) / counts[:, None]
     single = counts == 1
     centroids[single] = cloud.points[first[single]]  # exact pass-through, no round-off
     normals = None
     if cloud.has_normals:
-        nsum = np.zeros((m, 3))
-        np.add.at(nsum, inverse, cloud.normals)
+        nsum = _voxel_sums(inverse, cloud.normals, m)
         lens = np.linalg.norm(nsum, axis=1, keepdims=True)
         ok = lens[:, 0] > 1e-9
         normals = np.where(ok[:, None], nsum / np.where(ok[:, None], lens, 1.0), 0.0)

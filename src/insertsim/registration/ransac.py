@@ -15,14 +15,19 @@ Two hypothesis sources feed one inlier-count competition:
 Hypotheses whose orientation already violates the rho_rot gate are skipped
 before counting, so a flipped basin can never shadow the true one. The
 returned transform maps the reference cloud into the scan frame.
+
+The descriptor correspondences and the sampling pool depend only on the two
+clouds, not on the seed: `correspondence_candidates` computes them once per
+scan/reference pair (estimate_pose does so once per call, before its outer
+loop) and every RANSAC round reuses them. The KD-trees come from the
+FeatureClouds, which build each one once.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from insertsim.geom import (
     PointCloud,
@@ -54,35 +59,48 @@ def _edge_lengths(pts: np.ndarray) -> np.ndarray:
     ])
 
 
-def ransac_register(scan: FeatureCloud, ref: FeatureCloud,
-                    params: RegistrationParams, seed: int) -> RansacResult:
+class Candidates(NamedTuple):
+    knn: np.ndarray   # (n_scan, k) reference keypoints nearest in descriptor space
+    pool: np.ndarray  # scan keypoints that triple hypotheses sample from
+
+
+def correspondence_candidates(scan: FeatureCloud, ref: FeatureCloud) -> Candidates:
+    """Descriptor kNN (scan -> reference) and the distinctive-keypoint pool."""
     if len(scan) < 3 or len(ref) < 3:
         raise InsufficientCorrespondencesError(
             f"need >= 3 keypoints on both sides, got {len(scan)} / {len(ref)}"
         )
+    _, knn = ref.descriptor_tree.query(scan.descriptors, k=min(_DESC_KNN, len(ref)))
+    # sample the most distinctive keypoints: on plane-dominant scans the bulk
+    # descriptors all look alike and their correspondences are noise
+    n_scan = len(scan)
+    deviation = np.linalg.norm(scan.descriptors - scan.descriptors.mean(axis=0), axis=1)
+    pool_size = min(n_scan, max(40, n_scan // 10))
+    pool = np.argsort(deviation, kind="stable")[-pool_size:]
+    return Candidates(np.asarray(knn, dtype=np.int64), pool)
+
+
+def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationParams,
+                    seed: int, candidates: Optional[Candidates] = None) -> RansacResult:
+    """Best gated hypothesis of one seeded RANSAC round, polished on its inliers.
+
+    `candidates` must come from correspondence_candidates(scan, ref); it is
+    computed here when not given.
+    """
+    if candidates is None:
+        candidates = correspondence_candidates(scan, ref)
+    knn, pool = candidates
+    k = knn.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xAC]))
     scan_pts = scan.keypoints.points
     ref_pts = ref.keypoints.points
     n_scan = len(scan_pts)
     n_ref = len(ref_pts)
 
-    # one-time descriptor correspondence candidates (scan -> k nearest ref)
-    k = min(_DESC_KNN, n_ref)
-    _, knn = cKDTree(ref.descriptors).query(scan.descriptors, k=k)
-    knn = np.atleast_2d(np.asarray(knn, dtype=np.int64))
-    if knn.shape[0] == 1 and n_scan > 1:
-        knn = knn.T
-
-    scan_tree = cKDTree(scan_pts)
+    scan_tree = scan.keypoint_tree
     threshold = params.ransac_inlier_threshold
     min_edge = 3.0 * threshold
     R_prior = quat_to_matrix(params.q0)
-
-    # sample the most distinctive keypoints: on plane-dominant scans the bulk
-    # descriptors all look alike and their correspondences are noise
-    deviation = np.linalg.norm(scan.descriptors - scan.descriptors.mean(axis=0), axis=1)
-    pool_size = min(n_scan, max(40, n_scan // 10))
-    pool = np.argsort(deviation, kind="stable")[-pool_size:]
 
     def count_inliers(R, t):
         moved = ref_pts @ R.T + t

@@ -15,7 +15,6 @@ frame error that relative trajectories are meant to cancel.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,21 +116,17 @@ def _scan_profile(scene: Scene, true_pose: Pose, lateral: np.ndarray,
 
 
 def sweep_scan_detailed(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
-                        cal: CalibrationError, seed: int, workers: int = 1) -> SweepScan:
+                        cal: CalibrationError, seed: int) -> SweepScan:
     if not trajectory:
         raise ValueError("scanner trajectory must be non-empty")
     lateral = cfg.lateral_positions()
     true_poses = [pose_compose(cal.mount_offset, p) for p in trajectory]
 
-    def profile(k: int) -> ScanProfile:
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), k]))
-        return _scan_profile(scene, true_poses[k], lateral, cfg.depth_noise_std, rng)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            profiles = list(pool.map(profile, range(len(trajectory))))
-    else:
-        profiles = [profile(k) for k in range(len(trajectory))]
+    profiles = [
+        _scan_profile(scene, true_poses[k], lateral, cfg.depth_noise_std,
+                      np.random.default_rng(np.random.SeedSequence([int(seed), k])))
+        for k in range(len(trajectory))
+    ]
 
     pts, nrm, parts, prof_ids = [], [], [], []
     for k, (assumed, prof) in enumerate(zip(trajectory, profiles)):
@@ -157,6 +152,6 @@ def sweep_scan_detailed(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig
 
 
 def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
-               cal: CalibrationError, seed: int, workers: int = 1) -> PointCloud:
+               cal: CalibrationError, seed: int) -> PointCloud:
     """Sweep the scanner along `trajectory` and return the base-frame cloud."""
-    return sweep_scan_detailed(scene, trajectory, cfg, cal, seed, workers).cloud
+    return sweep_scan_detailed(scene, trajectory, cfg, cal, seed).cloud

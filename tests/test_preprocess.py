@@ -84,3 +84,10 @@ def test_voxel_downsample_averages_normals():
     out = voxel_downsample(PointCloud(pts, nrm), voxel_size=1.0)
     expected = np.array([0.0, 1.0, 1.0]) / np.sqrt(2)
     np.testing.assert_allclose(out.normals[0], expected, atol=1e-12)
+
+
+def test_voxel_grid_too_large_to_number_raises():
+    # 1e7 cells per axis: 1e21 cells overflow int64 cell numbers
+    cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+    with pytest.raises(ValueError):
+        voxel_downsample(cloud, voxel_size=1e-7)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from insertsim.geom import PointCloud, Pose, pose_compose, quat_distance, transform_cloud
 from insertsim.registration import (
@@ -9,10 +10,19 @@ from insertsim.registration import (
     RegistrationFailedError,
     RegistrationParams,
     compute_features,
+    estimate_normals,
     estimate_pose,
     icp_refine,
     ransac_register,
+    voxel_downsample,
 )
+from insertsim.registration import features as features_module
+from insertsim.registration import icp as icp_module
+from insertsim.registration import pipeline as pipeline_module
+from insertsim.registration import preprocess as preprocess_module
+from insertsim.registration import ransac as ransac_module
+from insertsim.scansim import CalibrationError, HolePlate, Scene, ScenePart, ScannerConfig, \
+    linear_sweep, sweep_scan
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -48,6 +58,17 @@ def sphere_cloud(n: int = 900, radius: float = 3e-3) -> PointCloud:
     theta = np.pi * (1 + 5**0.5) * i
     u = np.column_stack([np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)])
     return PointCloud(radius * u, u)
+
+
+def lattice_plate_cloud() -> PointCloud:
+    """Noise-free scan of a hole plate: a 25 um lattice full of exact distance ties."""
+    plate = HolePlate((1e-3, 1e-3), 1e-3, (2e-4, 2.5e-4), hole_center=(2e-4, 1e-4))
+    scene = Scene([ScenePart("plate", plate, Pose.identity())])
+    cfg = ScannerConfig(points_per_profile=96, lateral_span=96 * 25e-6,
+                        lateral_resolution=25e-6, depth_noise_std=0.0)
+    start = Pose.from_axis_angle([0.0, -1.2e-3, 0.03], [1, 0, 0], np.pi)
+    return sweep_scan(scene, linear_sweep(start, [0, 1, 0], 25e-6, 96), cfg,
+                      CalibrationError.none(), seed=0)
 
 
 def small_params(**kw) -> RegistrationParams:
@@ -101,6 +122,162 @@ def test_features_degenerate_radius():
     cloud = terrain_cloud()
     with pytest.raises(DegenerateFeatureError):
         compute_features(cloud, radius=1e-5)
+
+
+# -- loop references ------------------------------------------------------------
+# The first, loop-based versions of FPFH and the voxel grid, kept as oracles:
+# the vectorised code must reproduce them bit for bit, ties and all.
+
+def reference_compute_features(cloud: PointCloud, radius: float, _retry: bool = True):
+    if not cloud.has_normals:
+        cloud = estimate_normals(cloud)
+    n = len(cloud)
+    neighbor_lists = cKDTree(cloud.points).query_ball_point(cloud.points, r=radius)
+    degenerate = [i for i, nbrs in enumerate(neighbor_lists) if len(nbrs) - 1 < 5]
+    if degenerate:
+        if not _retry or len(degenerate) > max(1, n // 10):
+            raise DegenerateFeatureError("too few neighbors")
+        keep = np.ones(n, dtype=bool)
+        keep[degenerate] = False
+        return reference_compute_features(cloud.select(keep), radius, _retry=False)
+    src_idx, tgt_idx = [], []
+    for i, nbrs in enumerate(neighbor_lists):
+        nbrs = [j for j in sorted(nbrs) if j != i]
+        src_idx.extend([i] * len(nbrs))
+        tgt_idx.extend(nbrs)
+    src = np.array(src_idx, dtype=np.int64)
+    tgt = np.array(tgt_idx, dtype=np.int64)
+    alpha, phi, theta, dist, ok = features_module._pair_features(
+        cloud.points[src], cloud.normals[src], cloud.points[tgt], cloud.normals[tgt])
+    src, tgt, dist = src[ok], tgt[ok], dist[ok]
+    b = features_module._bin_index
+    cols = np.concatenate([b(alpha[ok], -1.0, 1.0), 11 + b(phi[ok], -1.0, 1.0),
+                           22 + b(theta[ok], -np.pi, np.pi)])
+    spfh = np.zeros((n, 33))
+    np.add.at(spfh, (np.concatenate([src, src, src]), cols), 1.0)
+    inv_d = 1.0 / np.maximum(dist, 0.05 * radius)
+    weighted = np.zeros((n, 33))
+    np.add.at(weighted, src, spfh[tgt] * inv_d[:, None])
+    neighbor_counts = np.zeros(n)
+    np.add.at(neighbor_counts, src, 1.0)
+    fpfh = spfh + weighted / neighbor_counts[:, None]
+    for blk in range(3):
+        block = fpfh[:, blk * 11:(blk + 1) * 11]
+        sums = block.sum(axis=1, keepdims=True)
+        block /= np.where(sums > 0, sums, 1.0)
+        block *= 100.0
+    return cloud, fpfh
+
+
+def reference_voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
+    n = len(cloud)
+    keys = np.floor(cloud.points / voxel_size).astype(np.int64)
+    uniq, inverse, counts = np.unique(keys, axis=0, return_inverse=True, return_counts=True)
+    inverse = inverse.reshape(-1)
+    m = len(uniq)
+    first = np.zeros(m, dtype=np.int64)
+    first[inverse[::-1]] = np.arange(n - 1, -1, -1)
+    sums = np.zeros((m, 3))
+    np.add.at(sums, inverse, cloud.points)
+    centroids = sums / counts[:, None]
+    single = counts == 1
+    centroids[single] = cloud.points[first[single]]
+    normals = None
+    if cloud.has_normals:
+        nsum = np.zeros((m, 3))
+        np.add.at(nsum, inverse, cloud.normals)
+        lens = np.linalg.norm(nsum, axis=1, keepdims=True)
+        ok = lens[:, 0] > 1e-9
+        normals = np.where(ok[:, None], nsum / np.where(ok[:, None], lens, 1.0), 0.0)
+        normals[~ok] = cloud.normals[first[~ok]]
+    return PointCloud(centroids, normals)
+
+
+def assert_same_features(cloud: PointCloud, radius: float):
+    expected_cloud, expected = reference_compute_features(cloud, radius)
+    fc = compute_features(cloud, radius)
+    np.testing.assert_array_equal(fc.keypoints.points, expected_cloud.points)
+    np.testing.assert_array_equal(fc.keypoints.normals, expected_cloud.normals)
+    np.testing.assert_array_equal(fc.descriptors, expected)
+
+
+def assert_same_voxels(cloud: PointCloud, voxel_size: float):
+    expected = reference_voxel_downsample(cloud, voxel_size)
+    out = voxel_downsample(cloud, voxel_size)
+    np.testing.assert_array_equal(out.points, expected.points)
+    if expected.has_normals:
+        np.testing.assert_array_equal(out.normals, expected.normals)
+    else:
+        assert not out.has_normals
+
+
+def test_features_match_loop_reference_on_lattice_scan():
+    cloud = lattice_plate_cloud()
+    # sqrt(5) lattice steps: a quarter of the neighbour pairs sit on the radius
+    assert_same_features(cloud, radius=np.sqrt(5) * 25e-6)
+    # normals estimated inside compute_features
+    assert_same_features(PointCloud(voxel_downsample(cloud, 5e-5).points), radius=1.5e-4)
+
+
+def test_features_match_loop_reference_on_jittered_terrain():
+    assert_same_features(terrain_cloud(), radius=6e-4)
+
+
+def test_features_match_loop_reference_after_dropping_stragglers():
+    cloud = terrain_cloud()
+    stragglers = np.array([[0.02, 0.02, 0.0], [-0.02, 0.01, 0.0]])
+    padded = PointCloud(np.vstack([cloud.points, stragglers]),
+                        np.vstack([cloud.normals, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]]))
+    fc = compute_features(padded, radius=6e-4)
+    assert len(fc) == len(cloud)
+    assert_same_features(padded, radius=6e-4)
+
+
+def test_voxel_grid_matches_loop_reference_on_lattice_scan():
+    cloud = lattice_plate_cloud()
+    for voxel_size in (1e-4, 5e-5, 2.5e-5):   # cell edges on lattice rows, and one point per cell
+        assert_same_voxels(cloud, voxel_size)
+        assert_same_voxels(PointCloud(cloud.points), voxel_size)
+
+
+def test_voxel_grid_matches_loop_reference_on_jittered_terrain():
+    cloud = terrain_cloud()
+    for voxel_size in (1e-4, 3e-4, 1e-3):
+        assert_same_voxels(cloud, voxel_size)
+        assert_same_voxels(PointCloud(cloud.points), voxel_size)
+
+
+def test_voxel_grid_matches_loop_reference_on_opposing_normals():
+    pts = np.array([[0.0, 0.0, 0.0], [1e-5, 0.0, 0.0], [3e-4, 0.0, 0.0], [3.1e-4, 0.0, 0.0]])
+    nrm = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    assert_same_voxels(PointCloud(pts, nrm), 1e-4)
+
+
+def test_estimate_pose_indexes_each_cloud_once(monkeypatch):
+    """KD-tree builds per estimate_pose do not grow with the outer loop count."""
+    builds = []
+
+    def counting_tree(*args, **kwargs):
+        builds.append(1)
+        return cKDTree(*args, **kwargs)
+
+    for module in (preprocess_module, features_module, ransac_module, icp_module,
+                   pipeline_module):
+        monkeypatch.setattr(module, "cKDTree", counting_tree, raising=False)
+    ref = terrain_cloud()
+    rng = np.random.default_rng(11)
+    scan = transform_cloud(ref, Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
+    scan = PointCloud(scan.points + rng.normal(scale=1.5e-6, size=scan.points.shape), scan.normals)
+    counts = []
+    for loops in (1, 5):
+        builds.clear()
+        # rho_icp below any reachable fitness, so every outer loop runs
+        params = small_params(rho_icp=1e-30, max_outer_loops=loops)
+        with pytest.raises(RegistrationFailedError) as err:
+            estimate_pose(scan, ref, params, seed=3)
+        assert err.value.best.outer_loops_used == loops
+        counts.append(len(builds))
+    assert counts[0] == counts[1]
 
 
 # -- RANSAC -------------------------------------------------------------------
