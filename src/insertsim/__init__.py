@@ -2,12 +2,11 @@
 
 __version__ = "0.1.0"
 
-from insertsim.geom import Pose, PointCloud, SpatialIndex, quat_distance, pose_compose, transform_cloud
+from insertsim.geom import Pose, PointCloud, quat_distance, pose_compose, transform_cloud
 
 __all__ = [
     "Pose",
     "PointCloud",
-    "SpatialIndex",
     "quat_distance",
     "pose_compose",
     "transform_cloud",

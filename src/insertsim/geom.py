@@ -1,4 +1,4 @@
-"""Rigid-body geometry core: poses, quaternion metrics, point clouds, NN queries.
+"""Rigid-body geometry core: poses, quaternion metrics, point clouds.
 
 Conventions used everywhere in this package:
   - positions and point coordinates are meters, float64
@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 _UNIT_TOL = 1e-6
 
@@ -271,43 +270,3 @@ def transform_cloud(cloud: PointCloud, pose: Pose) -> PointCloud:
     nrm = cloud.normals @ R.T if cloud.has_normals else None
     return PointCloud(pts, nrm)
 
-
-class SpatialIndex:
-    """Immutable nearest-neighbor index over a PointCloud.
-
-    Exact ties are broken toward the lowest point index, which keeps every
-    consumer (ICP, RANSAC scoring) deterministic under a fixed seed.
-    """
-
-    def __init__(self, cloud: PointCloud):
-        if len(cloud) == 0:
-            raise ValueError("cannot index an empty cloud")
-        self._cloud = cloud
-        self._tree = cKDTree(cloud.points)
-
-    @property
-    def cloud(self) -> PointCloud:
-        return self._cloud
-
-    def nearest(self, query) -> tuple[int, float]:
-        """Index and distance of the closest point; lowest index wins ties."""
-        q = _as_f64(query, (3,))
-        d, _ = self._tree.query(q)
-        # Re-rank every candidate at the winning radius with plain numpy
-        # arithmetic so the result matches a linear scan bit for bit.
-        candidates = self._tree.query_ball_point(q, float(d) * (1.0 + 1e-12) + 1e-300)
-        pts = self._cloud.points[candidates]
-        d2 = np.einsum("ij,ij->i", pts - q, pts - q)
-        order = sorted(zip(d2, candidates))
-        best_d2, best_i = order[0]
-        return int(best_i), float(np.sqrt(best_d2))
-
-    def nearest_many(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized nearest neighbors: (indices, distances) per query row."""
-        d, i = self._tree.query(_as_f64(queries))
-        return np.asarray(i, dtype=np.int64), np.asarray(d, dtype=np.float64)
-
-    def within(self, query, radius: float) -> np.ndarray:
-        """Sorted indices of points within radius of the query."""
-        idx = self._tree.query_ball_point(_as_f64(query, (3,)), float(radius))
-        return np.array(sorted(idx), dtype=np.int64)

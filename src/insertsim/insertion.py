@@ -23,7 +23,7 @@ from insertsim.geom import (
     quat_slerp,
 )
 from insertsim.arm.error_model import ArmInstance
-from insertsim.arm.ik import IkSettings, ik
+from insertsim.arm.ik import IkSettings, LimitViolationError, UnreachableTargetError, ik
 from insertsim.arm.model import JointConfig
 
 
@@ -112,7 +112,9 @@ def execute_insertion(arm: ArmInstance, traj: Trajectory, ic_bias: JointConfig,
         try:
             q_cmd = ik(arm.model, carried, bias_config=ic_bias, start=arm.commanded,
                        settings=ik_settings)
-        except Exception as e:
+        except (UnreachableTargetError, LimitViolationError) as e:
+            # each takes one message; the type stays so callers can match on it,
+            # and any other error propagates as raised
             raise type(e)(f"waypoint {k + 1}/{len(traj) - 1}: {e}") from e
         arm.move_to(q_cmd)
         path.append(q_cmd)

@@ -35,7 +35,6 @@ class RegistrationParams:
     icp_max_correspondence_dist: float = 1e-3
     max_outer_loops: int = 10
     feature_radius: Optional[float] = None  # default: 5 * voxel_size
-    icp_voxel_size: Optional[float] = None  # finer grid for the ICP stage; None reuses voxel_size
 
     def __post_init__(self):
         object.__setattr__(self, "q0", quat_normalize(self.q0))

@@ -11,12 +11,10 @@ caller can decide to rescan and retry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from insertsim.geom import PointCloud, quat_distance, transform_cloud
 from insertsim.registration.features import FeatureCloud, compute_features
@@ -35,36 +33,29 @@ _FITNESS_SENTINEL = 1e6  # effectively infinite start for the best fitness
 
 @dataclass(frozen=True)
 class PreparedCloud:
-    """Conditioned cloud: coarse keypoints with descriptors, fine refine cloud.
+    """Conditioned cloud: keypoints with descriptors, also the ICP cloud.
 
-    It owns the KD-trees that registration queries: the keypoint and
-    descriptor trees of `features` and the tree over `fine` that ICP matches
-    against. Each is built on first use and kept, so no outer loop and no
-    later estimate_pose call against the same prepared cloud rebuilds one.
+    Registration queries the KD-trees of `features`: the descriptor tree for
+    correspondences and the keypoint tree for ICP matching. Each is built on
+    first use and kept, so no outer loop and no later estimate_pose call
+    against the same prepared cloud rebuilds one.
     """
 
     features: FeatureCloud
-    fine: PointCloud
 
-    @cached_property
-    def fine_tree(self) -> cKDTree:
-        return cKDTree(self.fine.points)
+    @property
+    def fine(self) -> PointCloud:
+        """The cloud ICP refines on: the keypoints of `features`."""
+        return self.features.keypoints
 
 
 def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> PreparedCloud:
     """Preprocess and describe a cloud once; reusable across estimate_pose calls.
 
-    Outlier removal, the voxel grid(s), normals and FPFH run here, once per
-    cloud. The KD-trees are built lazily by the returned PreparedCloud.
+    Outlier removal, the voxel grid, normals and FPFH run here, once per
+    cloud. The KD-trees are built lazily by the returned FeatureCloud.
     """
-    coarse = preprocess(cloud, params)
-    if params.icp_voxel_size is not None:
-        # refine on a finer grid than the correspondence stage: point-to-point
-        # accuracy is limited by the sampling density of the two clouds
-        fine = preprocess(cloud, replace(params, voxel_size=params.icp_voxel_size))
-    else:
-        fine = coarse
-    return PreparedCloud(compute_features(coarse, params.effective_feature_radius), fine)
+    return PreparedCloud(compute_features(preprocess(cloud, params), params.effective_feature_radius))
 
 
 def _loop_seed(seed: int, loop: int) -> int:
@@ -95,7 +86,7 @@ def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
             try:
                 aligned_fine = transform_cloud(ref_prepared.fine, coarse.pose)
                 refined = icp_refine(scan_p.fine, aligned_fine, params, initial_pose=coarse.pose,
-                                     scan_tree=scan_p.fine_tree)
+                                     scan_tree=scan_p.features.keypoint_tree)
             except DivergenceError:
                 refined = None  # coarse pose too far off; try another loop
             if refined is not None and refined.fitness < f_best and \

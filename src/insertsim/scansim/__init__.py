@@ -2,7 +2,6 @@ from insertsim.scansim.surfaces import Box, Cylinder, HolePlate, Scene, ScenePar
 from insertsim.scansim.scanner import (
     CalibrationError,
     ScannerConfig,
-    ScanProfile,
     SweepScan,
     linear_sweep,
     sweep_scan,
@@ -20,7 +19,6 @@ __all__ = [
     "TriangleMesh",
     "CalibrationError",
     "ScannerConfig",
-    "ScanProfile",
     "SweepScan",
     "linear_sweep",
     "sweep_scan",

@@ -4,6 +4,12 @@ Each trajectory pose carries the sensor frame: the laser line lies along the
 sensor x-axis and rays travel along sensor +z. One pose yields one profile of
 up to `points_per_profile` depth samples. Misses produce no point.
 
+The sweep casts whole profiles in chunks of at most `_CHUNK_RAYS` rays (at
+least one profile), one `Scene.cast` per chunk, which bounds the per-ray
+buffers on long sweeps. Depth noise is drawn per profile from
+`SeedSequence([seed, k])` for profile k, so the cloud does not depend on how
+the profiles are chunked.
+
 Calibration error model: the assumed sensor poses are the trajectory as given;
 the physical sensor actually sits at `mount_offset` composed on the base side
 (true = offset ∘ assumed). Rays are cast from the true poses, but the measured
@@ -21,6 +27,8 @@ import numpy as np
 
 from insertsim.geom import Pose, PointCloud, pose_compose
 from insertsim.scansim.surfaces import Scene
+
+_CHUNK_RAYS = 32768
 
 
 @dataclass(frozen=True)
@@ -64,20 +72,6 @@ class CalibrationError:
 
 
 @dataclass(frozen=True)
-class ScanProfile:
-    """One laser line: samples in the sensor frame, ordered by lateral x."""
-
-    lateral: np.ndarray        # (M,) strictly increasing
-    points_sensor: np.ndarray  # (M, 3)
-    normals_world: np.ndarray  # (M, 3) true-surface normals (pre-calibration)
-    part_index: np.ndarray     # (M,)
-
-    def __post_init__(self):
-        if len(self.lateral) > 1 and not np.all(np.diff(self.lateral) > 0):
-            raise ValueError("profile samples must be strictly increasing in x")
-
-
-@dataclass(frozen=True)
 class SweepScan:
     """Assembled sweep output plus per-point provenance for the harness."""
 
@@ -96,23 +90,11 @@ def linear_sweep(start: Pose, direction, step: float, count: int) -> list[Pose]:
     return [Pose(start.position + k * step * direction, start.orientation) for k in range(count)]
 
 
-def _scan_profile(scene: Scene, true_pose: Pose, lateral: np.ndarray,
-                  noise_std: float, rng: np.random.Generator) -> ScanProfile:
-    n = len(lateral)
-    origins_local = np.zeros((n, 3))
-    origins_local[:, 0] = lateral
-    R = true_pose.rotation_matrix()
-    origins = origins_local @ R.T + true_pose.position
-    dirs = np.tile(R[:, 2], (n, 1))
-    hits = scene.cast(origins, dirs)
-    depth = hits.t.copy()
-    if noise_std > 0.0:
-        depth = depth + rng.normal(scale=noise_std, size=n)
-    mask = hits.hit
-    pts_sensor = np.zeros((mask.sum(), 3))
-    pts_sensor[:, 0] = lateral[mask]
-    pts_sensor[:, 2] = depth[mask]
-    return ScanProfile(lateral[mask], pts_sensor, hits.normals[mask], hits.part_index[mask])
+def _to_base(poses: list[Pose], local: np.ndarray) -> np.ndarray:
+    """Map sensor-frame samples, (n, 3) or one (n, 3) block per pose, through each pose."""
+    R = np.stack([p.rotation_matrix() for p in poses])
+    t = np.stack([p.position for p in poses])
+    return local @ R.transpose(0, 2, 1) + t[:, None, :]
 
 
 def sweep_scan_detailed(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
@@ -120,27 +102,38 @@ def sweep_scan_detailed(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig
     if not trajectory:
         raise ValueError("scanner trajectory must be non-empty")
     lateral = cfg.lateral_positions()
-    true_poses = [pose_compose(cal.mount_offset, p) for p in trajectory]
-
-    profiles = [
-        _scan_profile(scene, true_poses[k], lateral, cfg.depth_noise_std,
-                      np.random.default_rng(np.random.SeedSequence([int(seed), k])))
-        for k in range(len(trajectory))
-    ]
+    n = len(lateral)
+    sensor = np.zeros((n, 3))
+    sensor[:, 0] = lateral
+    profiles_per_chunk = max(1, _CHUNK_RAYS // n)
 
     pts, nrm, parts, prof_ids = [], [], [], []
-    for k, (assumed, prof) in enumerate(zip(trajectory, profiles)):
-        if len(prof.lateral) == 0:
-            continue
-        pts.append(prof.points_sensor @ assumed.rotation_matrix().T + assumed.position)
-        nrm.append(prof.normals_world)
-        parts.append(prof.part_index)
-        prof_ids.append(np.full(len(prof.lateral), k, dtype=np.int64))
-    if not pts:
-        empty = PointCloud(np.zeros((0, 3)))
-        return SweepScan(empty, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    for lo in range(0, len(trajectory), profiles_per_chunk):
+        assumed = trajectory[lo:lo + profiles_per_chunk]
+        true = [pose_compose(cal.mount_offset, p) for p in assumed]
+        origins = _to_base(true, sensor)
+        dirs = np.repeat([p.rotation_matrix()[:, 2] for p in true], n, axis=0)
+        hits = scene.cast(origins.reshape(-1, 3), dirs)
+        depth = hits.t
+        if cfg.depth_noise_std > 0.0:
+            depth = depth + np.concatenate([
+                np.random.default_rng(np.random.SeedSequence([int(seed), k]))
+                .normal(scale=cfg.depth_noise_std, size=n)
+                for k in range(lo, lo + len(assumed))
+            ])
+        keep = hits.hit
+        samples = np.repeat(sensor[None], len(assumed), axis=0)
+        # misses (depth inf) are dropped below; zero keeps inf * 0 out of the product
+        samples[:, :, 2] = np.where(keep, depth, 0.0).reshape(len(assumed), n)
+        pts.append(_to_base(assumed, samples).reshape(-1, 3)[keep])
+        nrm.append(hits.normals[keep])
+        parts.append(hits.part_index[keep])
+        prof_ids.append(np.repeat(np.arange(lo, lo + len(assumed), dtype=np.int64), n)[keep])
 
     points = np.vstack(pts)
+    if len(points) == 0:
+        empty = PointCloud(np.zeros((0, 3)))
+        return SweepScan(empty, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     # map the true-surface normals through the same assumed-vs-true mismatch
     R_err = cal.mount_offset.inverse().rotation_matrix()
     normals = np.vstack(nrm) @ R_err.T

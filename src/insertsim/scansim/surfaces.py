@@ -29,6 +29,34 @@ def _no_hits(n: int) -> RayHits:
     return RayHits(np.full(n, np.inf), np.zeros((n, 3)), np.zeros(n, dtype=bool))
 
 
+def _box_faces(o: np.ndarray, d: np.ndarray, h: np.ndarray, open_z=None) -> RayHits:
+    """Nearest hit on the six faces of the box |x_i| <= h_i (slab test).
+
+    `open_z`, given the hit points on a ±z face, marks the ones that are open
+    (no material there), which the ray passes through.
+    """
+    n = len(o)
+    best_t = np.full(n, np.inf)
+    best_n = np.zeros((n, 3))
+    for axis in range(3):
+        for sign in (-1.0, 1.0):
+            da = d[:, axis]
+            movable = np.abs(da) > 1e-30
+            t = np.where(movable, (sign * h[axis] - o[:, axis]) / np.where(movable, da, 1.0), np.inf)
+            with np.errstate(invalid="ignore"):
+                pt = o + t[:, None] * d
+            others = [i for i in range(3) if i != axis]
+            inside = np.all(np.abs(pt[:, others]) <= h[others] + 1e-15, axis=1)
+            if axis == 2 and open_z is not None:
+                inside &= ~open_z(pt)
+            valid = movable & (t > _T_MIN) & inside & (t < best_t)
+            nrm = np.zeros(3)
+            nrm[axis] = sign
+            best_t = np.where(valid, t, best_t)
+            best_n = np.where(valid[:, None], nrm, best_n)
+    return RayHits(best_t, best_n, np.isfinite(best_t))
+
+
 class TriangleMesh:
     """Indexed triangle mesh. Faces must be non-degenerate (area > 1e-18 m^2)."""
 
@@ -177,25 +205,7 @@ class Box:
     def ray_intersect(self, origins, dirs) -> RayHits:
         o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
         d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-        h = self.half_extents
-        n = len(o)
-        best_t = np.full(n, np.inf)
-        best_n = np.zeros((n, 3))
-        for axis in range(3):
-            for sign in (-1.0, 1.0):
-                da = d[:, axis]
-                movable = np.abs(da) > 1e-30
-                t = np.where(movable, (sign * h[axis] - o[:, axis]) / np.where(movable, da, 1.0), np.inf)
-                with np.errstate(invalid="ignore"):
-                    pt = o + t[:, None] * d
-                others = [i for i in range(3) if i != axis]
-                inside = np.all(np.abs(pt[:, others]) <= h[others] + 1e-15, axis=1)
-                valid = movable & (t > _T_MIN) & inside & (t < best_t)
-                nrm = np.zeros(3)
-                nrm[axis] = sign
-                best_t = np.where(valid, t, best_t)
-                best_n = np.where(valid[:, None], nrm, best_n)
-        return RayHits(best_t, best_n, np.isfinite(best_t))
+        return _box_faces(o, d, self.half_extents)
 
 
 class HolePlate:
@@ -233,28 +243,9 @@ class HolePlate:
     def ray_intersect(self, origins, dirs) -> RayHits:
         o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
         d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-        n = len(o)
-        best_t = np.full(n, np.inf)
-        best_n = np.zeros((n, 3))
-        h = np.array([self.hx, self.hy, self.half_thickness])
-
-        # top/bottom faces minus the hole, then the four side walls
-        for axis in range(3):
-            for sign in (-1.0, 1.0):
-                da = d[:, axis]
-                movable = np.abs(da) > 1e-30
-                t = np.where(movable, (sign * h[axis] - o[:, axis]) / np.where(movable, da, 1.0), np.inf)
-                with np.errstate(invalid="ignore"):
-                    pt = o + t[:, None] * d
-                others = [i for i in range(3) if i != axis]
-                inside = np.all(np.abs(pt[:, others]) <= h[others] + 1e-15, axis=1)
-                if axis == 2:
-                    inside &= ~self._in_hole(pt)
-                valid = movable & (t > _T_MIN) & inside & (t < best_t)
-                nrm = np.zeros(3)
-                nrm[axis] = sign
-                best_t = np.where(valid, t, best_t)
-                best_n = np.where(valid[:, None], nrm, best_n)
+        faces = _box_faces(o, d, np.array([self.hx, self.hy, self.half_thickness]),
+                           open_z=self._in_hole)
+        best_t, best_n = faces.t, faces.normals
 
         # hole wall: ((x-cx)/a)^2 + ((y-cy)/b)^2 = 1, |z| <= half_thickness
         px = o[:, 0] - self.cx

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from insertsim.geom import (
     PointCloud,
     Pose,
-    SpatialIndex,
     pose_compose,
     quat_distance,
     quat_from_axis_angle,
@@ -189,34 +188,3 @@ def test_cloud_rejects_non_unit_normals():
 def test_cloud_rejects_mismatched_normals():
     with pytest.raises(ValueError):
         PointCloud(np.zeros((2, 3)), np.array([[0.0, 0.0, 1.0]]))
-
-
-# -- spatial index -----------------------------------------------------------
-
-def test_nearest_agrees_with_linear_scan():
-    rng = np.random.default_rng(10)
-    pts = rng.uniform(-1, 1, size=(1000, 3))
-    index = SpatialIndex(PointCloud(pts))
-    queries = rng.uniform(-1, 1, size=(1000, 3))
-    for q in queries:
-        d2 = np.einsum("ij,ij->i", pts - q, pts - q)
-        assert index.nearest(q)[0] == int(np.argmin(d2))
-
-
-def test_nearest_tie_breaks_to_lowest_index():
-    # Two points equidistant from the query; index 0 must win.
-    pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 5.0, 0.0]])
-    index = SpatialIndex(PointCloud(pts))
-    assert index.nearest([0.0, 0.0, 0.0])[0] == 0
-
-
-def test_nearest_many_matches_single_queries():
-    rng = np.random.default_rng(11)
-    pts = rng.normal(size=(300, 3))
-    index = SpatialIndex(PointCloud(pts))
-    queries = rng.normal(size=(50, 3))
-    idx, dist = index.nearest_many(queries)
-    for k, q in enumerate(queries):
-        i, d = index.nearest(q)
-        assert idx[k] == i
-        assert dist[k] == pytest.approx(d, abs=1e-12)

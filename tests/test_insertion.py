@@ -3,7 +3,9 @@ import csv
 import numpy as np
 import pytest
 
+import insertsim.insertion as insertion_module
 from insertsim.arm import ArmInstance, ArmModel, IkSettings, JointConfig, ProprioceptionError, fk
+from insertsim.arm.ik import UnreachableTargetError
 from insertsim.geom import Pose, pose_compose, quat_distance, quat_multiply, quat_normalize
 from insertsim.insertion import (
     DegenerateApproachError,
@@ -116,6 +118,45 @@ def test_zero_offset_trajectory_keeps_pose():
     final, path = execute_insertion(arm, traj, ic_bias=HOME)
     assert len(path) == 9
     assert np.linalg.norm(final.position - start_actual.position) < 1e-7
+
+
+class TwoArgumentError(RuntimeError):
+    def __init__(self, joint, residual):
+        super().__init__(f"joint {joint}: residual {residual}")
+        self.joint = joint
+        self.residual = residual
+
+
+def test_execute_insertion_propagates_other_errors_unchanged(monkeypatch):
+    raised = TwoArgumentError(3, 1e-4)
+
+    def failing_ik(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(insertion_module, "ik", failing_ik)
+    arm = ArmInstance(ArmModel.panda(), ProprioceptionError.zero(), HOME)
+    traj = plan_relative_trajectory(arm.reported, arm.reported, horizon=5, duration=1.0)
+    with pytest.raises(TwoArgumentError) as err:
+        execute_insertion(arm, traj, ic_bias=HOME)
+    assert err.value is raised
+    assert (err.value.joint, err.value.residual) == (3, 1e-4)
+
+
+def test_unreachable_waypoint_is_named(monkeypatch):
+    calls = []
+
+    def ik_failing_at_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise UnreachableTargetError("no convergence")
+        return HOME
+
+    monkeypatch.setattr(insertion_module, "ik", ik_failing_at_third)
+    arm = ArmInstance(ArmModel.panda(), ProprioceptionError.zero(), HOME)
+    traj = plan_relative_trajectory(arm.reported, arm.reported, horizon=5, duration=1.0)
+    with pytest.raises(UnreachableTargetError, match=r"waypoint 3/4: no convergence") as err:
+        execute_insertion(arm, traj, ic_bias=HOME)
+    assert isinstance(err.value.__cause__, UnreachableTargetError)
 
 
 def test_small_relative_correction_accrues_little_bias_error():

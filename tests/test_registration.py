@@ -280,6 +280,27 @@ def test_estimate_pose_indexes_each_cloud_once(monkeypatch):
     assert counts[0] == counts[1]
 
 
+def test_icp_matches_against_the_scan_keypoint_tree(monkeypatch):
+    """ICP reuses the scan FeatureCloud's keypoint tree instead of building its own."""
+    scans, trees = [], []
+
+    def recording_ransac(scan, *args, **kwargs):
+        scans.append(scan)
+        return ransac_register(scan, *args, **kwargs)
+
+    def recording_icp(*args, scan_tree=None, **kwargs):
+        trees.append(scan_tree)
+        return icp_refine(*args, scan_tree=scan_tree, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "ransac_register", recording_ransac)
+    monkeypatch.setattr(pipeline_module, "icp_refine", recording_icp)
+    ref = terrain_cloud()
+    scan = transform_cloud(ref, Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
+    estimate_pose(scan, ref, small_params(max_outer_loops=2), seed=3)
+    assert trees
+    assert all(tree is scans[0].keypoint_tree for tree in trees)
+
+
 # -- RANSAC -------------------------------------------------------------------
 
 def test_ransac_identity_on_identical_clouds():
