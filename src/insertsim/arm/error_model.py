@@ -30,17 +30,13 @@ BASE_DECORRELATION = 2e-4   # rad, renewal floor per motion (settling, thermal)
 class ProprioceptionError:
     """Holds the per-arm bias and the seeded repeatability noise state."""
 
-    def __init__(self, joint_bias, repeat_noise_std: float, seed: int,
-                 decorrelation_scale: float = DECORRELATION_SCALE,
-                 base_decorrelation: float = BASE_DECORRELATION):
+    def __init__(self, joint_bias, repeat_noise_std: float, seed: int):
         self.joint_bias = np.asarray(joint_bias, dtype=np.float64).copy()
         if self.joint_bias.shape != (7,):
             raise ValueError("joint_bias must have 7 entries")
         if repeat_noise_std < 0:
             raise ValueError("repeat_noise_std must be >= 0")
         self.repeat_noise_std = float(repeat_noise_std)
-        self.decorrelation_scale = float(decorrelation_scale)
-        self.base_decorrelation = float(base_decorrelation)
         self.seed = int(seed)
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4015E]))
         self._state = np.zeros(7)
@@ -69,8 +65,8 @@ class ProprioceptionError:
         if motion_amplitude is None:
             rho = 0.0
         else:
-            travel = abs(float(motion_amplitude)) + self.base_decorrelation
-            rho = float(np.exp(-travel / self.decorrelation_scale))
+            travel = abs(float(motion_amplitude)) + BASE_DECORRELATION
+            rho = float(np.exp(-travel / DECORRELATION_SCALE))
         fresh = self._noise_rng.normal(scale=self.repeat_noise_std, size=7)
         if not self._initialized:
             self._state = fresh

@@ -56,18 +56,18 @@ def ik(model: ArmModel, target: Pose, bias_config: JointConfig, start: JointConf
     converged_at = None
     total = settings.max_iterations
     it = 0
-    while it < total:
+    while True:
         it += 1
         cur = fk(model, JointConfig(q), check_limits=False)
         err = _pose_error(target, cur)
         task_ok = np.linalg.norm(err[:3]) < settings.pos_tol and \
             np.linalg.norm(err[3:]) < settings.rot_tol
-        if task_ok:
-            if converged_at is None:
-                converged_at = it
-                total = min(settings.max_iterations, it + settings.settle_iterations)
-            if it >= total:
-                break
+        if task_ok and converged_at is None:
+            converged_at = it
+            total = min(settings.max_iterations, it + settings.settle_iterations)
+        # stop on the pose just evaluated: it is the one judged below
+        if it > total or (task_ok and it >= total):
+            break
         J = jacobian(model, JointConfig(q))
         JJt = J @ J.T + lam2 * eye6
         J_dls = J.T @ np.linalg.inv(JJt)
@@ -78,9 +78,7 @@ def ik(model: ArmModel, target: Pose, bias_config: JointConfig, start: JointConf
         dq = np.clip(dq, -settings.max_step, settings.max_step)
         q = model.clamp(q + dq)
 
-    cur = fk(model, JointConfig(q), check_limits=False)
-    err = _pose_error(target, cur)
-    if np.linalg.norm(err[:3]) >= settings.pos_tol or np.linalg.norm(err[3:]) >= settings.rot_tol:
+    if not task_ok:
         at_limit = np.isclose(q, model.joint_limits[:, 0]) | np.isclose(q, model.joint_limits[:, 1])
         if np.any(at_limit):
             raise LimitViolationError(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from insertsim.geom import (
     quat_slerp,
 )
 from insertsim.arm.error_model import ArmInstance
-from insertsim.arm.ik import IkSettings, LimitViolationError, UnreachableTargetError, ik
+from insertsim.arm.ik import LimitViolationError, UnreachableTargetError, ik
 from insertsim.arm.model import JointConfig
 
 
@@ -97,8 +96,8 @@ def write_trajectory_csv(path, traj: Trajectory) -> None:
             writer.writerow([repr(float(v)) for v in (t, *wp.position, *wp.orientation)])
 
 
-def execute_insertion(arm: ArmInstance, traj: Trajectory, ic_bias: JointConfig,
-                      ik_settings: IkSettings = IkSettings()) -> tuple[Pose, list[JointConfig]]:
+def execute_insertion(arm: ArmInstance, traj: Trajectory,
+                      ic_bias: JointConfig) -> tuple[Pose, list[JointConfig]]:
     """Track the trajectory as offsets from the arm's current believed pose.
 
     A virtual carried target accumulates the offsets exactly, so per-waypoint
@@ -110,8 +109,7 @@ def execute_insertion(arm: ArmInstance, traj: Trajectory, ic_bias: JointConfig,
     for k, (dx, dq) in enumerate(traj.offsets()):
         carried = Pose(carried.position + dx, quat_multiply(dq, carried.orientation))
         try:
-            q_cmd = ik(arm.model, carried, bias_config=ic_bias, start=arm.commanded,
-                       settings=ik_settings)
+            q_cmd = ik(arm.model, carried, bias_config=ic_bias, start=arm.commanded)
         except (UnreachableTargetError, LimitViolationError) as e:
             # each takes one message; the type stays so callers can match on it,
             # and any other error propagates as raised

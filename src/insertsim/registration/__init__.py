@@ -11,7 +11,7 @@ from insertsim.registration.preprocess import preprocess, statistical_outlier_re
 from insertsim.registration.features import FeatureCloud, compute_features, estimate_normals
 from insertsim.registration.ransac import RansacResult, ransac_register
 from insertsim.registration.icp import IcpResult, icp_refine
-from insertsim.registration.pipeline import PreparedCloud, estimate_pose, prepare_cloud
+from insertsim.registration.pipeline import estimate_pose, prepare_cloud
 
 __all__ = [
     "DegenerateFeatureError",
@@ -33,5 +33,4 @@ __all__ = [
     "icp_refine",
     "estimate_pose",
     "prepare_cloud",
-    "PreparedCloud",
 ]

@@ -32,6 +32,14 @@ MIN_NEIGHBORS = 5
 
 @dataclass(frozen=True)
 class FeatureCloud:
+    """Keypoints with their descriptors: what prepare_cloud returns and
+    registration matches and refines on.
+
+    `fine` is a read-only alias of `keypoints`, kept because the benchmark
+    in `trialbench/workloads.py` reads `ref.fine` from a prepared reference
+    and the benchmark's files are held fixed so that runs stay comparable.
+    """
+
     keypoints: PointCloud
     descriptors: np.ndarray  # (N, 33), non-negative
 
@@ -43,6 +51,10 @@ class FeatureCloud:
 
     def __len__(self) -> int:
         return len(self.keypoints)
+
+    @property
+    def fine(self) -> PointCloud:
+        return self.keypoints
 
     # Indexes over the cloud, each built on first use and kept with it, so a
     # cloud registered in many RANSAC rounds or against many scans is indexed once.

@@ -22,23 +22,23 @@ class IcpResult(NamedTuple):
     iterations: int
 
 
-def icp_refine(scan: PointCloud, init_aligned_ref: PointCloud, params: RegistrationParams,
-               initial_pose: Pose = None, scan_tree: Optional[cKDTree] = None) -> IcpResult:
-    """Refine the alignment of an already coarsely aligned reference cloud.
+def icp_refine(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
+               initial_pose: Optional[Pose] = None, scan_tree: Optional[cKDTree] = None) -> IcpResult:
+    """Refine the pose of `ref` in the scan frame, starting from `initial_pose`.
 
-    The moving cloud is `init_aligned_ref`; correspondences are nearest scan
-    points within `icp_max_correspondence_dist`. The returned pose composes
-    the incremental refinement with `initial_pose` (the coarse estimate that
-    produced the aligned cloud), i.e. it maps the original reference frame
-    into the scan frame. `scan_tree`, a cKDTree over `scan.points`, is
-    built here when not given.
+    The moving cloud is `ref` placed by `initial_pose` (identity when not
+    given); correspondences are nearest scan points within
+    `icp_max_correspondence_dist`. The returned pose composes the
+    incremental refinement with `initial_pose`, i.e. it maps the reference
+    frame into the scan frame. `scan_tree`, a cKDTree over `scan.points`,
+    is built here when not given.
     """
-    if len(scan) == 0 or len(init_aligned_ref) == 0:
+    if len(scan) == 0 or len(ref) == 0:
         raise ValueError("clouds must be non-empty")
     if initial_pose is None:
         initial_pose = Pose.identity()
     tree = scan_tree if scan_tree is not None else cKDTree(scan.points)
-    moving = init_aligned_ref.points.copy()
+    moving = initial_pose.transform_points(ref.points)
     cutoff = params.icp_max_correspondence_dist
     R_total = np.eye(3)
     t_total = np.zeros(3)

@@ -29,14 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from insertsim.geom import (
-    PointCloud,
-    Pose,
-    quat_from_matrix,
-    quat_distance,
-    quat_to_matrix,
-    transform_cloud,
-)
+from insertsim.geom import Pose, quat_from_matrix, quat_distance, quat_to_matrix
 from insertsim.registration.features import FeatureCloud
 from insertsim.registration.params import InsufficientCorrespondencesError, RegistrationParams
 from insertsim.registration.rigid import kabsch_transform
@@ -47,7 +40,6 @@ _DESC_KNN = 5           # correspondence candidates per scan keypoint
 
 class RansacResult(NamedTuple):
     pose: Pose
-    aligned_ref: PointCloud  # reference keypoints moved into the scan frame
     inlier_fraction: float
 
 
@@ -102,13 +94,14 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
     min_edge = 3.0 * threshold
     R_prior = quat_to_matrix(params.q0)
 
-    def count_inliers(R, t):
-        moved = ref_pts @ R.T + t
-        d, _ = scan_tree.query(moved, distance_upper_bound=threshold)
-        return int(np.sum(np.isfinite(d)))
+    def score(R, t):
+        """Inlier count, inlier mask and matched scan keypoints of one hypothesis."""
+        d, idx = scan_tree.query(ref_pts @ R.T + t, distance_upper_bound=threshold)
+        inliers = np.isfinite(d)
+        return int(inliers.sum()), inliers, idx
 
     best_count = -1
-    best_Rt = None
+    best = None
     for it in range(params.ransac_iterations):
         if it % 2 == 0:
             # feature-triple hypothesis
@@ -141,29 +134,25 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
 
         if quat_distance(quat_from_matrix(R), params.q0) >= params.rho_rot:
             continue  # already hopeless at the orientation gate
-        count = count_inliers(R, t)
+        count, inliers, idx = score(R, t)
         if count > best_count:
             best_count = count
-            best_Rt = (R, t)
+            best = (R, t, inliers, idx)
             if count >= 0.9 * n_ref:
                 break
 
-    if best_Rt is None:
+    if best is None:
         # nothing scored (all samples prerejected); report a null alignment
-        return RansacResult(Pose.identity(), ref.keypoints, 0.0)
+        return RansacResult(Pose.identity(), 0.0)
 
-    # polish the winner on its full inlier correspondence set
-    R, t = best_Rt
+    # polish the winner on the inlier correspondences of its own scoring query
+    R, t, inliers, idx = best
     count = best_count
-    moved = ref_pts @ R.T + t
-    d, idx = scan_tree.query(moved, distance_upper_bound=threshold)
-    inliers = np.isfinite(d)
-    if inliers.sum() >= 3:
+    if count >= 3:
         R2, t2 = kabsch_transform(ref_pts[inliers], scan_pts[idx[inliers]])
         if quat_distance(quat_from_matrix(R2), params.q0) < params.rho_rot:
-            refined_count = count_inliers(R2, t2)
-            if refined_count >= best_count:
+            refined_count = score(R2, t2)[0]
+            if refined_count >= count:
                 R, t, count = R2, t2, refined_count
 
-    pose = Pose(t, quat_from_matrix(R))
-    return RansacResult(pose, transform_cloud(ref.keypoints, pose), count / n_ref)
+    return RansacResult(Pose(t, quat_from_matrix(R)), count / n_ref)

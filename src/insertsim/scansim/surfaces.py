@@ -25,10 +25,6 @@ class RayHits(NamedTuple):
     hit: np.ndarray      # (N,) bool
 
 
-def _no_hits(n: int) -> RayHits:
-    return RayHits(np.full(n, np.inf), np.zeros((n, 3)), np.zeros(n, dtype=bool))
-
-
 def _box_faces(o: np.ndarray, d: np.ndarray, h: np.ndarray, open_z=None) -> RayHits:
     """Nearest hit on the six faces of the box |x_i| <= h_i (slab test).
 

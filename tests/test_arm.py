@@ -1,3 +1,4 @@
+import importlib
 from functools import reduce
 
 import numpy as np
@@ -19,6 +20,9 @@ from insertsim.arm import (
     mdh_transform,
 )
 from insertsim.geom import Pose, quat_to_matrix, quat_to_rotvec, quat_multiply, quat_conjugate
+
+# the module, not the function of the same name that insertsim.arm exports
+ik_module = importlib.import_module("insertsim.arm.ik")
 
 HOME = JointConfig(np.array([0.0, -0.5, 0.0, -2.0, 0.0, 1.6, 0.8]))
 
@@ -166,6 +170,39 @@ def test_ik_unreachable_target():
     far = Pose(np.array([2.5, 0.0, 0.3]), np.array([1.0, 0, 0, 0]))
     with pytest.raises((UnreachableTargetError, LimitViolationError)):
         ik(model, far, bias_config=HOME, start=HOME)
+
+
+def test_ik_judges_the_last_evaluated_pose(monkeypatch):
+    """Every fk call but the last is followed by a step; the last one is judged."""
+    calls = {"fk": 0, "jacobian": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ik_module, "fk", counting("fk", fk))
+    monkeypatch.setattr(ik_module, "jacobian", counting("jacobian", jacobian))
+    model = panda()
+    target = fk(model, HOME)
+
+    ik(model, target, bias_config=HOME, start=HOME)
+    assert calls == {"fk": 1, "jacobian": 0}  # already on target: judged as found
+
+    for settings in (IkSettings(), IkSettings(settle_iterations=20)):
+        calls.update(fk=0, jacobian=0)
+        start = JointConfig(HOME.angles + 0.05)
+        sol = ik(model, target, bias_config=HOME, start=start, settings=settings)
+        assert calls["jacobian"] > 0
+        assert calls["fk"] == calls["jacobian"] + 1
+        assert fk(model, sol, check_limits=False).translation_to(target) < settings.pos_tol
+
+    calls.update(fk=0, jacobian=0)
+    far = Pose(np.array([2.5, 0.0, 0.3]), np.array([1.0, 0, 0, 0]))
+    with pytest.raises((UnreachableTargetError, LimitViolationError)):
+        ik(model, far, bias_config=HOME, start=HOME, settings=IkSettings(max_iterations=20))
+    assert calls == {"fk": 21, "jacobian": 20}
 
 
 # -- proprioception error model -------------------------------------------------

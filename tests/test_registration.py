@@ -6,6 +6,7 @@ from insertsim.geom import PointCloud, Pose, pose_compose, quat_distance, transf
 from insertsim.registration import (
     DegenerateFeatureError,
     DivergenceError,
+    FeatureCloud,
     InsufficientCorrespondencesError,
     RegistrationFailedError,
     RegistrationParams,
@@ -13,6 +14,7 @@ from insertsim.registration import (
     estimate_normals,
     estimate_pose,
     icp_refine,
+    prepare_cloud,
     ransac_register,
     voxel_downsample,
 )
@@ -281,24 +283,43 @@ def test_estimate_pose_indexes_each_cloud_once(monkeypatch):
 
 
 def test_icp_matches_against_the_scan_keypoint_tree(monkeypatch):
-    """ICP reuses the scan FeatureCloud's keypoint tree instead of building its own."""
-    scans, trees = [], []
+    """ICP reuses the scan FeatureCloud's keypoint tree instead of building its own,
+    and places the reference keypoints itself from the same loop's RANSAC pose."""
+    ransac_calls, icp_calls = [], []
 
-    def recording_ransac(scan, *args, **kwargs):
-        scans.append(scan)
-        return ransac_register(scan, *args, **kwargs)
+    def recording_ransac(scan, ref, *args, **kwargs):
+        result = ransac_register(scan, ref, *args, **kwargs)
+        ransac_calls.append((scan, ref, result))
+        return result
 
-    def recording_icp(*args, scan_tree=None, **kwargs):
-        trees.append(scan_tree)
-        return icp_refine(*args, scan_tree=scan_tree, **kwargs)
+    def recording_icp(scan, ref, params, initial_pose=None, scan_tree=None):
+        icp_calls.append((ref, initial_pose, scan_tree))
+        return icp_refine(scan, ref, params, initial_pose=initial_pose, scan_tree=scan_tree)
 
     monkeypatch.setattr(pipeline_module, "ransac_register", recording_ransac)
     monkeypatch.setattr(pipeline_module, "icp_refine", recording_icp)
     ref = terrain_cloud()
     scan = transform_cloud(ref, Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
     estimate_pose(scan, ref, small_params(max_outer_loops=2), seed=3)
-    assert trees
-    assert all(tree is scans[0].keypoint_tree for tree in trees)
+    assert icp_calls and len(icp_calls) == len(ransac_calls)
+    scan_f, ref_f, _ = ransac_calls[0]
+    # every loop here passes the gate, so call i of each belongs to loop i
+    for (icp_ref, initial_pose, tree), (_, _, coarse) in zip(icp_calls, ransac_calls):
+        assert tree is scan_f.keypoint_tree
+        assert icp_ref is ref_f.keypoints
+        assert initial_pose is coarse.pose
+
+
+def test_prepare_cloud_returns_the_feature_cloud():
+    ref = terrain_cloud()
+    params = small_params()
+    prepared = prepare_cloud(ref, params)
+    assert isinstance(prepared, FeatureCloud)
+    assert prepared.fine is prepared.keypoints
+    scan = transform_cloud(ref, Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
+    direct = estimate_pose(scan, ref, params, seed=3)
+    reused = estimate_pose(scan, prepared.fine, params, seed=3, ref_prepared=prepared)
+    assert reused.to_json_dict() == direct.to_json_dict()
 
 
 # -- RANSAC -------------------------------------------------------------------
@@ -340,7 +361,6 @@ def test_ransac_negative_control_unrelated_geometry():
 def test_ransac_insufficient_keypoints():
     tiny = PointCloud(np.zeros((2, 3)) + np.arange(2)[:, None] * 1e-3,
                       np.tile([0.0, 0.0, 1.0], (2, 1)))
-    from insertsim.registration import FeatureCloud
     fc = FeatureCloud(tiny, np.zeros((2, 33)))
     with pytest.raises(InsufficientCorrespondencesError):
         ransac_register(fc, fc, small_params(), seed=0)
@@ -385,8 +405,7 @@ def test_icp_divergence_error():
 def test_icp_total_pose_composes_initial():
     ref = terrain_cloud()
     coarse = Pose.from_axis_angle(np.array([1e-4, 2e-4, -1e-4]), [0, 1, 0], 0.02)
-    aligned = transform_cloud(ref, coarse)
-    result = icp_refine(ref, aligned, small_params(), initial_pose=coarse)
+    result = icp_refine(ref, ref, small_params(), initial_pose=coarse)
     # scan == ref, so the total ref->scan transform must be identity
     assert np.linalg.norm(result.pose.position) < 1e-7
     assert quat_distance(result.pose.orientation, IDENTITY_Q) < 1e-6
