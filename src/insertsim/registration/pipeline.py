@@ -52,8 +52,9 @@ def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
         raise ValueError("clouds must be non-empty")
     scan_f = prepare_cloud(scan, params)
     ref_f = ref_prepared if ref_prepared is not None else prepare_cloud(ref, params)
-    # the seed only changes the RANSAC sampling; correspondences are per pair
-    candidates = correspondence_candidates(scan_f, ref_f)
+    # the seed only changes the RANSAC sampling; correspondences and the
+    # inlier grid are per pair
+    candidates = correspondence_candidates(scan_f, ref_f, params.ransac_inlier_threshold)
 
     f_best = _FITNESS_SENTINEL
     best_pose = None

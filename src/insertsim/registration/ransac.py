@@ -16,11 +16,25 @@ Hypotheses whose orientation already violates the rho_rot gate are skipped
 before counting, so a flipped basin can never shadow the true one. The
 returned transform maps the reference cloud into the scan frame.
 
-The descriptor correspondences and the sampling pool depend only on the two
-clouds, not on the seed: `correspondence_candidates` computes them once per
-scan/reference pair (estimate_pose does so once per call, before its outer
-loop) and every RANSAC round reuses them. The KD-trees come from the
-FeatureClouds, which build each one once.
+The descriptor correspondences, the sampling pool and the inlier grid depend
+only on the two clouds and the inlier threshold, not on the seed:
+`correspondence_candidates` computes them once per scan/reference pair
+(estimate_pose does so once per call, before its outer loop) and every
+RANSAC round reuses them. The KD-trees come from the FeatureClouds, which
+build each one once.
+
+Scoring. A hypothesis scores the number of moved reference keypoints within
+the inlier threshold `thr` of some scan keypoint. The inlier grid settles
+most points without the KD-tree: it splits space into cubes of edge thr/2
+and lists every cube within 3 cubes (Chebyshev) of a cube holding a scan
+keypoint. A point in a cube that holds a scan keypoint is within
+sqrt(3)/2 * thr ~ 0.87 thr of it, so it is an inlier; a point in no listed
+cube is more than 3 * thr/2 = 1.5 thr from every scan keypoint along some
+axis, so it is an outlier. Only the points in the listed empty cubes are
+looked up in the scan's KD-tree, so the count equals the tree's count over
+all points; the margins (0.13 thr and 0.5 thr) are far wider than the
+rounding of the cube indices. Only the winner gets a full tree query, for
+the inlier correspondences its polish is solved on.
 """
 
 from __future__ import annotations
@@ -28,6 +42,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from insertsim.geom import Pose, quat_from_matrix, quat_distance, quat_to_matrix
 from insertsim.registration.features import FeatureCloud
@@ -36,6 +51,11 @@ from insertsim.registration.rigid import kabsch_transform
 
 _EDGE_SIMILARITY = 0.9  # min/max edge-length ratio accepted by the prerejector
 _DESC_KNN = 5           # correspondence candidates per scan keypoint
+_GRID_REACH = 3         # cubes around an occupied cube that may hold inliers
+# Cube indices stay below 2**40 so that their rounding is far below one cube,
+# and cube keys below 2**53 so that float64 holds every key exactly.
+_MAX_CUBE_INDEX = 2.0 ** 40
+_MAX_KEYS = 2 ** 53
 
 
 class RansacResult(NamedTuple):
@@ -51,13 +71,83 @@ def _edge_lengths(pts: np.ndarray) -> np.ndarray:
     ])
 
 
+class InlierGrid(NamedTuple):
+    """Cubes of edge threshold/2 near the scan keypoints, each named by one key.
+
+    A cube's key numbers its index within the box of cubes [lo, lo + top]
+    that pads the keypoints' cubes by _GRID_REACH + 1 on every side; keys
+    are integers below 2**53, held exactly in float64. `keys` holds, sorted,
+    the cubes within _GRID_REACH of a keypoint's cube, and `occupied[i]`
+    says whether cube keys[i] holds a keypoint itself, so the grid takes
+    memory in proportion to the keypoints, not to the box.
+    """
+
+    threshold: float
+    lo: np.ndarray       # (3,) lowest cube index of the box
+    top: np.ndarray      # (3,) highest cube index of the box, relative to lo
+    strides: np.ndarray  # (3,) key step per cube along x, y, z
+    keys: np.ndarray     # sorted keys of the cubes near a keypoint
+    occupied: np.ndarray  # bool per key: the cube holds a keypoint
+
+
+def inlier_grid(points: np.ndarray, threshold: float) -> Optional[InlierGrid]:
+    """Inlier grid over `points`; None when their cubes are too many to number."""
+    cubes = np.floor(points / (threshold / 2))
+    if not np.all(np.abs(cubes) < _MAX_CUBE_INDEX):
+        return None
+    # one layer beyond the reach: a point outside the box is clamped onto the
+    # box's outermost layer, which holds no listed cube, so the tree never
+    # sees it
+    lo = cubes.min(axis=0) - (_GRID_REACH + 1)
+    top = cubes.max(axis=0) + (_GRID_REACH + 1) - lo
+    nx, ny, nz = (int(n) + 1 for n in top)
+    if nx * ny * nz > _MAX_KEYS:
+        return None
+    strides = np.array([ny * nz, nz, 1], dtype=np.float64)
+    occupied_keys = np.unique((cubes - lo) @ strides)
+    # grow each occupied cube to the cube of cubes around it, one axis at a time
+    keys = occupied_keys
+    reach = np.arange(-_GRID_REACH, _GRID_REACH + 1, dtype=np.float64)
+    for stride in strides:
+        keys = np.unique((keys[:, None] + reach * stride).ravel())
+    occupied = np.zeros(len(keys), dtype=bool)
+    occupied[np.searchsorted(keys, occupied_keys)] = True
+    return InlierGrid(float(threshold), lo, top, strides, keys, occupied)
+
+
+def inlier_count(moved: np.ndarray, tree: cKDTree, threshold: float,
+                 grid: Optional[InlierGrid]) -> int:
+    """Points of `moved` within `threshold` of a point of `tree`, as the tree counts them.
+
+    `grid` must be inlier_grid(tree.data, threshold); with None every point
+    is looked up in the tree.
+    """
+    if grid is None:
+        d, _ = tree.query(moved, distance_upper_bound=threshold)
+        return int(np.count_nonzero(np.isfinite(d)))
+    cubes = moved / (threshold / 2)
+    np.floor(cubes, out=cubes)
+    cubes -= grid.lo
+    np.clip(cubes, 0.0, grid.top, out=cubes)
+    key = cubes @ grid.strides
+    pos = np.searchsorted(grid.keys, key)
+    np.minimum(pos, len(grid.keys) - 1, out=pos)
+    listed = grid.keys[pos] == key
+    occupied = grid.occupied[pos]
+    d, _ = tree.query(moved[listed & ~occupied], distance_upper_bound=threshold)
+    return int(np.count_nonzero(listed & occupied)) + int(np.count_nonzero(np.isfinite(d)))
+
+
 class Candidates(NamedTuple):
     knn: np.ndarray   # (n_scan, k) reference keypoints nearest in descriptor space
     pool: np.ndarray  # scan keypoints that triple hypotheses sample from
+    grid: Optional[InlierGrid]  # inlier grid over the scan keypoints
 
 
-def correspondence_candidates(scan: FeatureCloud, ref: FeatureCloud) -> Candidates:
-    """Descriptor kNN (scan -> reference) and the distinctive-keypoint pool."""
+def correspondence_candidates(scan: FeatureCloud, ref: FeatureCloud,
+                              threshold: float) -> Candidates:
+    """Descriptor kNN (scan -> reference), the distinctive-keypoint pool and
+    the inlier grid of `threshold` over the scan keypoints."""
     if len(scan) < 3 or len(ref) < 3:
         raise InsufficientCorrespondencesError(
             f"need >= 3 keypoints on both sides, got {len(scan)} / {len(ref)}"
@@ -69,19 +159,23 @@ def correspondence_candidates(scan: FeatureCloud, ref: FeatureCloud) -> Candidat
     deviation = np.linalg.norm(scan.descriptors - scan.descriptors.mean(axis=0), axis=1)
     pool_size = min(n_scan, max(40, n_scan // 10))
     pool = np.argsort(deviation, kind="stable")[-pool_size:]
-    return Candidates(np.asarray(knn, dtype=np.int64), pool)
+    return Candidates(np.asarray(knn, dtype=np.int64), pool,
+                      inlier_grid(scan.keypoints.points, threshold))
 
 
 def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationParams,
                     seed: int, candidates: Optional[Candidates] = None) -> RansacResult:
     """Best gated hypothesis of one seeded RANSAC round, polished on its inliers.
 
-    `candidates` must come from correspondence_candidates(scan, ref); it is
-    computed here when not given.
+    `candidates` must come from correspondence_candidates(scan, ref,
+    params.ransac_inlier_threshold); it is computed here when not given.
     """
+    threshold = params.ransac_inlier_threshold
     if candidates is None:
-        candidates = correspondence_candidates(scan, ref)
-    knn, pool = candidates
+        candidates = correspondence_candidates(scan, ref, threshold)
+    knn, pool, grid = candidates
+    if grid is not None and grid.threshold != threshold:
+        raise ValueError("candidates were built for another inlier threshold")
     k = knn.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xAC]))
     scan_pts = scan.keypoints.points
@@ -90,15 +184,13 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
     n_ref = len(ref_pts)
 
     scan_tree = scan.keypoint_tree
-    threshold = params.ransac_inlier_threshold
     min_edge = 3.0 * threshold
     R_prior = quat_to_matrix(params.q0)
+    # prior hypotheses all share R_prior, so they all pass or all fail the gate
+    prior_passes_gate = quat_distance(quat_from_matrix(R_prior), params.q0) < params.rho_rot
 
     def score(R, t):
-        """Inlier count, inlier mask and matched scan keypoints of one hypothesis."""
-        d, idx = scan_tree.query(ref_pts @ R.T + t, distance_upper_bound=threshold)
-        inliers = np.isfinite(d)
-        return int(inliers.sum()), inliers, idx
+        return inlier_count(ref_pts @ R.T + t, scan_tree, threshold, grid)
 
     best_count = -1
     best = None
@@ -122,6 +214,8 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
             if area < 0.05 * float(np.max(e_dst)) ** 2:
                 continue  # near-collinear, Kabsch is unstable
             R, t = kabsch_transform(src, dst)
+            if quat_distance(quat_from_matrix(R), params.q0) >= params.rho_rot:
+                continue  # already hopeless at the orientation gate
         else:
             # prior-orientation hypothesis from one correspondence
             s = int(rng.integers(0, n_scan))
@@ -129,15 +223,15 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
                 r = int(knn[s, rng.integers(0, k)])
             else:
                 r = int(rng.integers(0, n_ref))
+            if not prior_passes_gate:
+                continue
             R = R_prior
             t = scan_pts[s] - R @ ref_pts[r]
 
-        if quat_distance(quat_from_matrix(R), params.q0) >= params.rho_rot:
-            continue  # already hopeless at the orientation gate
-        count, inliers, idx = score(R, t)
+        count = score(R, t)
         if count > best_count:
             best_count = count
-            best = (R, t, inliers, idx)
+            best = (R, t)
             if count >= 0.9 * n_ref:
                 break
 
@@ -145,13 +239,15 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
         # nothing scored (all samples prerejected); report a null alignment
         return RansacResult(Pose.identity(), 0.0)
 
-    # polish the winner on the inlier correspondences of its own scoring query
-    R, t, inliers, idx = best
+    # polish the winner on its inlier correspondences
+    R, t = best
     count = best_count
     if count >= 3:
+        d, idx = scan_tree.query(ref_pts @ R.T + t, distance_upper_bound=threshold)
+        inliers = np.isfinite(d)
         R2, t2 = kabsch_transform(ref_pts[inliers], scan_pts[idx[inliers]])
         if quat_distance(quat_from_matrix(R2), params.q0) < params.rho_rot:
-            refined_count = score(R2, t2)[0]
+            refined_count = score(R2, t2)
             if refined_count >= count:
                 R, t, count = R2, t2, refined_count
 

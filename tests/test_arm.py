@@ -17,9 +17,8 @@ from insertsim.arm import (
     fk,
     ik,
     jacobian,
-    mdh_transform,
 )
-from insertsim.geom import Pose, quat_to_matrix, quat_to_rotvec, quat_multiply, quat_conjugate
+from insertsim.geom import Pose, quat_to_rotvec, quat_multiply, quat_conjugate
 
 # the module, not the function of the same name that insertsim.arm exports
 ik_module = importlib.import_module("insertsim.arm.ik")

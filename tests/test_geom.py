@@ -8,7 +8,6 @@ from insertsim.geom import (
     Pose,
     pose_compose,
     quat_distance,
-    quat_from_axis_angle,
     quat_to_matrix,
     transform_cloud,
 )

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import insertsim.insertion as insertion_module
-from insertsim.arm import ArmInstance, ArmModel, IkSettings, JointConfig, ProprioceptionError, fk
+from insertsim.arm import ArmInstance, ArmModel, JointConfig, ProprioceptionError
 from insertsim.arm.ik import UnreachableTargetError
-from insertsim.geom import Pose, pose_compose, quat_distance, quat_multiply, quat_normalize
+from insertsim.geom import Pose, quat_distance, quat_multiply, quat_normalize
 from insertsim.insertion import (
     DegenerateApproachError,
     InsertedObject,

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from insertsim.geom import PointCloud, Pose, pose_compose, quat_distance, transform_cloud
+from insertsim.geom import PointCloud, Pose, quat_distance, quat_from_matrix, quat_normalize, \
+    quat_to_matrix, transform_cloud
 from insertsim.registration import (
     DegenerateFeatureError,
     DivergenceError,
@@ -23,6 +26,8 @@ from insertsim.registration import icp as icp_module
 from insertsim.registration import pipeline as pipeline_module
 from insertsim.registration import preprocess as preprocess_module
 from insertsim.registration import ransac as ransac_module
+from insertsim.registration.ransac import inlier_count, inlier_grid
+from insertsim.registration.rigid import kabsch_transform
 from insertsim.scansim import CalibrationError, HolePlate, Scene, ScenePart, ScannerConfig, \
     linear_sweep, sweep_scan
 
@@ -62,10 +67,10 @@ def sphere_cloud(n: int = 900, radius: float = 3e-3) -> PointCloud:
     return PointCloud(radius * u, u)
 
 
-def lattice_plate_cloud() -> PointCloud:
+def lattice_plate_cloud(pose: Pose | None = None) -> PointCloud:
     """Noise-free scan of a hole plate: a 25 um lattice full of exact distance ties."""
     plate = HolePlate((1e-3, 1e-3), 1e-3, (2e-4, 2.5e-4), hole_center=(2e-4, 1e-4))
-    scene = Scene([ScenePart("plate", plate, Pose.identity())])
+    scene = Scene([ScenePart("plate", plate, Pose.identity() if pose is None else pose)])
     cfg = ScannerConfig(points_per_profile=96, lateral_span=96 * 25e-6,
                         lateral_resolution=25e-6, depth_noise_std=0.0)
     start = Pose.from_axis_angle([0.0, -1.2e-3, 0.03], [1, 0, 0], np.pi)
@@ -256,16 +261,22 @@ def test_voxel_grid_matches_loop_reference_on_opposing_normals():
 
 
 def test_estimate_pose_indexes_each_cloud_once(monkeypatch):
-    """KD-tree builds per estimate_pose do not grow with the outer loop count."""
-    builds = []
+    """KD-tree builds per estimate_pose do not grow with the outer loop count,
+    and the RANSAC inlier grid is built once."""
+    builds, grids = [], []
 
     def counting_tree(*args, **kwargs):
         builds.append(1)
         return cKDTree(*args, **kwargs)
 
+    def counting_grid(*args, **kwargs):
+        grids.append(1)
+        return inlier_grid(*args, **kwargs)
+
     for module in (preprocess_module, features_module, ransac_module, icp_module,
                    pipeline_module):
         monkeypatch.setattr(module, "cKDTree", counting_tree, raising=False)
+    monkeypatch.setattr(ransac_module, "inlier_grid", counting_grid)
     ref = terrain_cloud()
     rng = np.random.default_rng(11)
     scan = transform_cloud(ref, Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
@@ -273,12 +284,14 @@ def test_estimate_pose_indexes_each_cloud_once(monkeypatch):
     counts = []
     for loops in (1, 5):
         builds.clear()
+        grids.clear()
         # rho_icp below any reachable fitness, so every outer loop runs
         params = small_params(rho_icp=1e-30, max_outer_loops=loops)
         with pytest.raises(RegistrationFailedError) as err:
             estimate_pose(scan, ref, params, seed=3)
         assert err.value.best.outer_loops_used == loops
         counts.append(len(builds))
+        assert len(grids) == 1
     assert counts[0] == counts[1]
 
 
@@ -364,6 +377,155 @@ def test_ransac_insufficient_keypoints():
     fc = FeatureCloud(tiny, np.zeros((2, 33)))
     with pytest.raises(InsufficientCorrespondencesError):
         ransac_register(fc, fc, small_params(), seed=0)
+
+
+# -- RANSAC loop reference -------------------------------------------------------
+# The RANSAC loop as it was before the inlier grid, kept as an oracle: every
+# hypothesis is scored with one KD-tree query over all reference keypoints.
+# The grid-scored loop must return the same RansacResult bit for bit.
+
+def reference_ransac_register(scan: FeatureCloud, ref: FeatureCloud,
+                              params: RegistrationParams, seed: int):
+    knn, pool, _ = ransac_module.correspondence_candidates(scan, ref,
+                                                           params.ransac_inlier_threshold)
+    k = knn.shape[1]
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xAC]))
+    scan_pts = scan.keypoints.points
+    ref_pts = ref.keypoints.points
+    n_scan = len(scan_pts)
+    n_ref = len(ref_pts)
+    scan_tree = cKDTree(scan_pts)
+    threshold = params.ransac_inlier_threshold
+    min_edge = 3.0 * threshold
+    R_prior = quat_to_matrix(params.q0)
+
+    def score(R, t):
+        d, idx = scan_tree.query(ref_pts @ R.T + t, distance_upper_bound=threshold)
+        inliers = np.isfinite(d)
+        return int(inliers.sum()), inliers, idx
+
+    best_count = -1
+    best = None
+    for it in range(params.ransac_iterations):
+        if it % 2 == 0:
+            sample = pool[rng.choice(len(pool), size=3, replace=False)]
+            ref_sample = knn[sample, rng.integers(0, k, size=3)]
+            if len(set(ref_sample.tolist())) < 3:
+                continue
+            src = ref_pts[ref_sample]
+            dst = scan_pts[sample]
+            e_src = ransac_module._edge_lengths(src)
+            e_dst = ransac_module._edge_lengths(dst)
+            if np.any(e_dst < min_edge):
+                continue
+            longest = np.maximum(e_src, e_dst)
+            if np.any(longest <= 0.0) or np.any(np.minimum(e_src, e_dst) / longest < 0.9):
+                continue
+            area = 0.5 * np.linalg.norm(np.cross(dst[1] - dst[0], dst[2] - dst[0]))
+            if area < 0.05 * float(np.max(e_dst)) ** 2:
+                continue
+            R, t = kabsch_transform(src, dst)
+        else:
+            s = int(rng.integers(0, n_scan))
+            if it % 4 == 1:
+                r = int(knn[s, rng.integers(0, k)])
+            else:
+                r = int(rng.integers(0, n_ref))
+            R = R_prior
+            t = scan_pts[s] - R @ ref_pts[r]
+        if quat_distance(quat_from_matrix(R), params.q0) >= params.rho_rot:
+            continue
+        count, inliers, idx = score(R, t)
+        if count > best_count:
+            best_count = count
+            best = (R, t, inliers, idx)
+            if count >= 0.9 * n_ref:
+                break
+
+    if best is None:
+        return ransac_module.RansacResult(Pose.identity(), 0.0)
+    R, t, inliers, idx = best
+    count = best_count
+    if count >= 3:
+        R2, t2 = kabsch_transform(ref_pts[inliers], scan_pts[idx[inliers]])
+        if quat_distance(quat_from_matrix(R2), params.q0) < params.rho_rot:
+            refined_count = score(R2, t2)[0]
+            if refined_count >= count:
+                R, t, count = R2, t2, refined_count
+    return ransac_module.RansacResult(Pose(t, quat_from_matrix(R)), count / n_ref)
+
+
+def assert_same_ransac(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationParams,
+                       seeds=range(4)):
+    for seed in seeds:
+        expected = reference_ransac_register(scan, ref, params, seed)
+        result = ransac_register(scan, ref, params, seed)
+        np.testing.assert_array_equal(result.pose.position, expected.pose.position)
+        np.testing.assert_array_equal(result.pose.orientation, expected.pose.orientation)
+        assert result.inlier_fraction == expected.inlier_fraction
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), threshold=st.floats(3e-5, 7e-4), rotate=st.booleans())
+def test_inlier_grid_count_matches_the_tree(seed, threshold, rotate):
+    rng = np.random.default_rng(seed)
+    cube = threshold / 2
+    scan = rng.uniform(-1e-3, 1e-3, size=(300, 3))
+    scan[:100] = np.round(scan[:100] / cube) * cube  # on cube faces, edges and corners
+    axes = np.eye(3)[rng.integers(0, 3, size=200)] * rng.choice([-1.0, 1.0], size=(200, 1))
+    ref = np.vstack([
+        scan[:200] + threshold * axes,  # at distance thr from a keypoint, on and off cube faces
+        scan[rng.integers(0, 300, size=200)] + rng.normal(scale=threshold, size=(200, 3)),
+        np.round(rng.uniform(-1.2e-3, 1.2e-3, size=(200, 3)) / cube) * cube,
+        rng.uniform(-2e-3, 2e-3, size=(200, 3)),
+    ])
+    if rotate:
+        R = quat_to_matrix(quat_normalize(rng.normal(size=4)))
+        ref = ref @ R.T + rng.normal(scale=threshold, size=3)
+    tree = cKDTree(scan)
+    expected = np.count_nonzero(np.isfinite(tree.query(ref, distance_upper_bound=threshold)[0]))
+    assert inlier_count(ref, tree, threshold, inlier_grid(scan, threshold)) == expected
+
+
+def test_ransac_matches_loop_reference_on_lattice_scan():
+    params = small_params()
+    ref = prepare_cloud(lattice_plate_cloud(), params)
+    moved = Pose.from_axis_angle(np.array([6e-5, -4e-5, 0.0]), [0, 0, 1], 0.04)
+    scan = prepare_cloud(lattice_plate_cloud(moved), params)
+    assert_same_ransac(scan, ref, params)
+    # an inlier threshold that is no multiple of the voxel or lattice size
+    other = small_params(ransac_inlier_threshold=1.7e-4)
+    assert_same_ransac(scan, ref, other)
+    with pytest.raises(ValueError, match="another inlier threshold"):
+        ransac_register(scan, ref, other, seed=0, candidates=ransac_module.correspondence_candidates(
+            scan, ref, params.ransac_inlier_threshold))
+
+
+def test_ransac_matches_loop_reference_on_jittered_terrain():
+    ref = compute_features(terrain_cloud(), radius=6e-4)
+    true = Pose.from_axis_angle(np.array([4e-4, -2e-4, 3e-4]), [0.1, 0.2, 1.0], np.deg2rad(8))
+    scan = compute_features(transform_cloud(terrain_cloud(), true), radius=6e-4)
+    assert_same_ransac(scan, ref, small_params())
+    assert_same_ransac(scan, ref, small_params(ransac_inlier_threshold=2.3e-4, rho_rot=0.1))
+
+
+def test_ransac_grid_with_a_far_keypoint():
+    """A keypoint far from the rest widens the grid's box, not its arrays;
+    a box too wide to number in int64 leaves every point to the tree."""
+    params = small_params()
+    ref = compute_features(terrain_cloud(), radius=6e-4)
+    near = compute_features(transform_cloud(
+        terrain_cloud(), Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02)), radius=6e-4)
+    for far, numbered in (([1.0, 0.0, 0.0], True), ([1e6, -1e6, 1e6], False), ([0.0, 0.0, 1e9], False)):
+        scan = FeatureCloud(
+            PointCloud(np.vstack([near.keypoints.points, far]),
+                       np.vstack([near.keypoints.normals, [0.0, 0.0, 1.0]])),
+            np.vstack([near.descriptors, near.descriptors[:1]]))
+        grid = inlier_grid(scan.keypoints.points, params.ransac_inlier_threshold)
+        assert (grid is not None) == numbered
+        if numbered:
+            assert len(grid.keys) <= 343 * np.count_nonzero(grid.occupied)
+        assert_same_ransac(scan, ref, params, seeds=range(2))
 
 
 # -- ICP ----------------------------------------------------------------------
