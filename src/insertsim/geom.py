@@ -31,8 +31,8 @@ def _as_f64(x, shape=None) -> np.ndarray:
 def quat_normalize(q) -> np.ndarray:
     q = _as_f64(q, (4,))
     n = float(np.linalg.norm(q))
-    if n < 1e-12:
-        raise ValueError("cannot normalize near-zero quaternion")
+    if not 1e-12 <= n < np.inf:  # NaN fails both comparisons
+        raise ValueError("cannot normalize a near-zero or non-finite quaternion")
     return q / n
 
 

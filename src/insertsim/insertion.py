@@ -126,7 +126,6 @@ class InsertionTarget:
     hole_center: np.ndarray
     hole_axis: np.ndarray
     hole_semi_axes: tuple
-    part_clearance_depth: float = 0.0
     major_dir: np.ndarray = None
 
     def __post_init__(self):

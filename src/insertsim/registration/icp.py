@@ -1,4 +1,28 @@
-"""Point-to-point ICP refinement."""
+"""Point-to-point ICP refinement.
+
+Most moving points keep the same nearest scan point from one iteration to
+the next, so the loop re-queries the KD-tree only for points whose match it
+cannot prove unchanged (the cached k-d tree of Nüchter, Lingemann &
+Hertzberg, 3DIM 2007). For each moving point it keeps its matched scan point
+`s`, its anchor `a` (where the tree last answered for it) and `r2`, the
+distance from `a` to the second-nearest scan point, capped at the cutoff.
+At the point's new position `p`, every other scan point `s'` has
+`|p - s'| >= |a - s'| - |p - a| >= r2 - |p - a|` by the triangle inequality,
+so `|p - s| + |p - a| < r2` proves that `s` is still the unique nearest scan
+point and, as `r2` is capped, that it lies within the cutoff. The test is
+made with the relative margin `_MATCH_MARGIN`, far above the rounding of
+these distances and of the tree's own, so the tree would return `s` too.
+Every other point is re-queried with `k=2`, which gives its new `r2`.
+
+Tie rule: where the `k=2` answer does not itself pass the test at its query
+point (the two distances tie within the margin, or the nearest sits at the
+cutoff), the point takes the `k=1` answer, because on exact ties cKDTree's
+`k=2` first column need not be the point its `k=1` query picks; such a point
+gets `r2` equal to its nearest distance, which no other scan point undercuts.
+The matches therefore equal those of a full `k=1` query in every iteration.
+The final fitness query stays a full `k=1` query, so `fitness` keeps the
+tree's own distances bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +37,7 @@ from insertsim.registration.rigid import kabsch_transform
 
 _POS_CONVERGE = 1e-9   # m, incremental translation
 _ROT_CONVERGE = 1e-8   # rad, incremental rotation
+_MATCH_MARGIN = 1e-9   # relative margin of the match-reuse test
 
 
 class IcpResult(NamedTuple):
@@ -40,16 +65,24 @@ def icp_refine(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
     tree = scan_tree if scan_tree is not None else cKDTree(scan.points)
     moving = initial_pose.transform_points(ref.points)
     cutoff = params.icp_max_correspondence_dist
+    nn = np.zeros(len(moving), dtype=np.intp)   # matched scan point per moving point
+    anchor = np.zeros_like(moving)
+    r2 = np.full(len(moving), -np.inf)          # -inf: unmatched, query again
     R_total = np.eye(3)
     t_total = np.zeros(3)
     history = []
     iterations = 0
     for _ in range(params.icp_max_iterations):
-        d, idx = tree.query(moving, distance_upper_bound=cutoff)
-        matched = np.isfinite(d)
+        # a match held by the certificate (module docstring) is kept; the rest ask the tree
+        held = _norm(moving - scan.points[nn]) + _norm(moving - anchor)
+        stale = np.flatnonzero(~(held * (1.0 + _MATCH_MARGIN) < r2))
+        if len(stale):
+            anchor[stale] = moving[stale]
+            nn[stale], r2[stale] = _query(tree, moving[stale], cutoff)
+        matched = r2 > -np.inf
         if not np.any(matched):
             raise DivergenceError("no correspondences within the cutoff distance")
-        targets = scan.points[idx[matched]]
+        targets = scan.points[nn[matched]]
         R, t = kabsch_transform(moving[matched], targets)
         moving = moving @ R.T + t
         R_total = R @ R_total
@@ -69,3 +102,22 @@ def icp_refine(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
     fitness = float(np.mean(d[matched] ** 2))
     incremental = Pose(t_total, quat_from_matrix(R_total))
     return IcpResult(fitness, pose_compose(incremental, initial_pose), tuple(history), iterations)
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
+def _query(tree: cKDTree, points: np.ndarray, cutoff: float):
+    """Nearest scan point (index, 0 where none) and `r2` of each query point;
+    `r2` is -inf where no scan point lies within the cutoff."""
+    d, idx = tree.query(points, k=2, distance_upper_bound=cutoff)
+    nn, d1 = idx[:, 0], d[:, 0]
+    r2 = np.minimum(d[:, 1], cutoff)
+    # a tie, or a nearest distance at the cutoff: take the k=1 answer
+    unsure = np.flatnonzero(np.isfinite(d1) & ~(d1 * (1.0 + _MATCH_MARGIN) < r2))
+    if len(unsure):
+        d1[unsure], nn[unsure] = tree.query(points[unsure], distance_upper_bound=cutoff)
+        r2[unsure] = d1[unsure]
+    matched = np.isfinite(d1)
+    return np.where(matched, nn, 0), np.where(matched, r2, -np.inf)

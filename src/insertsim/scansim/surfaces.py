@@ -4,6 +4,17 @@ Every surface implements `ray_intersect(origins, dirs)` in its local frame and
 returns, per ray, the smallest positive hit parameter together with the
 geometric surface normal at the hit. A Scene places surfaces with poses and
 casts world-frame rays against all parts, keeping the nearest hit.
+
+Every surface also exposes `bounds`, its local axis-aligned bounding box as
+a (2, 3) array of low and high corners. Before `Scene.cast` hands a part its
+rays, it culls the rays whose line cannot reach that box at t >= 0 (the slab
+test of Williams et al., JGT 2005) and gives them the miss values (t = inf,
+zero normal) without calling `ray_intersect`. The cull is exact:
+`ray_intersect` works ray by ray, so a ray's result does not depend on the
+other rays in the call, and every hit it reports lies inside the bounds. The
+box is padded by `_BOUNDS_PAD` times the coordinates' magnitude, far above
+the rounding of either test, and a ray lying in a slab's plane (0 * inf =
+NaN in the test) stays a candidate.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ from insertsim.geom import Pose
 
 _T_MIN = 1e-9  # reject hits closer than this to the ray origin
 _MESH_CHUNK = 256  # rays per Moller-Trumbore broadcast block
+_BOUNDS_PAD = 1e-9  # relative padding of a part's bounds in the cull
 
 
 class RayHits(NamedTuple):
@@ -69,6 +81,10 @@ class TriangleMesh:
             raise ValueError("mesh has no triangles")
         if np.any(self.triangle_areas() <= 1e-18):
             raise ValueError("mesh contains degenerate triangles")
+
+    @property
+    def bounds(self) -> np.ndarray:
+        return np.stack([self.vertices.min(axis=0), self.vertices.max(axis=0)])
 
     def triangle_corners(self):
         v = self.vertices
@@ -147,6 +163,11 @@ class Cylinder:
         self.radius = float(radius)
         self.length = float(length)
 
+    @property
+    def bounds(self) -> np.ndarray:
+        r = self.radius
+        return np.array([[-r, -r, 0.0], [r, r, self.length]])
+
     def ray_intersect(self, origins, dirs) -> RayHits:
         o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
         d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
@@ -198,6 +219,10 @@ class Box:
         if self.half_extents.shape != (3,) or np.any(self.half_extents <= 0):
             raise ValueError("half_extents must be 3 positive lengths")
 
+    @property
+    def bounds(self) -> np.ndarray:
+        return np.stack([-self.half_extents, self.half_extents])
+
     def ray_intersect(self, origins, dirs) -> RayHits:
         o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
         d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
@@ -222,6 +247,13 @@ class HolePlate:
             raise ValueError("plate dimensions must be positive")
         if self.a >= self.hx or self.b >= self.hy:
             raise ValueError("hole must fit inside the plate")
+
+    @property
+    def bounds(self) -> np.ndarray:
+        # the hole wall reaches past the plate's sides where the ellipse does
+        hi = np.array([max(self.hx, abs(self.cx) + self.a), max(self.hy, abs(self.cy) + self.b),
+                       self.half_thickness])
+        return np.stack([-hi, hi])
 
     @property
     def hole_entry_local(self) -> np.ndarray:
@@ -286,6 +318,23 @@ class SceneHits(NamedTuple):
     hit: np.ndarray
 
 
+def _may_reach(o: np.ndarray, d: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Rays whose line meets the padded box `bounds` at some t >= 0 (slab test)."""
+    pad = _BOUNDS_PAD * (np.abs(o).max(initial=0.0) + np.abs(bounds).max())
+    lo, hi = bounds[0] - pad, bounds[1] + pad
+    near = np.full(len(o), -np.inf)
+    far = np.full(len(o), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for axis in range(3):
+            inv = 1.0 / d[:, axis]
+            t_lo = (lo[axis] - o[:, axis]) * inv
+            t_hi = (hi[axis] - o[:, axis]) * inv
+            near = np.maximum(near, np.minimum(t_lo, t_hi))
+            far = np.minimum(far, np.maximum(t_lo, t_hi))
+    # NaN (0 * inf: a ray lying in a slab's plane) compares false, so such a ray stays
+    return ~((near > far) | (far < 0.0))
+
+
 class Scene:
     """Collection of posed parts with unique ids."""
 
@@ -315,10 +364,17 @@ class Scene:
             R = part.pose.rotation_matrix()
             o_local = (origins - part.pose.position) @ R
             d_local = dirs @ R
-            hits = part.surface.ray_intersect(o_local, d_local)
-            closer = hits.hit & (hits.t < best_t)
-            best_t = np.where(closer, hits.t, best_t)
-            best_n = np.where(closer[:, None], hits.normals @ R.T, best_n)
+            reach = _may_reach(o_local, d_local, part.surface.bounds)
+            hits = part.surface.ray_intersect(o_local[reach], d_local[reach])
+            # back to full length: the rotation below then sees the same matrix as an
+            # uncut cast (BLAS may round a row differently in a matrix of another size)
+            t = np.full(n, np.inf)
+            t[reach] = hits.t
+            normals = np.zeros((n, 3))
+            normals[reach] = hits.normals
+            closer = np.isfinite(t) & (t < best_t)
+            best_t = np.where(closer, t, best_t)
+            best_n = np.where(closer[:, None], normals @ R.T, best_n)
             best_part = np.where(closer, i, best_part)
         hit = np.isfinite(best_t)
         points = origins + np.where(hit, best_t, 0.0)[:, None] * dirs

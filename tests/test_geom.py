@@ -8,6 +8,7 @@ from insertsim.geom import (
     Pose,
     pose_compose,
     quat_distance,
+    quat_normalize,
     quat_to_matrix,
     transform_cloud,
 )
@@ -127,6 +128,17 @@ def test_orientation_stays_unit_after_many_compositions():
     for _ in range(200):
         p = pose_compose(p, random_pose(rng))
         assert abs(np.linalg.norm(p.orientation) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_quaternion_rejected(bad):
+    q = np.array([1.0, bad, 0.0, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        quat_normalize(q)
+    with pytest.raises(ValueError, match="non-finite"):
+        Pose(np.zeros(3), q)
+    with pytest.raises(ValueError, match="near-zero"):
+        quat_normalize(np.zeros(4))
 
 
 # -- transform_cloud ---------------------------------------------------------

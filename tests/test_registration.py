@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from insertsim.geom import PointCloud, Pose, quat_distance, quat_from_matrix, quat_normalize, \
-    quat_to_matrix, transform_cloud
+from insertsim.geom import PointCloud, Pose, pose_compose, quat_distance, quat_from_matrix, \
+    quat_normalize, quat_to_matrix, transform_cloud
 from insertsim.registration import (
     DegenerateFeatureError,
     DivergenceError,
@@ -571,6 +571,140 @@ def test_icp_total_pose_composes_initial():
     # scan == ref, so the total ref->scan transform must be identity
     assert np.linalg.norm(result.pose.position) < 1e-7
     assert quat_distance(result.pose.orientation, IDENTITY_Q) < 1e-6
+
+# -- ICP loop reference ----------------------------------------------------------
+# The ICP loop as it was before match reuse, kept as an oracle: every iteration
+# makes one k=1 KD-tree query over all moving points. The loop that reuses
+# certified matches must return the same IcpResult bit for bit.
+
+def reference_icp_refine(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
+                         initial_pose=None):
+    if initial_pose is None:
+        initial_pose = Pose.identity()
+    tree = cKDTree(scan.points)
+    moving = initial_pose.transform_points(ref.points)
+    cutoff = params.icp_max_correspondence_dist
+    R_total = np.eye(3)
+    t_total = np.zeros(3)
+    history = []
+    iterations = 0
+    for _ in range(params.icp_max_iterations):
+        d, idx = tree.query(moving, distance_upper_bound=cutoff)
+        matched = np.isfinite(d)
+        if not np.any(matched):
+            raise DivergenceError("no correspondences within the cutoff distance")
+        targets = scan.points[idx[matched]]
+        R, t = kabsch_transform(moving[matched], targets)
+        moving = moving @ R.T + t
+        R_total = R @ R_total
+        t_total = R @ t_total + t
+        iterations += 1
+        resid = moving[matched] - targets
+        history.append(float(np.mean(np.einsum("ij,ij->i", resid, resid))))
+        angle = np.arccos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))
+        if np.linalg.norm(t) < icp_module._POS_CONVERGE and angle < icp_module._ROT_CONVERGE:
+            break
+    d, idx = tree.query(moving, distance_upper_bound=cutoff)
+    matched = np.isfinite(d)
+    if not np.any(matched):
+        raise DivergenceError("no correspondences within the cutoff distance")
+    fitness = float(np.mean(d[matched] ** 2))
+    incremental = Pose(t_total, quat_from_matrix(R_total))
+    return icp_module.IcpResult(fitness, pose_compose(incremental, initial_pose), tuple(history),
+                                iterations)
+
+
+def assert_same_icp(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
+                    initial_pose=None):
+    expected = reference_icp_refine(scan, ref, params, initial_pose)
+    result = icp_refine(scan, ref, params, initial_pose=initial_pose)
+    assert result.fitness == expected.fitness
+    np.testing.assert_array_equal(result.pose.position, expected.pose.position)
+    np.testing.assert_array_equal(result.pose.orientation, expected.pose.orientation)
+    assert result.fitness_history == expected.fitness_history
+    assert result.iterations == expected.iterations
+    return result
+
+
+def test_icp_matches_loop_reference_on_lattice_scan():
+    scan = lattice_plate_cloud()
+    params = small_params(icp_max_correspondence_dist=2e-4)
+    for offset, angle in (([7e-6, -11e-6, 0.0], 0.0), ([3e-6, 5e-6, 2e-6], 0.004),
+                          ([-20e-6, 9e-6, 0.0], -0.01)):
+        start = Pose.from_axis_angle(np.array(offset), [0, 0, 1], angle)
+        assert_same_icp(scan, scan, params, start)
+
+
+def test_icp_matches_loop_reference_on_tied_lattice():
+    """A half-pitch offset puts each moving point at equal distances from scan points."""
+    pitch = 2.0 ** -15   # ~30.5 um, so the lattice and its offset are exact in binary
+    g = np.arange(-24, 25) * pitch
+    gx, gy = np.meshgrid(g, g, indexing="ij")
+    grid = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
+    scan = PointCloud(grid)
+    start = Pose(np.array([pitch / 2, pitch / 2, 0.0]), IDENTITY_Q)
+    d, _ = cKDTree(grid).query(start.transform_points(grid), k=2)
+    assert np.count_nonzero(d[:, 0] == d[:, 1]) >= len(grid) - 1   # all but a corner tie
+    assert_same_icp(scan, scan, small_params(icp_max_correspondence_dist=2e-4), start)
+    assert_same_icp(scan, scan, small_params(icp_max_correspondence_dist=2e-4),
+                    Pose(np.array([pitch / 2, 0.0, 0.0]), IDENTITY_Q))
+    # the scan's own lattice, offset by half its pitch along the sweep
+    plate = lattice_plate_cloud()
+    assert_same_icp(plate, plate, small_params(icp_max_correspondence_dist=2e-4),
+                    Pose(np.array([0.0, 12.5e-6, 0.0]), IDENTITY_Q))
+
+
+def test_icp_matches_loop_reference_on_jittered_terrain():
+    ref = terrain_cloud()
+    pose = Pose.from_axis_angle(np.array([3e-4, -1e-4, 2e-4]), [0.2, 0.1, 1.0], np.deg2rad(4))
+    assert_same_icp(ref, transform_cloud(ref, pose), small_params())
+    assert_same_icp(ref, ref, small_params(), pose)
+
+
+def test_icp_matches_loop_reference_beyond_the_cutoff():
+    """Part of the reference lies farther than the cutoff from every scan point."""
+    ref = terrain_cloud()
+    scan = ref.select(ref.points[:, 0] < 3e-3)
+    params = small_params(icp_max_correspondence_dist=4e-4)
+    start = Pose.from_axis_angle(np.array([1e-4, 5e-5, 0.0]), [0, 0, 1], 0.01)
+    assert np.any(np.isinf(cKDTree(scan.points).query(
+        start.transform_points(ref.points), distance_upper_bound=4e-4)[0]))
+    assert_same_icp(scan, ref, params, start)
+
+
+def test_icp_matches_loop_reference_on_a_one_point_scan():
+    ref = terrain_cloud()
+    one = PointCloud(ref.points[480:481])
+    assert_same_icp(one, ref, small_params(icp_max_correspondence_dist=3e-4))
+    assert_same_icp(one, one, small_params(), Pose(np.array([1e-5, 0.0, 0.0]), IDENTITY_Q))
+
+
+def test_icp_matches_loop_reference_over_a_long_drift(monkeypatch):
+    """A jittered copy of a plate scan, started 300 um off, slides for all 60
+    iterations, and most matches are reused rather than queried again."""
+    queried = []
+
+    def counting_query(tree, points, cutoff):
+        queried.append(len(points))
+        return query(tree, points, cutoff)
+
+    query = icp_module._query
+    monkeypatch.setattr(icp_module, "_query", counting_query)
+    plate = lattice_plate_cloud()
+    jittered = plate.points.copy()
+    jittered[:, :2] += np.random.default_rng(0).uniform(-12.5e-6, 12.5e-6, size=(len(plate), 2))
+    start = Pose.from_axis_angle(np.array([3e-4, -1.5e-4, 0.0]), [0, 0, 1], 0.02)
+    result = assert_same_icp(plate, PointCloud(jittered), small_params(), start)
+    assert result.iterations == 60
+    assert sum(queried) < 0.75 * 60 * len(plate)
+
+
+def test_icp_divergence_matches_loop_reference():
+    a = terrain_cloud()
+    b = PointCloud(a.points + np.array([1.0, 0.0, 0.0]), a.normals)
+    for fn in (reference_icp_refine, icp_refine):
+        with pytest.raises(DivergenceError):
+            fn(a, b, small_params())
 
 
 # -- estimate_pose (Algorithm loop) --------------------------------------------

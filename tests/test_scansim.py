@@ -17,6 +17,8 @@ from insertsim.scansim import (
     sweep_scan_detailed,
 )
 from insertsim.scansim import scanner as scanner_module
+from insertsim.scansim import surfaces as surfaces_module
+from insertsim.scansim.surfaces import SceneHits
 
 DOWN = Pose.from_axis_angle(np.array([0.0, 0.0, 0.02]), [1, 0, 0], np.pi)  # sensor +z -> world -z
 
@@ -279,6 +281,126 @@ def test_hole_plate_matches_box_off_the_hole():
     hb = box.ray_intersect(origins[off_hole], dirs[off_hole])
     assert hb.hit.sum() > 500
     for a, b in zip(hp, hb):
+        np.testing.assert_array_equal(a, b)
+
+
+def reference_cast(scene: Scene, origins, dirs) -> SceneHits:
+    """Scene.cast without the bounds cull: every part sees every ray."""
+    n = len(origins)
+    best_t = np.full(n, np.inf)
+    best_n = np.zeros((n, 3))
+    best_part = np.full(n, -1, dtype=np.int64)
+    for i, part in enumerate(scene.parts):
+        R = part.pose.rotation_matrix()
+        hits = part.surface.ray_intersect((origins - part.pose.position) @ R, dirs @ R)
+        closer = hits.hit & (hits.t < best_t)
+        best_t = np.where(closer, hits.t, best_t)
+        best_n = np.where(closer[:, None], hits.normals @ R.T, best_n)
+        best_part = np.where(closer, i, best_part)
+    hit = np.isfinite(best_t)
+    points = origins + np.where(hit, best_t, 0.0)[:, None] * dirs
+    flip = np.einsum("ij,ij->i", best_n, dirs) > 0.0
+    return SceneHits(best_t, points, np.where(flip[:, None], -best_n, best_n), best_part, hit)
+
+
+def unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def bounds_ray_sets(lo: np.ndarray, hi: np.ndarray, rng) -> dict:
+    """Local-frame rays (origins, directions) placed on the features of the box [lo, hi]."""
+    size = hi - lo
+    corners = np.array([[(lo, hi)[(k >> a) & 1][a] for a in range(3)] for k in range(8)])
+    sets = {}
+    # parallel to a face of the bounds and lying in its plane
+    o, d = [], []
+    for axis in range(3):
+        for side in (lo, hi):
+            pts = rng.uniform(lo - 0.2 * size, hi + 0.2 * size, size=(60, 3))
+            pts[:, axis] = side[axis]
+            dirs = rng.normal(size=(60, 3))
+            dirs[:, axis] = 0.0
+            dirs[:20] = np.roll(np.eye(3)[axis], 1)   # along an edge direction too
+            o.append(pts)
+            d.append(unit(dirs))
+    sets["in_face_plane"] = (np.vstack(o), np.vstack(d))
+    sets["inside"] = (rng.uniform(lo, hi, size=(400, 3)), unit(rng.normal(size=(400, 3))))
+    # aimed at the corners and at points on the edges, nudged by a few ulps to a few nm
+    targets = np.vstack([corners,
+                         corners[rng.integers(0, 8, 200)] * (1 + rng.choice([-1, 1], (200, 3)) * 1e-15),
+                         corners[rng.integers(0, 8, 200)] + rng.normal(scale=1e-9, size=(200, 3))])
+    edge = corners[rng.integers(0, 8, 200)]
+    axis = rng.integers(0, 3, 200)
+    edge[np.arange(200), axis] = rng.uniform(lo[axis], hi[axis])
+    targets = np.vstack([targets, edge])
+    dirs = unit(rng.normal(size=(len(targets), 3)))
+    sets["grazing_edges_and_corners"] = (targets - dirs * 3 * size.max(), dirs)
+    # outside the bounds, pointing away from them
+    centre = (lo + hi) / 2
+    out = centre + unit(rng.normal(size=(300, 3))) * size.max() * rng.uniform(1.0, 4.0, (300, 1))
+    sets["pointing_away"] = (out, unit(out - centre + rng.normal(scale=0.1 * size.max(), size=(300, 3))))
+    # every ray passes beside the bounds, parallel to one side
+    beside = rng.uniform(lo, hi, size=(300, 3))
+    beside[:, 0] = hi[0] + rng.uniform(0.01, 2.0, 300) * size[0]
+    sets["all_miss"] = (beside, unit(rng.normal(size=(300, 3)) * [0.0, 1.0, 1.0]))
+    return sets
+
+
+CULL_SURFACES = {
+    "box": Box((1e-3, 2e-3, 5e-4)),
+    "hole_plate": HOLE_PLATE,
+    "hole_past_the_side": HolePlate((1e-3, 1e-3), 1e-3, (5e-4, 4e-4), hole_center=(8e-4, 0.0)),
+    "cylinder": Cylinder(1e-3, 4e-3),
+    # a wedge: a right triangle extruded along z, off its own origin
+    "mesh": TriangleMesh(np.array([[0.0, 0.0, 0.0], [3e-3, 0.0, 0.0], [0.0, 2e-3, 0.0],
+                                   [0.0, 0.0, 1e-3], [3e-3, 0.0, 1e-3], [0.0, 2e-3, 1e-3]])
+                         + [5e-4, -2e-4, 1e-4],
+                         [[0, 2, 1], [3, 4, 5], [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+                          [2, 0, 3], [2, 3, 5]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CULL_SURFACES))
+def test_cast_culls_only_rays_that_cannot_hit(name, monkeypatch):
+    surface = CULL_SURFACES[name]
+    pose = Pose.from_axis_angle(np.array([0.012, -0.007, 0.031]), [0.3, -0.6, 0.7], 2.1)
+    scene = Scene([ScenePart(name, surface, pose)])
+    cast_rays = []   # rays handed to ray_intersect: by Scene.cast, then by the reference
+    ray_intersect = surface.ray_intersect
+    monkeypatch.setattr(surface, "ray_intersect",
+                        lambda o, d: cast_rays.append(len(o)) or ray_intersect(o, d))
+    R = pose.rotation_matrix()
+    lo, hi = surface.bounds
+    for case, (o, d) in bounds_ray_sets(lo, hi, np.random.default_rng(17)).items():
+        origins, dirs = pose.transform_points(o), d @ R.T
+        cast_rays.clear()
+        got = scene.cast(origins, dirs)
+        want = reference_cast(scene, origins, dirs)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b, err_msg=case)
+        if case in ("in_face_plane", "inside", "grazing_edges_and_corners"):
+            assert want.hit.any(), case
+        if case in ("pointing_away", "all_miss"):
+            assert cast_rays[0] == 0 and not want.hit.any(), case
+        assert cast_rays[0] < len(o) or case == "inside"
+
+
+def test_cull_keeps_rays_lying_in_a_slab_plane(monkeypatch):
+    """Without padding, a ray in the plane of a box face meets that slab as 0 * inf = NaN;
+    it must stay a candidate, since it hits the side faces."""
+    monkeypatch.setattr(surfaces_module, "_BOUNDS_PAD", 0.0)
+    box = Box((1e-3, 2e-3, 5e-4))
+    scene = Scene([ScenePart("box", box, Pose.identity())])
+    origins = np.array([[-4e-3, 0.0, 5e-4], [-4e-3, 2e-3, 0.0], [0.0, -4e-3, -5e-4], [-4e-3, 2e-3, 5e-4]])
+    dirs = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slab_t = np.stack([(side - origins) * (1.0 / dirs) for side in box.bounds])
+    assert np.isnan(slab_t).any(axis=(0, 2)).all()
+    assert surfaces_module._may_reach(origins, dirs, box.bounds).all()
+    got = scene.cast(origins, dirs)
+    assert got.hit.all()
+    for a, b in zip(got, reference_cast(scene, origins, dirs)):
         np.testing.assert_array_equal(a, b)
 
 
