@@ -110,13 +110,14 @@ def _bin_index(values, lo, hi):
 
 
 def compute_features(cloud: PointCloud, radius: float, normal_k: int = 10,
-                     viewpoint=(0.0, 0.0, 0.0), _retry: bool = True) -> FeatureCloud:
+                     viewpoint=(0.0, 0.0, 0.0)) -> FeatureCloud:
     """FPFH-style descriptors over the given radius.
 
-    Points with fewer than 5 neighbors inside the radius cannot be described;
-    isolated stragglers are dropped, but if more than 10% of the cloud is
-    degenerate the radius is wrong for this cloud and a
-    DegenerateFeatureError is raised instead.
+    Points with fewer than 5 neighbors inside the radius cannot be described.
+    Such stragglers are dropped until none is left (dropping one can leave
+    its neighbors short), but if more than 10% of the cloud is dropped in all
+    the radius is wrong for this cloud and a DegenerateFeatureError is raised
+    instead.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -128,18 +129,30 @@ def compute_features(cloud: PointCloud, radius: float, normal_k: int = 10,
     pairs = cKDTree(cloud.points).query_pairs(radius, output_type="ndarray")
     keys = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]]))
     src, tgt = np.divmod(keys, n)
-    neighbors = np.bincount(src, minlength=n)
 
-    degenerate = np.flatnonzero(neighbors < MIN_NEIGHBORS)
-    if len(degenerate):
-        example = degenerate[0]
-        if not _retry or len(degenerate) > max(1, n // 10):
+    # peel the stragglers off the pair list; renumbering the kept points in
+    # order keeps the pairs sorted
+    keep = np.ones(n, dtype=bool)
+    while True:
+        neighbors = np.bincount(src, minlength=n)
+        degenerate = np.flatnonzero(keep & (neighbors < MIN_NEIGHBORS))
+        if not len(degenerate):
+            break
+        keep[degenerate] = False
+        dropped = n - np.count_nonzero(keep)
+        if dropped > max(1, n // 10):
+            example = degenerate[0]
             raise DegenerateFeatureError(
-                f"{len(degenerate)} of {n} points have too few neighbors within "
+                f"{dropped} of {n} points have too few neighbors within "
                 f"{radius} (e.g. point {example}: {neighbors[example]} < {MIN_NEIGHBORS})"
             )
-        keep = neighbors >= MIN_NEIGHBORS
-        return compute_features(cloud.select(keep), radius, normal_k, viewpoint, _retry=False)
+        live = keep[src] & keep[tgt]
+        src, tgt = src[live], tgt[live]
+    if not keep.all():
+        renumber = np.cumsum(keep) - 1
+        src, tgt = renumber[src], renumber[tgt]
+        cloud = cloud.select(keep)
+        n = len(cloud)
 
     alpha, phi, theta, dist, ok = _pair_features(
         cloud.points[src], cloud.normals[src], cloud.points[tgt], cloud.normals[tgt]

@@ -26,15 +26,18 @@ build each one once.
 Scoring. A hypothesis scores the number of moved reference keypoints within
 the inlier threshold `thr` of some scan keypoint. The inlier grid settles
 most points without the KD-tree: it splits space into cubes of edge thr/2
-and lists every cube within 3 cubes (Chebyshev) of a cube holding a scan
-keypoint. A point in a cube that holds a scan keypoint is within
-sqrt(3)/2 * thr ~ 0.87 thr of it, so it is an inlier; a point in no listed
-cube is more than 3 * thr/2 = 1.5 thr from every scan keypoint along some
-axis, so it is an outlier. Only the points in the listed empty cubes are
-looked up in the scan's KD-tree, so the count equals the tree's count over
-all points; the margins (0.13 thr and 0.5 thr) are far wider than the
-rounding of the cube indices. Only the winner gets a full tree query, for
-the inlier correspondences its polish is solved on.
+and holds one int8 per cube of the box around the scan keypoints: 2 for a
+cube that holds a scan keypoint, 1 for a cube within 3 cubes (Chebyshev) of
+one, 0 for the rest. A point in a 2 cube is within sqrt(3)/2 * thr ~ 0.87 thr
+of its keypoint, so it is an inlier; a point in a 0 cube is more than
+3 * thr/2 = 1.5 thr from every scan keypoint along some axis, so it is an
+outlier. The box has one layer of 0 cubes beyond the reach, so a point
+outside the box, clamped onto that layer, is an outlier too. Only the points
+in 1 cubes are looked up in the scan's KD-tree, so the count equals the
+tree's count over all points: cube indices stay below 2**40, where their
+rounding is far below the margins (0.13 thr and 0.5 thr); beyond that the
+grid is not built. Only the winner gets a full tree query, for the inlier
+correspondences its polish is solved on.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.ndimage import maximum_filter
 from scipy.spatial import cKDTree
 
 from insertsim.geom import Pose, quat_from_matrix, quat_distance, quat_to_matrix
@@ -52,10 +56,8 @@ from insertsim.registration.rigid import kabsch_transform
 _EDGE_SIMILARITY = 0.9  # min/max edge-length ratio accepted by the prerejector
 _DESC_KNN = 5           # correspondence candidates per scan keypoint
 _GRID_REACH = 3         # cubes around an occupied cube that may hold inliers
-# Cube indices stay below 2**40 so that their rounding is far below one cube,
-# and cube keys below 2**53 so that float64 holds every key exactly.
+# Cube indices stay below 2**40 so that their rounding is far below one cube.
 _MAX_CUBE_INDEX = 2.0 ** 40
-_MAX_KEYS = 2 ** 53
 
 
 class RansacResult(NamedTuple):
@@ -72,47 +74,32 @@ def _edge_lengths(pts: np.ndarray) -> np.ndarray:
 
 
 class InlierGrid(NamedTuple):
-    """Cubes of edge threshold/2 near the scan keypoints, each named by one key.
-
-    A cube's key numbers its index within the box of cubes [lo, lo + top]
-    that pads the keypoints' cubes by _GRID_REACH + 1 on every side; keys
-    are integers below 2**53, held exactly in float64. `keys` holds, sorted,
-    the cubes within _GRID_REACH of a keypoint's cube, and `occupied[i]`
-    says whether cube keys[i] holds a keypoint itself, so the grid takes
-    memory in proportion to the keypoints, not to the box.
-    """
+    """One int8 per cube of edge threshold/2 in the box [lo, lo + top] of
+    cube indices, which pads the keypoints' cubes by _GRID_REACH + 1 on every
+    side: 2 if the cube holds a keypoint, 1 if it lies within _GRID_REACH
+    cubes of one, 0 otherwise."""
 
     threshold: float
-    lo: np.ndarray       # (3,) lowest cube index of the box
-    top: np.ndarray      # (3,) highest cube index of the box, relative to lo
-    strides: np.ndarray  # (3,) key step per cube along x, y, z
-    keys: np.ndarray     # sorted keys of the cubes near a keypoint
-    occupied: np.ndarray  # bool per key: the cube holds a keypoint
+    lo: np.ndarray     # (3,) lowest cube index of the box
+    top: np.ndarray    # (3,) highest cube index of the box, relative to lo
+    state: np.ndarray  # (nx, ny, nz) int8 cube states
 
 
 def inlier_grid(points: np.ndarray, threshold: float) -> Optional[InlierGrid]:
-    """Inlier grid over `points`; None when their cubes are too many to number."""
+    """Inlier grid over `points`; None when cube indices reach 2**40 or the
+    box holds more than (2 * _GRID_REACH + 1)**3 cubes per point."""
     cubes = np.floor(points / (threshold / 2))
     if not np.all(np.abs(cubes) < _MAX_CUBE_INDEX):
         return None
-    # one layer beyond the reach: a point outside the box is clamped onto the
-    # box's outermost layer, which holds no listed cube, so the tree never
-    # sees it
     lo = cubes.min(axis=0) - (_GRID_REACH + 1)
     top = cubes.max(axis=0) + (_GRID_REACH + 1) - lo
-    nx, ny, nz = (int(n) + 1 for n in top)
-    if nx * ny * nz > _MAX_KEYS:
+    shape = tuple(int(n) + 1 for n in top)
+    if shape[0] * shape[1] * shape[2] > (2 * _GRID_REACH + 1) ** 3 * len(points):
         return None
-    strides = np.array([ny * nz, nz, 1], dtype=np.float64)
-    occupied_keys = np.unique((cubes - lo) @ strides)
-    # grow each occupied cube to the cube of cubes around it, one axis at a time
-    keys = occupied_keys
-    reach = np.arange(-_GRID_REACH, _GRID_REACH + 1, dtype=np.float64)
-    for stride in strides:
-        keys = np.unique((keys[:, None] + reach * stride).ravel())
-    occupied = np.zeros(len(keys), dtype=bool)
-    occupied[np.searchsorted(keys, occupied_keys)] = True
-    return InlierGrid(float(threshold), lo, top, strides, keys, occupied)
+    occupied = np.zeros(shape, dtype=np.int8)
+    occupied[tuple((cubes - lo).astype(np.intp).T)] = 1
+    near = maximum_filter(occupied, size=2 * _GRID_REACH + 1, mode="constant")
+    return InlierGrid(float(threshold), lo, top, near + occupied)
 
 
 def inlier_count(moved: np.ndarray, tree: cKDTree, threshold: float,
@@ -129,13 +116,10 @@ def inlier_count(moved: np.ndarray, tree: cKDTree, threshold: float,
     np.floor(cubes, out=cubes)
     cubes -= grid.lo
     np.clip(cubes, 0.0, grid.top, out=cubes)
-    key = cubes @ grid.strides
-    pos = np.searchsorted(grid.keys, key)
-    np.minimum(pos, len(grid.keys) - 1, out=pos)
-    listed = grid.keys[pos] == key
-    occupied = grid.occupied[pos]
-    d, _ = tree.query(moved[listed & ~occupied], distance_upper_bound=threshold)
-    return int(np.count_nonzero(listed & occupied)) + int(np.count_nonzero(np.isfinite(d)))
+    i, j, k = cubes.astype(np.intp).T
+    state = grid.state[i, j, k]
+    d, _ = tree.query(moved[state == 1], distance_upper_bound=threshold)
+    return int(np.count_nonzero(state == 2)) + int(np.count_nonzero(np.isfinite(d)))
 
 
 class Candidates(NamedTuple):

@@ -37,12 +37,11 @@ class ScannerConfig:
     lateral_span: float = 2048 * 12e-6
     depth_noise_std: float = 1.5e-6
     lateral_resolution: float = 12e-6
-    sweep_step: float = 25e-6
 
     def __post_init__(self):
         if self.points_per_profile < 2:
             raise ValueError("points_per_profile must be >= 2")
-        for name in ("lateral_span", "lateral_resolution", "sweep_step"):
+        for name in ("lateral_span", "lateral_resolution"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.depth_noise_std < 0:

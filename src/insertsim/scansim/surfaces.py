@@ -234,8 +234,8 @@ class HolePlate:
 
     The plate spans |x| <= hx, |y| <= hy, |z| <= thickness/2; the hole is an
     elliptical cylinder with semi-axes (a, b) centered at `hole_center`
-    (in-plane offset). The hole entry used as the insertion target is the
-    ellipse center on the +z face.
+    (in-plane offset), strictly inside the plate's sides. The hole entry used
+    as the insertion target is the ellipse center on the +z face.
     """
 
     def __init__(self, half_extents_xy, thickness: float, hole_semi_axes, hole_center=(0.0, 0.0)):
@@ -245,14 +245,12 @@ class HolePlate:
         self.cx, self.cy = (float(v) for v in hole_center)
         if min(self.hx, self.hy, self.half_thickness, self.a, self.b) <= 0:
             raise ValueError("plate dimensions must be positive")
-        if self.a >= self.hx or self.b >= self.hy:
+        if abs(self.cx) + self.a >= self.hx or abs(self.cy) + self.b >= self.hy:
             raise ValueError("hole must fit inside the plate")
 
     @property
     def bounds(self) -> np.ndarray:
-        # the hole wall reaches past the plate's sides where the ellipse does
-        hi = np.array([max(self.hx, abs(self.cx) + self.a), max(self.hy, abs(self.cy) + self.b),
-                       self.half_thickness])
+        hi = np.array([self.hx, self.hy, self.half_thickness])
         return np.stack([-hi, hi])
 
     @property

@@ -135,18 +135,21 @@ def test_features_degenerate_radius():
 # The first, loop-based versions of FPFH and the voxel grid, kept as oracles:
 # the vectorised code must reproduce them bit for bit, ties and all.
 
-def reference_compute_features(cloud: PointCloud, radius: float, _retry: bool = True):
+def reference_compute_features(cloud: PointCloud, radius: float):
     if not cloud.has_normals:
         cloud = estimate_normals(cloud)
-    n = len(cloud)
-    neighbor_lists = cKDTree(cloud.points).query_ball_point(cloud.points, r=radius)
-    degenerate = [i for i, nbrs in enumerate(neighbor_lists) if len(nbrs) - 1 < 5]
-    if degenerate:
-        if not _retry or len(degenerate) > max(1, n // 10):
+    n_in = len(cloud)
+    while True:  # drop stragglers, re-querying the rest, until none is left
+        n = len(cloud)
+        neighbor_lists = cKDTree(cloud.points).query_ball_point(cloud.points, r=radius)
+        degenerate = [i for i, nbrs in enumerate(neighbor_lists) if len(nbrs) - 1 < 5]
+        if not degenerate:
+            break
+        if n_in - n + len(degenerate) > max(1, n_in // 10):
             raise DegenerateFeatureError("too few neighbors")
         keep = np.ones(n, dtype=bool)
         keep[degenerate] = False
-        return reference_compute_features(cloud.select(keep), radius, _retry=False)
+        cloud = cloud.select(keep)
     src_idx, tgt_idx = [], []
     for i, nbrs in enumerate(neighbor_lists):
         nbrs = [j for j in sorted(nbrs) if j != i]
@@ -238,6 +241,34 @@ def test_features_match_loop_reference_after_dropping_stragglers():
     fc = compute_features(padded, radius=6e-4)
     assert len(fc) == len(cloud)
     assert_same_features(padded, radius=6e-4)
+
+
+def line_of_points(count: int, radius: float) -> PointCloud:
+    """Points 0.3 radius apart along x, far from the terrain: each has at most
+    6 neighbours, and the ends have 3, so dropping the ends shortens the next."""
+    pts = np.zeros((count, 3))
+    pts[:, 0] = 0.05 + 0.3 * radius * np.arange(count)
+    return PointCloud(pts, np.tile([0.0, 0.0, 1.0], (count, 1)))
+
+
+def test_features_peel_stragglers_to_a_fixed_point():
+    """Dropping the stragglers leaves new ones; they go too, until none is left,
+    and the rest is described as if the dropped points had never been there."""
+    radius = 6e-4
+    cloud = terrain_cloud()
+    line = line_of_points(30, radius)
+    padded = PointCloud(np.vstack([cloud.points, line.points]),
+                        np.vstack([cloud.normals, line.normals]))
+    fc = compute_features(padded, radius)
+    expected = compute_features(cloud, radius)
+    np.testing.assert_array_equal(fc.keypoints.points, expected.keypoints.points)
+    np.testing.assert_array_equal(fc.descriptors, expected.descriptors)
+    assert_same_features(padded, radius)
+    # the bound counts every dropped point, not only the first round's
+    long_line = line_of_points(len(cloud) // 10 + 20, radius)
+    with pytest.raises(DegenerateFeatureError, match=f"of {len(cloud) + len(long_line)} points"):
+        compute_features(PointCloud(np.vstack([cloud.points, long_line.points]),
+                                    np.vstack([cloud.normals, long_line.normals])), radius)
 
 
 def test_voxel_grid_matches_loop_reference_on_lattice_scan():
@@ -510,22 +541,39 @@ def test_ransac_matches_loop_reference_on_jittered_terrain():
 
 
 def test_ransac_grid_with_a_far_keypoint():
-    """A keypoint far from the rest widens the grid's box, not its arrays;
-    a box too wide to number in int64 leaves every point to the tree."""
+    """A keypoint far from the rest puts the grid's box over its cube budget,
+    and a scan 1e9 m away has cube indices past 2**40; either way there is no
+    grid and every point is looked up in the tree."""
     params = small_params()
+    threshold = params.ransac_inlier_threshold
     ref = compute_features(terrain_cloud(), radius=6e-4)
     near = compute_features(transform_cloud(
         terrain_cloud(), Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02)), radius=6e-4)
-    for far, numbered in (([1.0, 0.0, 0.0], True), ([1e6, -1e6, 1e6], False), ([0.0, 0.0, 1e9], False)):
-        scan = FeatureCloud(
-            PointCloud(np.vstack([near.keypoints.points, far]),
-                       np.vstack([near.keypoints.normals, [0.0, 0.0, 1.0]])),
-            np.vstack([near.descriptors, near.descriptors[:1]]))
-        grid = inlier_grid(scan.keypoints.points, params.ransac_inlier_threshold)
-        assert (grid is not None) == numbered
-        if numbered:
-            assert len(grid.keys) <= 343 * np.count_nonzero(grid.occupied)
+    assert inlier_grid(near.keypoints.points, threshold) is not None
+    scans = [FeatureCloud(
+        PointCloud(np.vstack([near.keypoints.points, far]),
+                   np.vstack([near.keypoints.normals, [0.0, 0.0, 1.0]])),
+        np.vstack([near.descriptors, near.descriptors[:1]]))
+        for far in ([1.0, 0.0, 0.0], [1e6, -1e6, 1e6], [0.0, 0.0, 1e9])]
+    shifted = near.keypoints.points + [1e9, 0.0, 0.0]  # same box, cube x-indices past 2**40
+    assert 1e9 / (threshold / 2) > 2.0 ** 41
+    scans.append(FeatureCloud(PointCloud(shifted, near.keypoints.normals), near.descriptors))
+    for scan in scans:
+        assert inlier_grid(scan.keypoints.points, threshold) is None
         assert_same_ransac(scan, ref, params, seeds=range(2))
+
+
+def test_inlier_grid_is_built_on_scanner_clouds():
+    """A silent fallback to the tree keeps every count, so only this shows it:
+    the grid of a scanned plate exists and stays within 343 cubes per keypoint."""
+    params = small_params()
+    moved = Pose.from_axis_angle(np.array([6e-5, -4e-5, 0.0]), [0, 0, 1], 0.04)
+    ref = prepare_cloud(lattice_plate_cloud(), params)
+    for scan in (ref, prepare_cloud(lattice_plate_cloud(moved), params)):
+        grid = ransac_module.correspondence_candidates(
+            scan, ref, params.ransac_inlier_threshold).grid
+        assert grid is not None
+        assert grid.state.size <= 343 * len(scan)
 
 
 # -- ICP ----------------------------------------------------------------------

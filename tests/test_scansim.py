@@ -21,6 +21,7 @@ from insertsim.scansim import surfaces as surfaces_module
 from insertsim.scansim.surfaces import SceneHits
 
 DOWN = Pose.from_axis_angle(np.array([0.0, 0.0, 0.02]), [1, 0, 0], np.pi)  # sensor +z -> world -z
+SWEEP_STEP = 25e-6  # profile spacing of the test sweeps
 
 
 def plane_scene(top_z: float = 0.0) -> Scene:
@@ -47,7 +48,7 @@ def test_lateral_positions_default_grid():
 
 def test_flat_plate_zero_noise_constant_depth():
     cfg = small_cfg(depth_noise_std=0.0)
-    traj = linear_sweep(DOWN, [0, 1, 0], cfg.sweep_step, 5)
+    traj = linear_sweep(DOWN, [0, 1, 0], SWEEP_STEP, 5)
     cloud = sweep_scan(plane_scene(), traj, cfg, CalibrationError.none(), seed=1)
     assert len(cloud) == 5 * 64
     assert np.ptp(cloud.points[:, 2]) < 1e-12
@@ -55,14 +56,14 @@ def test_flat_plate_zero_noise_constant_depth():
 
 def test_full_hit_sweep_point_count_is_profiles_times_2048():
     cfg = ScannerConfig(depth_noise_std=0.0)
-    traj = linear_sweep(DOWN, [0, 1, 0], cfg.sweep_step, 10)
+    traj = linear_sweep(DOWN, [0, 1, 0], SWEEP_STEP, 10)
     cloud = sweep_scan(plane_scene(), traj, cfg, CalibrationError.none(), seed=2)
     assert len(cloud) == 10 * 2048
 
 
 def test_depth_noise_std_matches_configuration():
     cfg = ScannerConfig(depth_noise_std=1.5e-6)
-    traj = linear_sweep(DOWN, [0, 1, 0], cfg.sweep_step, 10)
+    traj = linear_sweep(DOWN, [0, 1, 0], SWEEP_STEP, 10)
     cloud = sweep_scan(plane_scene(), traj, cfg, CalibrationError.none(), seed=3)
     assert len(cloud) == 20480
     residuals = cloud.points[:, 2]  # true plane is z = 0
@@ -71,7 +72,7 @@ def test_depth_noise_std_matches_configuration():
 
 def test_sweep_deterministic_under_seed():
     cfg = small_cfg()
-    traj = linear_sweep(DOWN, [0, 1, 0], cfg.sweep_step, 8)
+    traj = linear_sweep(DOWN, [0, 1, 0], SWEEP_STEP, 8)
     a = sweep_scan(plane_scene(), traj, cfg, CalibrationError.none(), seed=7)
     b = sweep_scan(plane_scene(), traj, cfg, CalibrationError.none(), seed=7)
     np.testing.assert_array_equal(a.points, b.points)
@@ -215,7 +216,7 @@ def test_cylinder_scan_satisfies_implicit_equation():
 
 def test_calibration_offset_relates_clouds_by_the_offset():
     cfg = small_cfg(depth_noise_std=0.0)
-    traj = linear_sweep(DOWN, [0, 1, 0], cfg.sweep_step, 6)
+    traj = linear_sweep(DOWN, [0, 1, 0], SWEEP_STEP, 6)
     offset = Pose.from_axis_angle(np.array([5e-4, -2e-4, 3e-4]), [0.2, 1.0, -0.3], np.deg2rad(0.5))
     scene = plane_scene()
     clean = sweep_scan(scene, traj, cfg, CalibrationError.none(), seed=4)
@@ -284,6 +285,15 @@ def test_hole_plate_matches_box_off_the_hole():
         np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("center", [(8e-4, 0.0), (-5e-4, 0.0), (0.0, 6.5e-4), (0.0, -7e-4)])
+def test_hole_plate_rejects_a_hole_reaching_a_side(center):
+    """The hole wall would report hits beyond the plate's side, where the side face
+    stays solid; a hole touching or crossing a side is refused."""
+    with pytest.raises(ValueError, match="fit inside"):
+        HolePlate((1e-3, 1e-3), 1e-3, (5e-4, 4e-4), hole_center=center)
+    HolePlate((1e-3, 1e-3), 1e-3, (5e-4, 4e-4), hole_center=(4.9e-4, 5.9e-4))
+
+
 def reference_cast(scene: Scene, origins, dirs) -> SceneHits:
     """Scene.cast without the bounds cull: every part sees every ray."""
     n = len(origins)
@@ -349,7 +359,6 @@ def bounds_ray_sets(lo: np.ndarray, hi: np.ndarray, rng) -> dict:
 CULL_SURFACES = {
     "box": Box((1e-3, 2e-3, 5e-4)),
     "hole_plate": HOLE_PLATE,
-    "hole_past_the_side": HolePlate((1e-3, 1e-3), 1e-3, (5e-4, 4e-4), hole_center=(8e-4, 0.0)),
     "cylinder": Cylinder(1e-3, 4e-3),
     # a wedge: a right triangle extruded along z, off its own origin
     "mesh": TriangleMesh(np.array([[0.0, 0.0, 0.0], [3e-3, 0.0, 0.0], [0.0, 2e-3, 0.0],
