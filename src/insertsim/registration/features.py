@@ -10,7 +10,12 @@ moved normals) produces the same descriptors.
 
 All neighbour pairs come from one KD-tree pair query and are processed as
 flat arrays; histogram counts and the neighbour blend add each pair in
-(source, target) order.
+(source, target) order. The pair features work on coordinate columns: the
+cloud's points and normals are transposed once into contiguous x, y and z
+rows, each pair gathers its own columns, and cross and dot products are
+written out per component. The sums follow the order of the (m, 3) row
+routines they replace (np.linalg.norm, np.cross, np.einsum), so every
+feature keeps its bits while each step streams through one dense column.
 """
 
 from __future__ import annotations
@@ -87,20 +92,39 @@ def estimate_normals(cloud: PointCloud, k: int = 10, viewpoint=(0.0, 0.0, 0.0)) 
     return PointCloud(cloud.points, normals)
 
 
-def _pair_features(p, n_p, q, n_q):
-    """Darboux angle features (alpha, phi, theta) for source->target pairs."""
-    d = q - p
-    dist = np.linalg.norm(d, axis=1)
-    d_hat = d / dist[:, None]
-    u = n_p
-    v = np.cross(d_hat, u)
-    v_len = np.linalg.norm(v, axis=1)
+def _dot(a, b):
+    """Dot products of two column triples, summed as np.einsum sums (m, 3)
+    rows: (x + z) + y, then + 0.0, which turns a -0.0 into +0.0."""
+    return ((a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]) + 0.0
+
+
+def _cross(a, b):
+    """Cross products of two column triples, as np.cross forms them."""
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _pair_features(points, normals, src, tgt):
+    """Darboux angle features (alpha, phi, theta), distance and frame flag
+    `ok` of each source -> target pair, on coordinate columns; every value,
+    signed zeros included, is the one the (m, 3) row routines give."""
+    xyz = np.ascontiguousarray(points.T)
+    nxyz = np.ascontiguousarray(normals.T)
+    d = tuple(c[tgt] - c[src] for c in xyz)
+    dist = np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
+    d_hat = tuple(c / dist for c in d)
+    u = tuple(c[src] for c in nxyz)
+    n_q = tuple(c[tgt] for c in nxyz)
+    v = _cross(d_hat, u)
+    v_len = np.sqrt((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2])
     ok = v_len > 1e-12
-    v = np.where(ok[:, None], v / np.where(ok[:, None], v_len[:, None], 1.0), 0.0)
-    w = np.cross(u, v)
-    alpha = np.einsum("ij,ij->i", v, n_q)
-    phi = np.einsum("ij,ij->i", u, d_hat)
-    theta = np.arctan2(np.einsum("ij,ij->i", w, n_q), np.einsum("ij,ij->i", u, n_q))
+    scale = np.where(ok, v_len, 1.0)
+    v = tuple(np.where(ok, c / scale, 0.0) for c in v)
+    w = _cross(u, v)
+    alpha = _dot(v, n_q)
+    phi = _dot(u, d_hat)
+    theta = np.arctan2(_dot(w, n_q), _dot(u, n_q))
     return alpha, phi, theta, dist, ok
 
 
@@ -154,10 +178,15 @@ def compute_features(cloud: PointCloud, radius: float, normal_k: int = 10,
         cloud = cloud.select(keep)
         n = len(cloud)
 
-    alpha, phi, theta, dist, ok = _pair_features(
-        cloud.points[src], cloud.normals[src], cloud.points[tgt], cloud.normals[tgt]
-    )
+    alpha, phi, theta, dist, ok = _pair_features(cloud.points, cloud.normals, src, tgt)
     src, tgt, dist = src[ok], tgt[ok], dist[ok]
+    neighbor_counts = np.bincount(src, minlength=n)
+    if not neighbor_counts.all():
+        example = int(np.argmin(neighbor_counts))
+        raise DegenerateFeatureError(
+            f"point {example} has no neighbor within {radius} off its normal's "
+            f"line, so none of its pairs has a Darboux frame"
+        )
     cols = np.concatenate([
         _bin_index(alpha[ok], -1.0, 1.0),
         BINS_PER_FEATURE + _bin_index(phi[ok], -1.0, 1.0),
@@ -171,7 +200,6 @@ def compute_features(cloud: PointCloud, radius: float, normal_k: int = 10,
     # near-duplicate points from dominating the histogram. Each CSR row sums
     # its pairs in (source, target) order, one pair at a time.
     inv_d = 1.0 / np.maximum(dist, 0.05 * radius)
-    neighbor_counts = np.bincount(src, minlength=n)
     blend = csr_array((inv_d, tgt, np.concatenate([[0], np.cumsum(neighbor_counts)])), shape=(n, n))
     fpfh = spfh + (blend @ spfh) / neighbor_counts[:, None]
 

@@ -20,8 +20,12 @@ cutoff), the point takes the `k=1` answer, because on exact ties cKDTree's
 `k=2` first column need not be the point its `k=1` query picks; such a point
 gets `r2` equal to its nearest distance, which no other scan point undercuts.
 The matches therefore equal those of a full `k=1` query in every iteration.
-The final fitness query stays a full `k=1` query, so `fitness` keeps the
-tree's own distances bit for bit.
+
+The fitness after the last iteration uses the same certificate: a held point
+takes `sqrt((dx*dx + dy*dy) + dz*dz)` to its match, the expression cKDTree
+itself evaluates (its squared distance adds the coordinates in order, then
+it takes the root), and only the other points ask the tree with `k=1`. So
+`fitness` keeps the tree's own distances bit for bit.
 """
 
 from __future__ import annotations
@@ -74,8 +78,7 @@ def icp_refine(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
     iterations = 0
     for _ in range(params.icp_max_iterations):
         # a match held by the certificate (module docstring) is kept; the rest ask the tree
-        held = _norm(moving - scan.points[nn]) + _norm(moving - anchor)
-        stale = np.flatnonzero(~(held * (1.0 + _MATCH_MARGIN) < r2))
+        _, stale = _certify(moving, scan.points[nn], anchor, r2)
         if len(stale):
             anchor[stale] = moving[stale]
             nn[stale], r2[stale] = _query(tree, moving[stale], cutoff)
@@ -95,7 +98,10 @@ def icp_refine(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
         if np.linalg.norm(t) < _POS_CONVERGE and angle < _ROT_CONVERGE:
             break
 
-    d, idx = tree.query(moving, distance_upper_bound=cutoff)
+    # held matches give their distance as the tree would; the rest ask the tree
+    d, stale = _certify(moving, scan.points[nn], anchor, r2)
+    if len(stale):
+        d[stale], _ = tree.query(moving[stale], distance_upper_bound=cutoff)
     matched = np.isfinite(d)
     if not np.any(matched):
         raise DivergenceError("no correspondences within the cutoff distance")
@@ -104,8 +110,19 @@ def icp_refine(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
     return IcpResult(fitness, pose_compose(incremental, initial_pose), tuple(history), iterations)
 
 
-def _norm(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", v, v))
+def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise |a - b|, summed in the order cKDTree sums it, so that it
+    equals the distance the tree reports bit for bit."""
+    x, y, z = (a - b).T
+    return np.sqrt((x * x + y * y) + z * z)
+
+
+def _certify(moving: np.ndarray, matches: np.ndarray, anchor: np.ndarray, r2: np.ndarray):
+    """Distance of each moving point to its match, and the indices of the
+    points whose match the certificate cannot keep."""
+    dist = _distance(moving, matches)
+    held = dist + _distance(moving, anchor)
+    return dist, np.flatnonzero(~(held * (1.0 + _MATCH_MARGIN) < r2))
 
 
 def _query(tree: cKDTree, points: np.ndarray, cutoff: float):

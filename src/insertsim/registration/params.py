@@ -38,17 +38,20 @@ class RegistrationParams:
 
     def __post_init__(self):
         object.__setattr__(self, "q0", quat_normalize(self.q0))
-        if self.rho_icp <= 0:
-            raise ValueError("rho_icp must be positive")
+        for name in ("rho_icp", "voxel_size", "ransac_inlier_threshold"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.feature_radius is not None and not 0 < self.feature_radius < np.inf:
+            raise ValueError("feature_radius must be positive and finite")
         if not 0 < self.rho_rot <= np.pi:
             raise ValueError("rho_rot must be in (0, pi]")
-        if self.voxel_size <= 0:
-            raise ValueError("voxel_size must be positive")
+        if not self.icp_max_correspondence_dist > 0:
+            raise ValueError("icp_max_correspondence_dist must be positive")
+        if np.isnan(self.outlier_std_ratio):
+            raise ValueError("outlier_std_ratio must not be NaN")
         for name in ("outlier_mean_k", "ransac_iterations", "icp_max_iterations", "max_outer_loops"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.ransac_inlier_threshold <= 0 or self.icp_max_correspondence_dist <= 0:
-            raise ValueError("distance thresholds must be positive")
 
     @property
     def effective_feature_radius(self) -> float:

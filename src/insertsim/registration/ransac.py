@@ -36,8 +36,13 @@ outside the box, clamped onto that layer, is an outlier too. Only the points
 in 1 cubes are looked up in the scan's KD-tree, so the count equals the
 tree's count over all points: cube indices stay below 2**40, where their
 rounding is far below the margins (0.13 thr and 0.5 thr); beyond that the
-grid is not built. Only the winner gets a full tree query, for the inlier
-correspondences its polish is solved on.
+grid is not built. A loser does not even ask the tree: the points in 2
+cubes bound its count from below and those in 1 or 2 cubes from above, and
+when that upper bound is no more than the best count so far, the hypothesis
+can neither win nor reach the 0.9 early stop, so its 1 cubes are not looked
+up (the polish, which keeps a tie, bounds against its count minus one).
+Only the winner gets a full tree query, for the inlier correspondences its
+polish is solved on.
 """
 
 from __future__ import annotations
@@ -103,8 +108,9 @@ def inlier_grid(points: np.ndarray, threshold: float) -> Optional[InlierGrid]:
 
 
 def inlier_count(moved: np.ndarray, tree: cKDTree, threshold: float,
-                 grid: Optional[InlierGrid]) -> int:
-    """Points of `moved` within `threshold` of a point of `tree`, as the tree counts them.
+                 grid: Optional[InlierGrid], beat: int) -> int:
+    """Points of `moved` within `threshold` of a point of `tree`, as the tree
+    counts them, when that count exceeds `beat`; otherwise some number <= `beat`.
 
     `grid` must be inlier_grid(tree.data, threshold); with None every point
     is looked up in the tree.
@@ -118,8 +124,13 @@ def inlier_count(moved: np.ndarray, tree: cKDTree, threshold: float,
     np.clip(cubes, 0.0, grid.top, out=cubes)
     i, j, k = cubes.astype(np.intp).T
     state = grid.state[i, j, k]
-    d, _ = tree.query(moved[state == 1], distance_upper_bound=threshold)
-    return int(np.count_nonzero(state == 2)) + int(np.count_nonzero(np.isfinite(d)))
+    near = state == 1
+    sure = int(np.count_nonzero(state == 2))
+    most = sure + int(np.count_nonzero(near))
+    if most <= beat:
+        return most  # even if every near point were an inlier, the count cannot beat `beat`
+    d, _ = tree.query(moved[near], distance_upper_bound=threshold)
+    return sure + int(np.count_nonzero(np.isfinite(d)))
 
 
 class Candidates(NamedTuple):
@@ -173,8 +184,8 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
     # prior hypotheses all share R_prior, so they all pass or all fail the gate
     prior_passes_gate = quat_distance(quat_from_matrix(R_prior), params.q0) < params.rho_rot
 
-    def score(R, t):
-        return inlier_count(ref_pts @ R.T + t, scan_tree, threshold, grid)
+    def score(R, t, beat):
+        return inlier_count(ref_pts @ R.T + t, scan_tree, threshold, grid, beat)
 
     best_count = -1
     best = None
@@ -212,7 +223,7 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
             R = R_prior
             t = scan_pts[s] - R @ ref_pts[r]
 
-        count = score(R, t)
+        count = score(R, t, best_count)
         if count > best_count:
             best_count = count
             best = (R, t)
@@ -231,7 +242,7 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
         inliers = np.isfinite(d)
         R2, t2 = kabsch_transform(ref_pts[inliers], scan_pts[idx[inliers]])
         if quat_distance(quat_from_matrix(R2), params.q0) < params.rho_rot:
-            refined_count = score(R2, t2)
+            refined_count = score(R2, t2, count - 1)  # a tie is adopted too
             if refined_count >= count:
                 R, t, count = R2, t2, refined_count
 

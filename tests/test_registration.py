@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,6 +95,22 @@ def small_params(**kw) -> RegistrationParams:
     return RegistrationParams(**defaults)
 
 
+# -- parameters ------------------------------------------------------------------
+
+@pytest.mark.parametrize("field, value", [
+    ("voxel_size", np.nan), ("voxel_size", np.inf),
+    ("rho_icp", np.nan), ("rho_icp", np.inf),
+    ("ransac_inlier_threshold", np.nan), ("ransac_inlier_threshold", np.inf),
+    ("feature_radius", np.nan), ("feature_radius", np.inf),
+    ("feature_radius", -1.0), ("feature_radius", 0.0),
+    ("outlier_std_ratio", np.nan), ("icp_max_correspondence_dist", np.nan),
+    ("rho_rot", np.nan),
+])
+def test_params_reject_nan_and_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        RegistrationParams(**{field: value})
+
+
 # -- features -----------------------------------------------------------------
 
 def test_features_deterministic():
@@ -135,6 +153,24 @@ def test_features_degenerate_radius():
 # The first, loop-based versions of FPFH and the voxel grid, kept as oracles:
 # the vectorised code must reproduce them bit for bit, ties and all.
 
+def reference_pair_features(p, n_p, q, n_q):
+    """The pair features on (m, 3) rows, as FPFH computed them before it
+    worked one coordinate column at a time."""
+    d = q - p
+    dist = np.linalg.norm(d, axis=1)
+    d_hat = d / dist[:, None]
+    u = n_p
+    v = np.cross(d_hat, u)
+    v_len = np.linalg.norm(v, axis=1)
+    ok = v_len > 1e-12
+    v = np.where(ok[:, None], v / np.where(ok[:, None], v_len[:, None], 1.0), 0.0)
+    w = np.cross(u, v)
+    alpha = np.einsum("ij,ij->i", v, n_q)
+    phi = np.einsum("ij,ij->i", u, d_hat)
+    theta = np.arctan2(np.einsum("ij,ij->i", w, n_q), np.einsum("ij,ij->i", u, n_q))
+    return alpha, phi, theta, dist, ok
+
+
 def reference_compute_features(cloud: PointCloud, radius: float):
     if not cloud.has_normals:
         cloud = estimate_normals(cloud)
@@ -157,7 +193,7 @@ def reference_compute_features(cloud: PointCloud, radius: float):
         tgt_idx.extend(nbrs)
     src = np.array(src_idx, dtype=np.int64)
     tgt = np.array(tgt_idx, dtype=np.int64)
-    alpha, phi, theta, dist, ok = features_module._pair_features(
+    alpha, phi, theta, dist, ok = reference_pair_features(
         cloud.points[src], cloud.normals[src], cloud.points[tgt], cloud.normals[tgt])
     src, tgt, dist = src[ok], tgt[ok], dist[ok]
     b = features_module._bin_index
@@ -269,6 +305,42 @@ def test_features_peel_stragglers_to_a_fixed_point():
     with pytest.raises(DegenerateFeatureError, match=f"of {len(cloud) + len(long_line)} points"):
         compute_features(PointCloud(np.vstack([cloud.points, long_line.points]),
                                     np.vstack([cloud.normals, long_line.normals])), radius)
+
+
+def test_pair_features_match_the_row_reference():
+    """The column kernel gives the row kernel's values bit for bit, on a plate
+    scan with copies below some points: their pairs lie on the normal line
+    (no Darboux frame) and carry antiparallel normals."""
+    plate = lattice_plate_cloud()
+    below = plate.select(np.arange(len(plate)) % 7 == 0)
+    cloud = PointCloud(np.vstack([plate.points, below.points - [0.0, 0.0, 30e-6]]),
+                       np.vstack([plate.normals, -below.normals]))
+    tilted = transform_cloud(cloud, Pose.from_axis_angle(
+        np.array([1e-3, -2e-3, 5e-4]), [0.3, -0.4, 1.0], 0.9))
+    for c in (cloud, tilted):
+        pairs = cKDTree(c.points).query_pairs(np.sqrt(5) * 25e-6, output_type="ndarray")
+        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        tgt = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        expected = reference_pair_features(c.points[src], c.normals[src],
+                                           c.points[tgt], c.normals[tgt])
+        got = features_module._pair_features(c.points, c.normals, src, tgt)
+        assert np.count_nonzero(~expected[4]) >= 2 * len(below)
+        assert np.any(np.einsum("ij,ij->i", c.normals[src], c.normals[tgt]) < -0.999)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
+            np.testing.assert_array_equal(np.signbit(g), np.signbit(e))
+
+
+def test_features_without_a_darboux_frame_raise():
+    """Every neighbour of every point lies on its normal's line, so no pair
+    has a frame: a typed error naming the point, and no 0/0 warning."""
+    pts = np.zeros((30, 3))
+    pts[:, 2] = 1e-4 * np.arange(30)
+    cloud = PointCloud(pts, np.tile([0.0, 0.0, 1.0], (30, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFeatureError, match="point 0 "):
+            compute_features(cloud, radius=5e-4)
 
 
 def test_voxel_grid_matches_loop_reference_on_lattice_scan():
@@ -497,8 +569,10 @@ def assert_same_ransac(scan: FeatureCloud, ref: FeatureCloud, params: Registrati
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), threshold=st.floats(3e-5, 7e-4), rotate=st.booleans())
-def test_inlier_grid_count_matches_the_tree(seed, threshold, rotate):
+@given(seed=st.integers(0, 2**32 - 1), threshold=st.floats(3e-5, 7e-4), rotate=st.booleans(),
+       beat_offset=st.integers(-400, 400))
+def test_inlier_grid_count_matches_the_tree(seed, threshold, rotate, beat_offset):
+    """The count is the tree's whenever it exceeds `beat`, and at most `beat` otherwise."""
     rng = np.random.default_rng(seed)
     cube = threshold / 2
     scan = rng.uniform(-1e-3, 1e-3, size=(300, 3))
@@ -515,7 +589,66 @@ def test_inlier_grid_count_matches_the_tree(seed, threshold, rotate):
         ref = ref @ R.T + rng.normal(scale=threshold, size=3)
     tree = cKDTree(scan)
     expected = np.count_nonzero(np.isfinite(tree.query(ref, distance_upper_bound=threshold)[0]))
-    assert inlier_count(ref, tree, threshold, inlier_grid(scan, threshold)) == expected
+    grid = inlier_grid(scan, threshold)
+    sure, most = (0, len(ref)) if grid is None else grid_bounds(ref, threshold, grid)
+    assert sure <= expected <= most
+    # around the grid's bounds and the count itself, where an off-by-one shows
+    for beat in (expected + beat_offset, -1, sure - 1, sure, expected - 1, expected,
+                 most - 1, most):
+        count = inlier_count(ref, tree, threshold, grid, beat)
+        if expected > beat:
+            assert count == expected
+        else:
+            assert count <= beat
+        assert inlier_count(ref, tree, threshold, None, beat) == expected
+
+
+def grid_bounds(moved: np.ndarray, threshold: float, grid) -> tuple:
+    """Points of `moved` in keypoint cubes, and in keypoint or near cubes:
+    the grid's lower and upper bounds on their inlier count."""
+    cubes = np.clip(np.floor(moved / (threshold / 2)) - grid.lo, 0.0, grid.top)
+    state = grid.state[tuple(cubes.astype(np.intp).T)]
+    return int(np.count_nonzero(state == 2)), int(np.count_nonzero(state >= 1))
+
+
+def test_ransac_losers_skip_the_tree(monkeypatch):
+    """A hypothesis whose grid upper bound is no more than the count to beat
+    never reaches scan_tree.query. RANSAC keeps the loop reference's result
+    even when every count at or below `beat` comes back as `beat` itself,
+    the least helpful answer inlier_count may give."""
+    calls = []
+
+    class CountingTree:
+        def __init__(self, tree):
+            self.tree, self.queries = tree, 0
+
+        def query(self, *args, **kwargs):
+            self.queries += 1
+            return self.tree.query(*args, **kwargs)
+
+    def least_helpful_count(moved, tree, threshold, grid, beat):
+        counting = CountingTree(tree)
+        count = inlier_count(moved, counting, threshold, grid, beat)
+        calls.append((grid_bounds(moved, threshold, grid)[1] <= beat, counting.queries,
+                      count, beat))
+        return beat if count <= beat else count
+
+    monkeypatch.setattr(ransac_module, "inlier_count", least_helpful_count)
+    params = small_params()
+    ref = prepare_cloud(lattice_plate_cloud(), params)
+    moved = Pose.from_axis_angle(np.array([6e-5, -4e-5, 0.0]), [0, 0, 1], 0.04)
+    assert_same_ransac(prepare_cloud(lattice_plate_cloud(moved), params), ref, params)
+    # half the terrain seen: no hypothesis reaches the 0.9 stop, so every
+    # iteration and the polish are scored against a count to beat
+    terrain = terrain_cloud()
+    true = Pose.from_axis_angle(np.array([4e-4, -2e-4, 3e-4]), [0.1, 0.2, 1.0], np.deg2rad(8))
+    half = transform_cloud(terrain.select(terrain.points[:, 0] < 3e-3), true)
+    assert_same_ransac(compute_features(half, radius=6e-4),
+                       compute_features(terrain, radius=6e-4), params)
+    settled = [c for c in calls if c[0]]
+    assert len(settled) > len(calls) / 2
+    assert all(queries == 0 and count <= beat for _, queries, count, beat in settled)
+    assert any(queries for _, queries, _, _ in calls)
 
 
 def test_ransac_matches_loop_reference_on_lattice_scan():
@@ -619,6 +752,28 @@ def test_icp_total_pose_composes_initial():
     # scan == ref, so the total ref->scan transform must be identity
     assert np.linalg.norm(result.pose.position) < 1e-7
     assert quat_distance(result.pose.orientation, IDENTITY_Q) < 1e-6
+
+def test_tree_distances_are_the_explicit_expression():
+    """ICP's fitness takes held matches' distances from
+    sqrt((dx*dx + dy*dy) + dz*dz) instead of the tree, so the two must agree
+    bit for bit; a scipy whose cKDTree sums otherwise fails here."""
+    tilt = Pose.from_axis_angle(np.array([3e-5, -2e-5, 1e-5]), [0.2, -0.1, 1.0], 0.03)
+    for scan in (lattice_plate_cloud(), lattice_plate_cloud(tilt)):
+        tree = cKDTree(scan.points)
+        rng = np.random.default_rng(7)
+        queries = scan.points + rng.normal(scale=20e-6, size=scan.points.shape)
+        d, i = tree.query(queries)
+        dx, dy, dz = (queries - scan.points[i]).T
+        np.testing.assert_array_equal(d, np.sqrt((dx * dx + dy * dy) + dz * dz))
+        np.testing.assert_array_equal(d, icp_module._distance(queries, scan.points[i]))
+        d, i = tree.query(queries, k=2, distance_upper_bound=40e-6)
+        found = np.isfinite(d)
+        assert 0 < np.count_nonzero(found) < found.size
+        for col in range(2):
+            rows = found[:, col]
+            np.testing.assert_array_equal(
+                d[rows, col], icp_module._distance(queries[rows], scan.points[i[rows, col]]))
+
 
 # -- ICP loop reference ----------------------------------------------------------
 # The ICP loop as it was before match reuse, kept as an oracle: every iteration
