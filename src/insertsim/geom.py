@@ -220,12 +220,53 @@ def pose_compose(a: Pose, b: Pose) -> Pose:
 # Point clouds
 # ---------------------------------------------------------------------------
 
+# A raster is gridded only when its bounding box holds at most this many cells
+# per point; sparser rasters are checked, and searched, without a grid.
+RASTER_CELLS_PER_POINT = 4
+
+
+def raster_box(raster: np.ndarray) -> Optional[tuple]:
+    """Lowest cell and (profiles, columns) shape of the bounding box of an
+    (N, 2) raster, or None when it is empty or holds more than
+    RASTER_CELLS_PER_POINT cells per point."""
+    n = len(raster)
+    if n == 0:
+        return None
+    # per column, and in Python ints, which cannot wrap
+    lo = [int(raster[:, a].min()) for a in range(2)]
+    shape = tuple(int(raster[:, a].max()) - lo[a] + 1 for a in range(2))
+    if shape[0] * shape[1] > RASTER_CELLS_PER_POINT * n:
+        return None
+    return np.array(lo, dtype=np.int64), shape
+
+
+def _raster_cells_unique(raster: np.ndarray) -> bool:
+    box = raster_box(raster)
+    if box is None:
+        return len(raster) == 0 or len(np.unique(raster, axis=0)) == len(raster)
+    # scatter every point's number into its cell and read it back: a cell
+    # shared by two points keeps only one of them
+    lo, (rows, cols) = box
+    cells = (raster[:, 0] - lo[0]) * cols + (raster[:, 1] - lo[1])
+    slot = np.empty(rows * cols, dtype=np.intp)
+    order = np.arange(len(raster))
+    slot[cells] = order
+    return bool(np.array_equal(slot[cells], order))
+
+
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered 3-D points in meters with optional unit normals."""
+    """Ordered 3-D points in meters with optional unit normals.
+
+    `raster`, when given, is each point's (profile, column) cell in the
+    scanner raster that produced it: an (N, 2) integer array, one point per
+    cell. A scanner sets it; `select` and rigid moves keep it, since they
+    keep it valid. Clouds with no scanner behind them leave it None.
+    """
 
     points: np.ndarray
     normals: Optional[np.ndarray] = field(default=None)
+    raster: Optional[np.ndarray] = field(default=None)
 
     def __post_init__(self):
         pts = np.atleast_2d(_as_f64(self.points))
@@ -250,6 +291,15 @@ class PointCloud:
             nrm = nrm.copy()
             nrm.flags.writeable = False
             object.__setattr__(self, "normals", nrm)
+        if self.raster is not None:
+            ras = np.asarray(self.raster)
+            if ras.shape != (len(pts), 2) or not np.issubdtype(ras.dtype, np.integer):
+                raise ValueError(f"raster must be an ({len(pts)}, 2) integer array")
+            ras = ras.astype(np.int64)
+            if not _raster_cells_unique(ras):
+                raise ValueError("raster cells must be unique")
+            ras.flags.writeable = False
+            object.__setattr__(self, "raster", ras)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -260,13 +310,14 @@ class PointCloud:
 
     def select(self, index) -> "PointCloud":
         nrm = self.normals[index] if self.has_normals else None
-        return PointCloud(self.points[index], nrm)
+        ras = self.raster[index] if self.raster is not None else None
+        return PointCloud(self.points[index], nrm, ras)
 
 
 def transform_cloud(cloud: PointCloud, pose: Pose) -> PointCloud:
-    """Apply a rigid transform: points R p + t, normals rotated by R."""
+    """Apply a rigid transform: points R p + t, normals rotated by R; the
+    raster is kept."""
     R = pose.rotation_matrix()
     pts = cloud.points @ R.T + pose.position
     nrm = cloud.normals @ R.T if cloud.has_normals else None
-    return PointCloud(pts, nrm)
-
+    return PointCloud(pts, nrm, cloud.raster)

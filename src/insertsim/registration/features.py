@@ -89,7 +89,7 @@ def estimate_normals(cloud: PointCloud, k: int = 10, viewpoint=(0.0, 0.0, 0.0)) 
     flip = np.einsum("ij,ij->i", normals, to_view) < 0.0
     normals = np.where(flip[:, None], -normals, normals)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(cloud.points, normals)
+    return PointCloud(cloud.points, normals, cloud.raster)
 
 
 def _dot(a, b):

@@ -50,8 +50,9 @@ class RegistrationParams:
         if np.isnan(self.outlier_std_ratio):
             raise ValueError("outlier_std_ratio must not be NaN")
         for name in ("outlier_mean_k", "ransac_iterations", "icp_max_iterations", "max_outer_loops"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1")
 
     @property
     def effective_feature_radius(self) -> float:

@@ -2,7 +2,9 @@
 
 Each trajectory pose carries the sensor frame: the laser line lies along the
 sensor x-axis and rays travel along sensor +z. One pose yields one profile of
-up to `points_per_profile` depth samples. Misses produce no point.
+up to `points_per_profile` depth samples. Misses produce no point. The
+cloud's raster records each point's (profile, column): its trajectory index
+and its detector column.
 
 The sweep casts whole profiles in chunks of at most `_CHUNK_RAYS` rays (at
 least one profile), one `Scene.cast` per chunk, which bounds the per-ray
@@ -75,7 +77,11 @@ class SweepScan:
 
     cloud: PointCloud
     part_index: np.ndarray
-    profile_index: np.ndarray
+
+    @property
+    def profile_index(self) -> np.ndarray:
+        """Sweep profile of each point, the first column of the cloud's raster."""
+        return self.cloud.raster[:, 0]
 
     def points_of(self, scene: Scene, part_id: str) -> PointCloud:
         return self.cloud.select(self.part_index == scene.index_of(part_id))
@@ -105,7 +111,7 @@ def sweep_scan_detailed(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig
     sensor[:, 0] = lateral
     profiles_per_chunk = max(1, _CHUNK_RAYS // n)
 
-    pts, nrm, parts, prof_ids = [], [], [], []
+    pts, nrm, parts, cells = [], [], [], []
     for lo in range(0, len(trajectory), profiles_per_chunk):
         assumed = trajectory[lo:lo + profiles_per_chunk]
         true = [pose_compose(cal.mount_offset, p) for p in assumed]
@@ -126,20 +132,20 @@ def sweep_scan_detailed(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig
         pts.append(_to_base(assumed, samples).reshape(-1, 3)[keep])
         nrm.append(hits.normals[keep])
         parts.append(hits.part_index[keep])
-        prof_ids.append(np.repeat(np.arange(lo, lo + len(assumed), dtype=np.int64), n)[keep])
+        # (profile, column) raster cell of each ray
+        cells.append(np.column_stack([
+            np.repeat(np.arange(lo, lo + len(assumed), dtype=np.int64), n),
+            np.tile(np.arange(n, dtype=np.int64), len(assumed)),
+        ])[keep])
 
     points = np.vstack(pts)
     if len(points) == 0:
-        empty = PointCloud(np.zeros((0, 3)))
-        return SweepScan(empty, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        empty = PointCloud(np.zeros((0, 3)), raster=np.zeros((0, 2), dtype=np.int64))
+        return SweepScan(empty, np.zeros(0, dtype=np.int64))
     # map the true-surface normals through the same assumed-vs-true mismatch
     R_err = cal.mount_offset.inverse().rotation_matrix()
     normals = np.vstack(nrm) @ R_err.T
-    return SweepScan(
-        PointCloud(points, normals),
-        np.concatenate(parts),
-        np.concatenate(prof_ids),
-    )
+    return SweepScan(PointCloud(points, normals, np.vstack(cells)), np.concatenate(parts))
 
 
 def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,

@@ -105,10 +105,18 @@ def small_params(**kw) -> RegistrationParams:
     ("feature_radius", -1.0), ("feature_radius", 0.0),
     ("outlier_std_ratio", np.nan), ("icp_max_correspondence_dist", np.nan),
     ("rho_rot", np.nan),
+    ("outlier_mean_k", np.nan), ("outlier_mean_k", 0), ("ransac_iterations", 2.5),
+    ("ransac_iterations", 3.0), ("max_outer_loops", np.inf), ("icp_max_iterations", True),
+    ("max_outer_loops", np.float64(2.0)), ("outlier_mean_k", "12"),
 ])
 def test_params_reject_nan_and_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
         RegistrationParams(**{field: value})
+
+
+def test_params_accept_numpy_integers():
+    params = RegistrationParams(outlier_mean_k=np.int64(8), max_outer_loops=np.int32(3))
+    assert params.outlier_mean_k == 8 and params.max_outer_loops == 3
 
 
 # -- features -----------------------------------------------------------------

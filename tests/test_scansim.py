@@ -85,7 +85,7 @@ def reference_sweep_scan(scene: Scene, trajectory, cfg: ScannerConfig,
     """Per-profile loop: one Scene.cast and one sensor-to-base map per profile."""
     lateral = cfg.lateral_positions()
     n = len(lateral)
-    pts, nrm, parts, prof_ids = [], [], [], []
+    pts, nrm, parts, cells = [], [], [], []
     for k, assumed in enumerate(trajectory):
         true_pose = pose_compose(cal.mount_offset, assumed)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), k]))
@@ -105,13 +105,13 @@ def reference_sweep_scan(scene: Scene, trajectory, cfg: ScannerConfig,
         pts.append(pts_sensor @ assumed.rotation_matrix().T + assumed.position)
         nrm.append(hits.normals[mask])
         parts.append(hits.part_index[mask])
-        prof_ids.append(np.full(mask.sum(), k, dtype=np.int64))
+        cells.append(np.column_stack([np.full(mask.sum(), k, dtype=np.int64), np.flatnonzero(mask)]))
     if not pts:
-        empty = np.zeros(0, dtype=np.int64)
-        return SweepScan(PointCloud(np.zeros((0, 3))), empty, empty)
+        return SweepScan(PointCloud(np.zeros((0, 3)), raster=np.zeros((0, 2), dtype=np.int64)),
+                         np.zeros(0, dtype=np.int64))
     R_err = cal.mount_offset.inverse().rotation_matrix()
-    return SweepScan(PointCloud(np.vstack(pts), np.vstack(nrm) @ R_err.T),
-                     np.concatenate(parts), np.concatenate(prof_ids))
+    return SweepScan(PointCloud(np.vstack(pts), np.vstack(nrm) @ R_err.T, np.vstack(cells)),
+                     np.concatenate(parts))
 
 
 def assert_same_sweep(got: SweepScan, want: SweepScan):
@@ -178,6 +178,16 @@ def test_sweep_matches_per_profile_reference(case):
     else:
         assert len(np.unique(want.profile_index)) > 1
     assert_same_sweep(got, want)
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_sweep_raster_matches_per_profile_reference(case):
+    """Each point's raster cell is its profile and its detector column."""
+    scene, traj, cfg, cal = SWEEP_CASES[case]()
+    got = sweep_scan_detailed(scene, traj, cfg, cal, seed=611).cloud.raster
+    want = reference_sweep_scan(scene, traj, cfg, cal, seed=611).cloud.raster
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
 
 
 def test_sweep_with_chunks_narrower_than_a_profile(monkeypatch):
