@@ -220,6 +220,17 @@ def pose_compose(a: Pose, b: Pose) -> Pose:
 # Point clouds
 # ---------------------------------------------------------------------------
 
+def column_norm(x, y, z) -> np.ndarray:
+    """Lengths of vectors given as coordinate columns.
+
+    The squares are summed `(x*x + y*y) + z*z` before the root, the order in
+    which cKDTree sums a squared distance, so the length of a point
+    difference equals the distance the tree reports for that pair bit for
+    bit. Callers that stand in for a tree query rely on it: keep the order.
+    """
+    return np.sqrt((x * x + y * y) + z * z)
+
+
 # A raster is gridded only when its bounding box holds at most this many cells
 # per point; sparser rasters are checked, and searched, without a grid.
 RASTER_CELLS_PER_POINT = 4

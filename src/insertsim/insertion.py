@@ -9,7 +9,6 @@ measurement frame and the robot frame then cancels to first order.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,14 +85,6 @@ def plan_relative_trajectory(p_obj: Pose, p_target: Pose, horizon: int,
         waypoints.append(Pose(pos, quat))
     waypoints.append(p_target)
     return Trajectory(tuple(waypoints), duration * tau)
-
-
-def write_trajectory_csv(path, traj: Trajectory) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["t", "x", "y", "z", "qw", "qx", "qy", "qz"])
-        for t, wp in zip(traj.timestamps, traj.waypoints):
-            writer.writerow([repr(float(v)) for v in (t, *wp.position, *wp.orientation)])
 
 
 def execute_insertion(arm: ArmInstance, traj: Trajectory,

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
-from insertsim.geom import PointCloud
+from insertsim.geom import PointCloud, column_norm
 from insertsim.registration.params import DegenerateFeatureError
 
 BINS_PER_FEATURE = 11
@@ -112,12 +112,12 @@ def _pair_features(points, normals, src, tgt):
     xyz = np.ascontiguousarray(points.T)
     nxyz = np.ascontiguousarray(normals.T)
     d = tuple(c[tgt] - c[src] for c in xyz)
-    dist = np.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
+    dist = column_norm(*d)
     d_hat = tuple(c / dist for c in d)
     u = tuple(c[src] for c in nxyz)
     n_q = tuple(c[tgt] for c in nxyz)
     v = _cross(d_hat, u)
-    v_len = np.sqrt((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2])
+    v_len = column_norm(*v)
     ok = v_len > 1e-12
     scale = np.where(ok, v_len, 1.0)
     v = tuple(np.where(ok, c / scale, 0.0) for c in v)

@@ -22,10 +22,9 @@ gets `r2` equal to its nearest distance, which no other scan point undercuts.
 The matches therefore equal those of a full `k=1` query in every iteration.
 
 The fitness after the last iteration uses the same certificate: a held point
-takes `sqrt((dx*dx + dy*dy) + dz*dz)` to its match, the expression cKDTree
-itself evaluates (its squared distance adds the coordinates in order, then
-it takes the root), and only the other points ask the tree with `k=1`. So
-`fitness` keeps the tree's own distances bit for bit.
+takes its distance to its match from `geom.column_norm`, the expression
+cKDTree itself evaluates, and only the other points ask the tree with
+`k=1`. So `fitness` keeps the tree's own distances bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 from scipy.spatial import cKDTree
 
-from insertsim.geom import PointCloud, Pose, pose_compose, quat_from_matrix
+from insertsim.geom import PointCloud, Pose, column_norm, pose_compose, quat_from_matrix
 from insertsim.registration.params import DivergenceError, RegistrationParams
 from insertsim.registration.rigid import kabsch_transform
 
@@ -110,18 +109,11 @@ def icp_refine(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
     return IcpResult(fitness, pose_compose(incremental, initial_pose), tuple(history), iterations)
 
 
-def _distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise |a - b|, summed in the order cKDTree sums it, so that it
-    equals the distance the tree reports bit for bit."""
-    x, y, z = (a - b).T
-    return np.sqrt((x * x + y * y) + z * z)
-
-
 def _certify(moving: np.ndarray, matches: np.ndarray, anchor: np.ndarray, r2: np.ndarray):
     """Distance of each moving point to its match, and the indices of the
     points whose match the certificate cannot keep."""
-    dist = _distance(moving, matches)
-    held = dist + _distance(moving, anchor)
+    dist = column_norm(*(moving - matches).T)
+    held = dist + column_norm(*(moving - anchor).T)
     return dist, np.flatnonzero(~(held * (1.0 + _MATCH_MARGIN) < r2))
 
 

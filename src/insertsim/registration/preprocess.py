@@ -5,10 +5,10 @@ distances. A scanner cloud carries its raster, the (profile, column) cell of
 every point, and then most of those distances come from a fixed window of
 cells around the point, ±1 profile by ±4 columns, with no KD-tree (cf. the
 organised-cloud neighbourhoods of Holzer et al., IROS 2012). The window's
-distances are `sqrt((dx*dx + dy*dy) + dz*dz)`, the expression cKDTree
-evaluates, and the window holds the point itself, so its k+1 smallest
-distances, sorted, are the tree's answer whenever no point outside the
-window is nearer than the largest of them, `D`.
+distances come from `geom.column_norm`, the expression cKDTree evaluates,
+and the window holds the point itself, so its k+1 smallest distances,
+sorted, are the tree's answer whenever no point outside the window is
+nearer than the largest of them, `D`.
 
 A point keeps its window answer only when a certificate proves that. Take
 two unit axes, `u` across profiles and `v` along them. Every point in a
@@ -40,7 +40,7 @@ from functools import reduce
 import numpy as np
 from scipy.spatial import cKDTree
 
-from insertsim.geom import PointCloud, raster_box
+from insertsim.geom import PointCloud, column_norm, raster_box
 from insertsim.registration.params import PreprocessingDegenerateError, RegistrationParams
 
 _WINDOW = (1, 4)       # raster window: profiles and columns on each side of a point
@@ -101,8 +101,7 @@ def _window_dists(points: np.ndarray, cells: np.ndarray, shape: tuple, m: int) -
                      if dp * width + dc > 0])
     planes = np.full((len(half), x.size), np.nan)
     for plane, o in zip(planes, half):
-        dx, dy, dz = x[o:] - x[:-o], y[o:] - y[:-o], z[o:] - z[:-o]
-        plane[:-o] = np.sqrt((dx * dx + dy * dy) + dz * dz)
+        plane[:-o] = column_norm(x[o:] - x[:-o], y[o:] - y[:-o], z[o:] - z[:-o])
     reads = np.concatenate([np.arange(len(half)) * x.size + shift for shift in (0, -half)])
     planes = planes.ravel()
     centre = (row + wp) * width + (col + wc)

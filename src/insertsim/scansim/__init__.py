@@ -1,4 +1,4 @@
-from insertsim.scansim.surfaces import Box, Cylinder, HolePlate, Scene, ScenePart, TriangleMesh
+from insertsim.scansim.surfaces import Box, HolePlate, Scene, ScenePart, TriangleMesh
 from insertsim.scansim.scanner import (
     CalibrationError,
     ScannerConfig,
@@ -7,12 +7,9 @@ from insertsim.scansim.scanner import (
     sweep_scan,
     sweep_scan_detailed,
 )
-from insertsim.scansim.sampling import sample_mesh
-from insertsim.scansim import io
 
 __all__ = [
     "Box",
-    "Cylinder",
     "HolePlate",
     "Scene",
     "ScenePart",
@@ -23,6 +20,4 @@ __all__ = [
     "linear_sweep",
     "sweep_scan",
     "sweep_scan_detailed",
-    "sample_mesh",
-    "io",
 ]

@@ -41,13 +41,14 @@ class ScannerConfig:
     lateral_resolution: float = 12e-6
 
     def __post_init__(self):
-        if self.points_per_profile < 2:
-            raise ValueError("points_per_profile must be >= 2")
+        n = self.points_per_profile
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
+            raise ValueError("points_per_profile must be an integer >= 2")
         for name in ("lateral_span", "lateral_resolution"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.depth_noise_std < 0:
-            raise ValueError("depth_noise_std must be >= 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.depth_noise_std < np.inf:
+            raise ValueError("depth_noise_std must be >= 0 and finite")
 
     def lateral_positions(self) -> np.ndarray:
         """Detector column x-positions, quantized to resolution-grid cell centers."""

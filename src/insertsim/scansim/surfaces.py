@@ -154,70 +154,13 @@ class TriangleMesh:
         return RayHits(out_t, out_n, np.isfinite(out_t))
 
 
-class Cylinder:
-    """Capped cylinder along local +z, base disc at z=0, top at z=length."""
-
-    def __init__(self, radius: float, length: float):
-        if radius <= 0 or length <= 0:
-            raise ValueError("radius and length must be positive")
-        self.radius = float(radius)
-        self.length = float(length)
-
-    @property
-    def bounds(self) -> np.ndarray:
-        r = self.radius
-        return np.array([[-r, -r, 0.0], [r, r, self.length]])
-
-    def ray_intersect(self, origins, dirs) -> RayHits:
-        o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
-        d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-        n = len(o)
-        best_t = np.full(n, np.inf)
-        best_n = np.zeros((n, 3))
-
-        # lateral surface: x^2 + y^2 = r^2
-        a = d[:, 0] ** 2 + d[:, 1] ** 2
-        b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
-        c = o[:, 0] ** 2 + o[:, 1] ** 2 - self.radius**2
-        disc = b * b - 4.0 * a * c
-        quad = (a > 1e-30) & (disc >= 0.0)
-        sq = np.sqrt(np.where(quad, disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for sign in (-1.0, 1.0):
-                t = np.where(quad, (-b + sign * sq) / (2.0 * a), np.inf)
-                with np.errstate(invalid="ignore"):
-                    z = o[:, 2] + t * d[:, 2]
-                valid = quad & (t > _T_MIN) & (z >= 0.0) & (z <= self.length) & (t < best_t)
-                pt = o + t[:, None] * d
-                nrm = pt.copy()
-                nrm[:, 2] = 0.0
-                lens = np.linalg.norm(nrm, axis=1, keepdims=True)
-                nrm = np.divide(nrm, np.where(lens > 0, lens, 1.0))
-                best_t = np.where(valid, t, best_t)
-                best_n = np.where(valid[:, None], nrm, best_n)
-
-        # caps at z = 0 and z = length
-        for z0, nz in ((0.0, -1.0), (self.length, 1.0)):
-            dz = d[:, 2]
-            movable = np.abs(dz) > 1e-30
-            t = np.where(movable, (z0 - o[:, 2]) / np.where(movable, dz, 1.0), np.inf)
-            with np.errstate(invalid="ignore"):
-                pt = o + t[:, None] * d
-            inside = pt[:, 0] ** 2 + pt[:, 1] ** 2 <= self.radius**2
-            valid = movable & (t > _T_MIN) & inside & (t < best_t)
-            best_t = np.where(valid, t, best_t)
-            best_n = np.where(valid[:, None], np.array([0.0, 0.0, nz]), best_n)
-
-        return RayHits(best_t, best_n, np.isfinite(best_t))
-
-
 class Box:
     """Axis-aligned box centered at the local origin."""
 
     def __init__(self, half_extents):
-        self.half_extents = np.asarray(half_extents, dtype=np.float64)
-        if self.half_extents.shape != (3,) or np.any(self.half_extents <= 0):
-            raise ValueError("half_extents must be 3 positive lengths")
+        h = self.half_extents = np.asarray(half_extents, dtype=np.float64)
+        if h.shape != (3,) or not np.all((0 < h) & (h < np.inf)):
+            raise ValueError("half_extents must be 3 positive finite lengths")
 
     @property
     def bounds(self) -> np.ndarray:
@@ -243,9 +186,10 @@ class HolePlate:
         self.half_thickness = float(thickness) / 2.0
         self.a, self.b = (float(v) for v in hole_semi_axes)
         self.cx, self.cy = (float(v) for v in hole_center)
-        if min(self.hx, self.hy, self.half_thickness, self.a, self.b) <= 0:
-            raise ValueError("plate dimensions must be positive")
-        if abs(self.cx) + self.a >= self.hx or abs(self.cy) + self.b >= self.hy:
+        if not all(0 < v < np.inf for v in (self.hx, self.hy, self.half_thickness, self.a, self.b)):
+            raise ValueError("plate dimensions must be positive and finite")
+        # written so that a NaN centre fails it too
+        if not (abs(self.cx) + self.a < self.hx and abs(self.cy) + self.b < self.hy):
             raise ValueError("hole must fit inside the plate")
 
     @property
@@ -310,7 +254,6 @@ class ScenePart:
 
 class SceneHits(NamedTuple):
     t: np.ndarray
-    points: np.ndarray     # world frame
     normals: np.ndarray    # world frame, oriented against the ray
     part_index: np.ndarray  # -1 where miss
     hit: np.ndarray
@@ -374,9 +317,7 @@ class Scene:
             best_t = np.where(closer, t, best_t)
             best_n = np.where(closer[:, None], normals @ R.T, best_n)
             best_part = np.where(closer, i, best_part)
-        hit = np.isfinite(best_t)
-        points = origins + np.where(hit, best_t, 0.0)[:, None] * dirs
         # orient normals to face the incoming ray
         flip = np.einsum("ij,ij->i", best_n, dirs) > 0.0
         best_n = np.where(flip[:, None], -best_n, best_n)
-        return SceneHits(best_t, points, best_n, best_part, hit)
+        return SceneHits(best_t, best_n, best_part, np.isfinite(best_t))

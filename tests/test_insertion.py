@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from insertsim.insertion import (
     check_insertion,
     execute_insertion,
     plan_relative_trajectory,
-    write_trajectory_csv,
 )
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
@@ -92,19 +89,6 @@ def test_trajectory_validation():
         Trajectory((p,), np.array([0.0]))
     with pytest.raises(ValueError):
         Trajectory((p, p), np.array([0.0, 0.0]))
-
-
-def test_trajectory_csv_export(tmp_path):
-    a = Pose(np.zeros(3), IDENTITY_Q)
-    b = Pose(np.array([1e-3, 0, 0]), IDENTITY_Q)
-    traj = plan_relative_trajectory(a, b, horizon=5, duration=1.0)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(path, traj)
-    with open(path) as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["t", "x", "y", "z", "qw", "qx", "qy", "qz"]
-    assert len(rows) == 6
-    assert float(rows[-1][1]) == 1e-3
 
 
 # -- execution through the arm ---------------------------------------------------

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from insertsim.geom import PointCloud, Pose, pose_compose, quat_distance, quat_from_matrix, \
-    quat_normalize, quat_to_matrix, transform_cloud
+from insertsim.geom import PointCloud, Pose, column_norm, pose_compose, quat_distance, \
+    quat_from_matrix, quat_normalize, quat_to_matrix, transform_cloud
 from insertsim.registration import (
     DegenerateFeatureError,
     DivergenceError,
@@ -762,9 +762,9 @@ def test_icp_total_pose_composes_initial():
     assert quat_distance(result.pose.orientation, IDENTITY_Q) < 1e-6
 
 def test_tree_distances_are_the_explicit_expression():
-    """ICP's fitness takes held matches' distances from
-    sqrt((dx*dx + dy*dy) + dz*dz) instead of the tree, so the two must agree
-    bit for bit; a scipy whose cKDTree sums otherwise fails here."""
+    """ICP's fitness, the SOR raster window and the FPFH pair distances take
+    distances from geom.column_norm instead of the tree, so the two must
+    agree bit for bit; a scipy whose cKDTree sums otherwise fails here."""
     tilt = Pose.from_axis_angle(np.array([3e-5, -2e-5, 1e-5]), [0.2, -0.1, 1.0], 0.03)
     for scan in (lattice_plate_cloud(), lattice_plate_cloud(tilt)):
         tree = cKDTree(scan.points)
@@ -773,14 +773,14 @@ def test_tree_distances_are_the_explicit_expression():
         d, i = tree.query(queries)
         dx, dy, dz = (queries - scan.points[i]).T
         np.testing.assert_array_equal(d, np.sqrt((dx * dx + dy * dy) + dz * dz))
-        np.testing.assert_array_equal(d, icp_module._distance(queries, scan.points[i]))
+        np.testing.assert_array_equal(d, column_norm(*(queries - scan.points[i]).T))
         d, i = tree.query(queries, k=2, distance_upper_bound=40e-6)
         found = np.isfinite(d)
         assert 0 < np.count_nonzero(found) < found.size
         for col in range(2):
             rows = found[:, col]
             np.testing.assert_array_equal(
-                d[rows, col], icp_module._distance(queries[rows], scan.points[i[rows, col]]))
+                d[rows, col], column_norm(*(queries[rows] - scan.points[i[rows, col]]).T))
 
 
 # -- ICP loop reference ----------------------------------------------------------

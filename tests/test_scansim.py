@@ -5,7 +5,6 @@ from insertsim.geom import PointCloud, Pose, pose_compose, quat_from_axis_angle,
 from insertsim.scansim import (
     Box,
     CalibrationError,
-    Cylinder,
     HolePlate,
     Scene,
     ScenePart,
@@ -208,22 +207,6 @@ def test_all_misses_give_empty_cloud():
     assert len(cloud) == 0
 
 
-def test_cylinder_scan_satisfies_implicit_equation():
-    # cylinder lying along world y; rays hit the upper lateral surface
-    radius, length = 0.002, 0.05
-    pose = Pose.from_axis_angle(np.array([0.0, -0.025, -0.004]), [1, 0, 0], -np.pi / 2)
-    scene = Scene([ScenePart("cyl", Cylinder(radius, length), pose)])
-    cfg = small_cfg(depth_noise_std=0.0)
-    traj = linear_sweep(DOWN, [0, 1, 0], 0.001, 9)
-    cloud = sweep_scan(scene, traj, cfg, CalibrationError.none(), seed=0)
-    assert len(cloud) > 100
-    local = (cloud.points - pose.position) @ pose.rotation_matrix()
-    radial = np.sqrt(local[:, 0] ** 2 + local[:, 1] ** 2)
-    on_wall = np.abs(local[:, 2]) > 1e-9  # exclude cap hits at the ends
-    on_wall &= np.abs(local[:, 2] - length) > 1e-9
-    assert np.max(np.abs(radial[on_wall] - radius)) < 1e-12
-
-
 def test_calibration_offset_relates_clouds_by_the_offset():
     cfg = small_cfg(depth_noise_std=0.0)
     traj = linear_sweep(DOWN, [0, 1, 0], SWEEP_STEP, 6)
@@ -304,6 +287,30 @@ def test_hole_plate_rejects_a_hole_reaching_a_side(center):
     HolePlate((1e-3, 1e-3), 1e-3, (5e-4, 4e-4), hole_center=(4.9e-4, 5.9e-4))
 
 
+INVALID_PARTS = {  # name -> construction that must raise ValueError
+    "scanner_noise_nan": lambda: ScannerConfig(depth_noise_std=np.nan),
+    "scanner_noise_inf": lambda: ScannerConfig(depth_noise_std=np.inf),
+    "scanner_span_nan": lambda: ScannerConfig(lateral_span=np.nan),
+    "scanner_span_inf": lambda: ScannerConfig(lateral_span=np.inf),
+    "scanner_resolution_nan": lambda: ScannerConfig(lateral_resolution=np.nan),
+    "scanner_resolution_inf": lambda: ScannerConfig(lateral_resolution=np.inf),
+    "scanner_points_fractional": lambda: ScannerConfig(points_per_profile=64.5),
+    "scanner_points_float": lambda: ScannerConfig(points_per_profile=64.0),
+    "box_nan": lambda: Box((np.nan, 1.0, 1.0)),
+    "box_inf": lambda: Box((1.0, np.inf, 1.0)),
+    "plate_size_nan": lambda: HolePlate((np.nan, 1e-3), 1e-3, (1e-4, 1e-4)),
+    "plate_thickness_inf": lambda: HolePlate((1e-3, 1e-3), np.inf, (1e-4, 1e-4)),
+    "plate_axis_nan": lambda: HolePlate((1e-3, 1e-3), 1e-3, (np.nan, 1e-4)),
+    "plate_center_nan": lambda: HolePlate((1e-3, 1e-3), 1e-3, (1e-4, 1e-4), hole_center=(np.nan, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_PARTS))
+def test_scansim_rejects_non_finite_and_non_integer_sizes(case):
+    with pytest.raises(ValueError):
+        INVALID_PARTS[case]()
+
+
 def reference_cast(scene: Scene, origins, dirs) -> SceneHits:
     """Scene.cast without the bounds cull: every part sees every ray."""
     n = len(origins)
@@ -317,10 +324,8 @@ def reference_cast(scene: Scene, origins, dirs) -> SceneHits:
         best_t = np.where(closer, hits.t, best_t)
         best_n = np.where(closer[:, None], hits.normals @ R.T, best_n)
         best_part = np.where(closer, i, best_part)
-    hit = np.isfinite(best_t)
-    points = origins + np.where(hit, best_t, 0.0)[:, None] * dirs
     flip = np.einsum("ij,ij->i", best_n, dirs) > 0.0
-    return SceneHits(best_t, points, np.where(flip[:, None], -best_n, best_n), best_part, hit)
+    return SceneHits(best_t, np.where(flip[:, None], -best_n, best_n), best_part, np.isfinite(best_t))
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -369,7 +374,6 @@ def bounds_ray_sets(lo: np.ndarray, hi: np.ndarray, rng) -> dict:
 CULL_SURFACES = {
     "box": Box((1e-3, 2e-3, 5e-4)),
     "hole_plate": HOLE_PLATE,
-    "cylinder": Cylinder(1e-3, 4e-3),
     # a wedge: a right triangle extruded along z, off its own origin
     "mesh": TriangleMesh(np.array([[0.0, 0.0, 0.0], [3e-3, 0.0, 0.0], [0.0, 2e-3, 0.0],
                                    [0.0, 0.0, 1e-3], [3e-3, 0.0, 1e-3], [0.0, 2e-3, 1e-3]])
@@ -434,3 +438,9 @@ def test_mesh_box_and_analytic_box_agree():
     hb = box.ray_intersect(origins, dirs)
     np.testing.assert_array_equal(hm.hit, hb.hit)
     np.testing.assert_allclose(hm.t[hm.hit], hb.t[hb.hit], atol=1e-12)
+
+
+def test_degenerate_mesh_rejected():
+    verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
+    with pytest.raises(ValueError):
+        TriangleMesh(verts, [[0, 1, 2]])
