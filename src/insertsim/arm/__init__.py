@@ -1,4 +1,4 @@
-from insertsim.arm.model import ArmModel, JointConfig, fk, jacobian, load_dh_file, mdh_transform, chain_fk
+from insertsim.arm.model import ArmModel, JointConfig, fk, jacobian, mdh_transform, chain_fk
 from insertsim.arm.ik import IkSettings, LimitViolationError, UnreachableTargetError, ik
 from insertsim.arm.error_model import ArmInstance, ProprioceptionError, execute_motion
 
@@ -7,7 +7,6 @@ __all__ = [
     "JointConfig",
     "fk",
     "jacobian",
-    "load_dh_file",
     "mdh_transform",
     "chain_fk",
     "IkSettings",

@@ -21,7 +21,7 @@ import numpy as np
 from insertsim.geom import Pose
 from insertsim.arm.model import ArmModel, JointConfig, fk
 
-DEFAULT_BIAS_STD = 8e-4     # rad
+BIAS_STD = 8e-4             # rad, std of the drawn joint biases
 DEFAULT_REPEAT_STD = 5e-5   # rad, stationary std per joint
 DECORRELATION_SCALE = 0.2   # rad of joint travel for ~1/e state renewal
 BASE_DECORRELATION = 2e-4   # rad, renewal floor per motion (settling, thermal)
@@ -32,21 +32,19 @@ class ProprioceptionError:
 
     def __init__(self, joint_bias, repeat_noise_std: float, seed: int):
         self.joint_bias = np.asarray(joint_bias, dtype=np.float64).copy()
-        if self.joint_bias.shape != (7,):
-            raise ValueError("joint_bias must have 7 entries")
-        if repeat_noise_std < 0:
-            raise ValueError("repeat_noise_std must be >= 0")
+        if self.joint_bias.shape != (7,) or not np.all(np.isfinite(self.joint_bias)):
+            raise ValueError("joint_bias must have 7 finite entries")
+        if not 0 <= repeat_noise_std < np.inf:
+            raise ValueError("repeat_noise_std must be >= 0 and finite")
         self.repeat_noise_std = float(repeat_noise_std)
-        self.seed = int(seed)
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4015E]))
         self._state = np.zeros(7)
         self._initialized = False
 
     @classmethod
-    def draw(cls, seed: int, bias_std: float = DEFAULT_BIAS_STD,
-             repeat_noise_std: float = DEFAULT_REPEAT_STD) -> "ProprioceptionError":
+    def draw(cls, seed: int, repeat_noise_std: float = DEFAULT_REPEAT_STD) -> "ProprioceptionError":
         bias_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xB1A5]))
-        return cls(bias_rng.normal(scale=bias_std, size=7), repeat_noise_std, seed)
+        return cls(bias_rng.normal(scale=BIAS_STD, size=7), repeat_noise_std, seed)
 
     @classmethod
     def zero(cls) -> "ProprioceptionError":

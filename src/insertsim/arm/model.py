@@ -3,12 +3,35 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
 from insertsim.geom import Pose
+
+# Franka Emika Panda, modified DH convention (Craig): one row per joint,
+# (a [m], d [m], alpha [rad], theta_offset [rad]). Row i uses a_{i-1} and
+# alpha_{i-1}; the flange offset (0.107 m) is folded into d of the last row
+# (TransZ commutes with the joint rotation).
+PANDA_DH = (
+    (0.0, 0.333, 0.0, 0.0),
+    (0.0, 0.0, -np.pi / 2, 0.0),
+    (0.0, 0.316, np.pi / 2, 0.0),
+    (0.0825, 0.0, np.pi / 2, 0.0),
+    (-0.0825, 0.384, -np.pi / 2, 0.0),
+    (0.0, 0.0, np.pi / 2, 0.0),
+    (0.088, 0.107, np.pi / 2, 0.0),
+)
+# joint limits (min, max) in rad, per joint
+PANDA_LIMITS = (
+    (-2.8973, 2.8973),
+    (-1.7628, 1.7628),
+    (-2.8973, 2.8973),
+    (-3.0718, -0.0698),
+    (-2.8973, 2.8973),
+    (-0.0175, 3.7525),
+    (-2.8973, 2.8973),
+)
+RANDOM_CONFIG_MARGIN = 0.1  # rad kept clear of each joint limit by random_config
 
 
 @dataclass(frozen=True)
@@ -84,11 +107,9 @@ class ArmModel:
         return 7
 
     @classmethod
-    def panda(cls, base_pose: Pose = None) -> "ArmModel":
-        """Default model from the packaged DH table."""
-        with resources.as_file(resources.files("insertsim.arm").joinpath("data/panda_dh.txt")) as p:
-            dh, limits = load_dh_file(p)
-        return cls(dh, limits, base_pose or Pose.identity())
+    def panda(cls) -> "ArmModel":
+        """The Panda chain at the identity base pose."""
+        return cls(PANDA_DH, PANDA_LIMITS)
 
     def check_limits(self, q: JointConfig) -> None:
         a = q.angles
@@ -102,25 +123,10 @@ class ArmModel:
     def clamp(self, angles: np.ndarray) -> np.ndarray:
         return np.clip(angles, self.joint_limits[:, 0], self.joint_limits[:, 1])
 
-    def random_config(self, rng: np.random.Generator, margin: float = 0.1) -> JointConfig:
-        lo = self.joint_limits[:, 0] + margin
-        hi = self.joint_limits[:, 1] - margin
+    def random_config(self, rng: np.random.Generator) -> JointConfig:
+        lo = self.joint_limits[:, 0] + RANDOM_CONFIG_MARGIN
+        hi = self.joint_limits[:, 1] - RANDOM_CONFIG_MARGIN
         return JointConfig(rng.uniform(lo, hi))
-
-
-def load_dh_file(path) -> tuple[np.ndarray, np.ndarray]:
-    """Whitespace table, one row per joint: a d alpha theta_offset min max."""
-    rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if len(parts) != 6:
-            raise ValueError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
-        rows.append([float(v) for v in parts])
-    table = np.array(rows)
-    return table[:, :4], table[:, 4:6]
 
 
 def _frames(model: ArmModel, q: JointConfig) -> list[np.ndarray]:

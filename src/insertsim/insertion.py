@@ -24,6 +24,8 @@ from insertsim.arm.error_model import ArmInstance
 from insertsim.arm.ik import LimitViolationError, UnreachableTargetError, ik
 from insertsim.arm.model import JointConfig
 
+MAX_AXIS_ANGLE = np.deg2rad(30)  # widest tip tilt off the hole axis that can insert
+
 
 class DegenerateApproachError(ValueError):
     """Tip ray is parallel to the hole plane."""
@@ -71,10 +73,10 @@ def plan_relative_trajectory(p_obj: Pose, p_target: Pose, horizon: int,
     Endpoints equal `p_obj` and `p_target` exactly; intermediate samples use
     the smoothstep 3t^2 - 2t^3, which has zero velocity at both ends.
     """
-    if horizon < 2:
-        raise ValueError("horizon must be >= 2")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not isinstance(horizon, (int, np.integer)) or isinstance(horizon, bool) or horizon < 2:
+        raise ValueError("horizon must be an integer >= 2")
+    if not 0 < duration < np.inf:
+        raise ValueError("duration must be positive and finite")
     tau = np.arange(horizon) / (horizon - 1)
     s = 3.0 * tau**2 - 2.0 * tau**3
     delta = p_target.position - p_obj.position
@@ -117,28 +119,25 @@ class InsertionTarget:
     hole_center: np.ndarray
     hole_axis: np.ndarray
     hole_semi_axes: tuple
-    major_dir: np.ndarray = None
+    major_dir: np.ndarray
 
     def __post_init__(self):
+        # written so that NaN and inf fail each check
         c = np.asarray(self.hole_center, dtype=np.float64)
+        if c.shape != (3,) or not np.all(np.isfinite(c)):
+            raise ValueError("hole_center must be 3 finite coordinates")
         axis = np.asarray(self.hole_axis, dtype=np.float64)
         n = np.linalg.norm(axis)
-        if abs(n - 1.0) > 1e-6:
+        if not abs(n - 1.0) <= 1e-6:
             raise ValueError("hole_axis must be unit")
         a, b = (float(v) for v in self.hole_semi_axes)
-        if a <= 0 or b <= 0:
-            raise ValueError("hole semi-axes must be positive")
-        if self.major_dir is None:
-            helper = np.array([1.0, 0.0, 0.0])
-            if abs(axis[0]) > 0.9:
-                helper = np.array([0.0, 1.0, 0.0])
-            e1 = np.cross(helper, axis)
-        else:
-            e1 = np.asarray(self.major_dir, dtype=np.float64)
-            e1 = e1 - np.dot(e1, axis) * axis
+        if not (0 < a < np.inf and 0 < b < np.inf):
+            raise ValueError("hole semi-axes must be positive and finite")
+        e1 = np.asarray(self.major_dir, dtype=np.float64)
+        e1 = e1 - np.dot(e1, axis) * axis
         ln = np.linalg.norm(e1)
-        if ln < 1e-9:
-            raise ValueError("major_dir must not be parallel to hole_axis")
+        if not 1e-9 <= ln < np.inf:
+            raise ValueError("major_dir must be finite and not parallel to hole_axis")
         e1 = e1 / ln
         object.__setattr__(self, "hole_center", c)
         object.__setattr__(self, "hole_axis", axis / n)
@@ -161,10 +160,13 @@ class InsertedObject:
     def __post_init__(self):
         p = np.asarray(self.tip_position, dtype=np.float64)
         d = np.asarray(self.tip_direction, dtype=np.float64)
-        if abs(np.linalg.norm(d) - 1.0) > 1e-6:
+        # written so that NaN and inf fail each check
+        if p.shape != (3,) or not np.all(np.isfinite(p)):
+            raise ValueError("tip_position must be 3 finite coordinates")
+        if not abs(np.linalg.norm(d) - 1.0) <= 1e-6:
             raise ValueError("tip_direction must be unit")
-        if self.tip_radius < 0:
-            raise ValueError("tip_radius must be >= 0")
+        if not 0 <= self.tip_radius < np.inf:
+            raise ValueError("tip_radius must be >= 0 and finite")
         object.__setattr__(self, "tip_position", p)
         object.__setattr__(self, "tip_direction", d / np.linalg.norm(d))
 
@@ -197,13 +199,12 @@ def _ellipse_signed_distance(u: float, v: float, a: float, b: float) -> float:
     return dist if inside else -dist
 
 
-def check_insertion(obj: InsertedObject, target: InsertionTarget,
-                    max_axis_angle: float = np.deg2rad(30)) -> tuple[bool, float]:
+def check_insertion(obj: InsertedObject, target: InsertionTarget) -> tuple[bool, float]:
     """Project the tip ray onto the hole plane and score the radial margin.
 
     Success needs the intersection strictly inside the hole ellipse shrunk by
     the tip radius on each semi-axis, and the tip direction within
-    `max_axis_angle` of the hole axis (sign-insensitive). Returns
+    `MAX_AXIS_ANGLE` of the hole axis (sign-insensitive). Returns
     (success, signed margin in meters); the margin is the Euclidean distance
     to the shrunken ellipse boundary, negative outside.
     """
@@ -222,5 +223,5 @@ def check_insertion(obj: InsertedObject, target: InsertionTarget,
     if a_eff <= 0.0 or b_eff <= 0.0:
         return False, min(a_eff, b_eff) - float(np.hypot(u, v))
     margin = _ellipse_signed_distance(u, v, a_eff, b_eff)
-    aligned = abs(denom) > np.cos(max_axis_angle)
+    aligned = abs(denom) > np.cos(MAX_AXIS_ANGLE)
     return bool(margin > 0.0 and aligned), margin

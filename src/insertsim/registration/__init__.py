@@ -7,7 +7,8 @@ from insertsim.registration.params import (
     RegistrationParams,
     RegistrationResult,
 )
-from insertsim.registration.preprocess import preprocess, statistical_outlier_removal, voxel_downsample
+# `preprocess` stays the submodule: re-exporting the function of that name would hide it
+from insertsim.registration.preprocess import statistical_outlier_removal, voxel_downsample
 from insertsim.registration.features import FeatureCloud, compute_features, estimate_normals
 from insertsim.registration.ransac import RansacResult, ransac_register
 from insertsim.registration.icp import IcpResult, icp_refine
@@ -21,7 +22,6 @@ __all__ = [
     "RegistrationFailedError",
     "RegistrationParams",
     "RegistrationResult",
-    "preprocess",
     "statistical_outlier_removal",
     "voxel_downsample",
     "FeatureCloud",

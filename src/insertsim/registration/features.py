@@ -33,6 +33,7 @@ from insertsim.registration.params import DegenerateFeatureError
 BINS_PER_FEATURE = 11
 DESCRIPTOR_SIZE = 3 * BINS_PER_FEATURE
 MIN_NEIGHBORS = 5
+NORMAL_K = 10  # neighbours of each point in its PCA normal
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,12 @@ class FeatureCloud:
         return cKDTree(self.descriptors)
 
 
-def estimate_normals(cloud: PointCloud, k: int = 10, viewpoint=(0.0, 0.0, 0.0)) -> PointCloud:
-    """PCA normals over k nearest neighbors, oriented toward the viewpoint."""
+def estimate_normals(cloud: PointCloud) -> PointCloud:
+    """PCA normals over the NORMAL_K nearest neighbors, oriented toward the origin."""
     n = len(cloud)
     if n < 3:
         raise ValueError("need at least 3 points to estimate normals")
-    k = min(k, n - 1)
+    k = min(NORMAL_K, n - 1)
     tree = cKDTree(cloud.points)
     _, idx = tree.query(cloud.points, k=k + 1)
     nbrs = cloud.points[idx]  # (N, k+1, 3), includes the point itself
@@ -85,8 +86,7 @@ def estimate_normals(cloud: PointCloud, k: int = 10, viewpoint=(0.0, 0.0, 0.0)) 
     cov = np.einsum("nki,nkj->nij", centered, centered)
     _, vecs = np.linalg.eigh(cov)
     normals = vecs[:, :, 0]  # eigenvector of the smallest eigenvalue
-    to_view = np.asarray(viewpoint, dtype=np.float64) - cloud.points
-    flip = np.einsum("ij,ij->i", normals, to_view) < 0.0
+    flip = np.einsum("ij,ij->i", normals, -cloud.points) < 0.0
     normals = np.where(flip[:, None], -normals, normals)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     return PointCloud(cloud.points, normals, cloud.raster)
@@ -133,8 +133,7 @@ def _bin_index(values, lo, hi):
     return np.clip(scaled.astype(np.int64), 0, BINS_PER_FEATURE - 1)
 
 
-def compute_features(cloud: PointCloud, radius: float, normal_k: int = 10,
-                     viewpoint=(0.0, 0.0, 0.0)) -> FeatureCloud:
+def compute_features(cloud: PointCloud, radius: float) -> FeatureCloud:
     """FPFH-style descriptors over the given radius.
 
     Points with fewer than 5 neighbors inside the radius cannot be described.
@@ -146,7 +145,7 @@ def compute_features(cloud: PointCloud, radius: float, normal_k: int = 10,
     if radius <= 0:
         raise ValueError("radius must be positive")
     if not cloud.has_normals:
-        cloud = estimate_normals(cloud, k=normal_k, viewpoint=viewpoint)
+        cloud = estimate_normals(cloud)
     n = len(cloud)
     # every neighbour pair in both directions, sorted by (source, target):
     # the order in which the blend below accumulates

@@ -1,12 +1,5 @@
 from insertsim.scansim.surfaces import Box, HolePlate, Scene, ScenePart, TriangleMesh
-from insertsim.scansim.scanner import (
-    CalibrationError,
-    ScannerConfig,
-    SweepScan,
-    linear_sweep,
-    sweep_scan,
-    sweep_scan_detailed,
-)
+from insertsim.scansim.scanner import CalibrationError, ScannerConfig, linear_sweep, sweep_scan
 
 __all__ = [
     "Box",
@@ -16,8 +9,6 @@ __all__ = [
     "TriangleMesh",
     "CalibrationError",
     "ScannerConfig",
-    "SweepScan",
     "linear_sweep",
     "sweep_scan",
-    "sweep_scan_detailed",
 ]

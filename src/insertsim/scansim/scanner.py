@@ -72,22 +72,6 @@ class CalibrationError:
         return cls(Pose.identity())
 
 
-@dataclass(frozen=True)
-class SweepScan:
-    """Assembled sweep output plus per-point provenance for the harness."""
-
-    cloud: PointCloud
-    part_index: np.ndarray
-
-    @property
-    def profile_index(self) -> np.ndarray:
-        """Sweep profile of each point, the first column of the cloud's raster."""
-        return self.cloud.raster[:, 0]
-
-    def points_of(self, scene: Scene, part_id: str) -> PointCloud:
-        return self.cloud.select(self.part_index == scene.index_of(part_id))
-
-
 def linear_sweep(start: Pose, direction, step: float, count: int) -> list[Pose]:
     """Constant-orientation trajectory translating `step` per profile."""
     direction = np.asarray(direction, dtype=np.float64)
@@ -102,8 +86,9 @@ def _to_base(poses: list[Pose], local: np.ndarray) -> np.ndarray:
     return local @ R.transpose(0, 2, 1) + t[:, None, :]
 
 
-def sweep_scan_detailed(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
-                        cal: CalibrationError, seed: int) -> SweepScan:
+def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
+               cal: CalibrationError, seed: int) -> PointCloud:
+    """Sweep the scanner along `trajectory` and return the base-frame cloud."""
     if not trajectory:
         raise ValueError("scanner trajectory must be non-empty")
     lateral = cfg.lateral_positions()
@@ -112,7 +97,7 @@ def sweep_scan_detailed(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig
     sensor[:, 0] = lateral
     profiles_per_chunk = max(1, _CHUNK_RAYS // n)
 
-    pts, nrm, parts, cells = [], [], [], []
+    pts, nrm, cells = [], [], []
     for lo in range(0, len(trajectory), profiles_per_chunk):
         assumed = trajectory[lo:lo + profiles_per_chunk]
         true = [pose_compose(cal.mount_offset, p) for p in assumed]
@@ -132,7 +117,6 @@ def sweep_scan_detailed(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig
         samples[:, :, 2] = np.where(keep, depth, 0.0).reshape(len(assumed), n)
         pts.append(_to_base(assumed, samples).reshape(-1, 3)[keep])
         nrm.append(hits.normals[keep])
-        parts.append(hits.part_index[keep])
         # (profile, column) raster cell of each ray
         cells.append(np.column_stack([
             np.repeat(np.arange(lo, lo + len(assumed), dtype=np.int64), n),
@@ -141,15 +125,8 @@ def sweep_scan_detailed(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig
 
     points = np.vstack(pts)
     if len(points) == 0:
-        empty = PointCloud(np.zeros((0, 3)), raster=np.zeros((0, 2), dtype=np.int64))
-        return SweepScan(empty, np.zeros(0, dtype=np.int64))
+        return PointCloud(np.zeros((0, 3)), raster=np.zeros((0, 2), dtype=np.int64))
     # map the true-surface normals through the same assumed-vs-true mismatch
     R_err = cal.mount_offset.inverse().rotation_matrix()
     normals = np.vstack(nrm) @ R_err.T
-    return SweepScan(PointCloud(points, normals, np.vstack(cells)), np.concatenate(parts))
-
-
-def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
-               cal: CalibrationError, seed: int) -> PointCloud:
-    """Sweep the scanner along `trajectory` and return the base-frame cloud."""
-    return sweep_scan_detailed(scene, trajectory, cfg, cal, seed).cloud
+    return PointCloud(points, normals, np.vstack(cells))

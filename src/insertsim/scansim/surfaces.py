@@ -252,13 +252,6 @@ class ScenePart:
     pose: Pose
 
 
-class SceneHits(NamedTuple):
-    t: np.ndarray
-    normals: np.ndarray    # world frame, oriented against the ray
-    part_index: np.ndarray  # -1 where miss
-    hit: np.ndarray
-
-
 def _may_reach(o: np.ndarray, d: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     """Rays whose line meets the padded box `bounds` at some t >= 0 (slab test)."""
     pad = _BOUNDS_PAD * (np.abs(o).max(initial=0.0) + np.abs(bounds).max())
@@ -288,20 +281,14 @@ class Scene:
             raise ValueError("part ids must be unique")
         self.parts = parts
 
-    def index_of(self, part_id: str) -> int:
-        for i, p in enumerate(self.parts):
-            if p.part_id == part_id:
-                return i
-        raise KeyError(part_id)
-
-    def cast(self, origins, dirs) -> SceneHits:
+    def cast(self, origins, dirs) -> RayHits:
+        """Nearest hit over all parts; world-frame normals face the incoming ray."""
         origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
         dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
         n = len(origins)
         best_t = np.full(n, np.inf)
         best_n = np.zeros((n, 3))
-        best_part = np.full(n, -1, dtype=np.int64)
-        for i, part in enumerate(self.parts):
+        for part in self.parts:
             R = part.pose.rotation_matrix()
             o_local = (origins - part.pose.position) @ R
             d_local = dirs @ R
@@ -316,8 +303,7 @@ class Scene:
             closer = np.isfinite(t) & (t < best_t)
             best_t = np.where(closer, t, best_t)
             best_n = np.where(closer[:, None], normals @ R.T, best_n)
-            best_part = np.where(closer, i, best_part)
         # orient normals to face the incoming ray
         flip = np.einsum("ij,ij->i", best_n, dirs) > 0.0
         best_n = np.where(flip[:, None], -best_n, best_n)
-        return SceneHits(best_t, best_n, best_part, np.isfinite(best_t))
+        return RayHits(best_t, best_n, np.isfinite(best_t))

@@ -101,17 +101,6 @@ def test_fk_lipschitz_smoothness():
         assert np.linalg.norm(b.position - a.position) <= L * np.linalg.norm(delta)
 
 
-def test_dh_file_round_trip(tmp_path):
-    from insertsim.arm import load_dh_file
-    model = panda()
-    path = tmp_path / "dh.txt"
-    rows = np.hstack([model.dh_parameters, model.joint_limits])
-    path.write_text("\n".join(" ".join(repr(float(v)) for v in row) for row in rows))
-    dh, limits = load_dh_file(path)
-    np.testing.assert_array_equal(dh, model.dh_parameters)
-    np.testing.assert_array_equal(limits, model.joint_limits)
-
-
 # -- inverse kinematics ---------------------------------------------------------
 
 def test_ik_fixed_point():

@@ -263,3 +263,37 @@ def test_check_invariant_under_rigid_transforms():
         )
         _, margin = check_insertion(moved_obj, moved_target)
         assert margin == pytest.approx(margin0, abs=1e-12)
+
+
+NON_FINITE = {  # name -> construction that must raise ValueError
+    "target_axis_and_semi_axis_nan": lambda: InsertionTarget(
+        **{**NEEDLE, "hole_axis": np.array([np.nan, 0.0, 0.0]), "hole_semi_axes": (1e-4, np.nan)}),
+    "target_axis_nan": lambda: InsertionTarget(**{**NEEDLE, "hole_axis": np.array([0.0, np.nan, 1.0])}),
+    "target_semi_axis_nan": lambda: InsertionTarget(**{**NEEDLE, "hole_semi_axes": (1e-4, np.nan)}),
+    "target_semi_axis_inf": lambda: InsertionTarget(**{**NEEDLE, "hole_semi_axes": (np.inf, 1e-4)}),
+    "target_center_inf": lambda: InsertionTarget(**{**NEEDLE, "hole_center": np.array([np.inf, 0.0, 0.0])}),
+    "target_major_dir_nan": lambda: InsertionTarget(**{**NEEDLE, "major_dir": np.array([np.nan, 0.0, 0.0])}),
+    "object_direction_nan": lambda: InsertedObject(np.zeros(3), np.array([0.0, 0.0, np.nan]), np.nan),
+    "object_radius_nan": lambda: InsertedObject(np.zeros(3), np.array([0.0, 0.0, -1.0]), np.nan),
+    "object_radius_inf": lambda: InsertedObject(np.zeros(3), np.array([0.0, 0.0, -1.0]), np.inf),
+    "object_position_nan": lambda: InsertedObject(np.array([np.nan, 0.0, 0.0]), np.array([0.0, 0.0, -1.0]), 0.0),
+    "proprioception_noise_nan": lambda: ProprioceptionError(np.zeros(7), np.nan, 1),
+    "proprioception_noise_inf": lambda: ProprioceptionError(np.zeros(7), np.inf, 1),
+    "proprioception_bias_nan": lambda: ProprioceptionError(np.full(7, np.nan), 0.0, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_constructors_reject_nan_and_inf(case):
+    with pytest.raises(ValueError):
+        NON_FINITE[case]()
+
+
+@pytest.mark.parametrize("horizon, duration, named", [
+    (5, np.nan, "duration"), (5, np.inf, "duration"), (5, 0.0, "duration"),
+    (2.5, 1.0, "horizon"), (5.0, 1.0, "horizon"), (True, 1.0, "horizon"), (1, 1.0, "horizon"),
+])
+def test_planner_names_the_bad_argument(horizon, duration, named):
+    p = Pose.identity()
+    with pytest.raises(ValueError, match=named):
+        plan_relative_trajectory(p, p, horizon=horizon, duration=duration)

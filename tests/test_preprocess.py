@@ -9,10 +9,10 @@ from insertsim.registration import (
     PreprocessingDegenerateError,
     RegistrationParams,
     prepare_cloud,
-    preprocess,
     statistical_outlier_removal,
     voxel_downsample,
 )
+from insertsim.registration.preprocess import preprocess
 from insertsim.scansim import CalibrationError, HolePlate, Scene, ScenePart, ScannerConfig, \
     linear_sweep, sweep_scan
 

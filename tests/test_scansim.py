@@ -9,15 +9,13 @@ from insertsim.scansim import (
     Scene,
     ScenePart,
     ScannerConfig,
-    SweepScan,
     TriangleMesh,
     linear_sweep,
     sweep_scan,
-    sweep_scan_detailed,
 )
 from insertsim.scansim import scanner as scanner_module
 from insertsim.scansim import surfaces as surfaces_module
-from insertsim.scansim.surfaces import SceneHits
+from insertsim.scansim.surfaces import RayHits
 
 DOWN = Pose.from_axis_angle(np.array([0.0, 0.0, 0.02]), [1, 0, 0], np.pi)  # sensor +z -> world -z
 SWEEP_STEP = 25e-6  # profile spacing of the test sweeps
@@ -80,11 +78,11 @@ def test_sweep_deterministic_under_seed():
 
 
 def reference_sweep_scan(scene: Scene, trajectory, cfg: ScannerConfig,
-                         cal: CalibrationError, seed: int) -> SweepScan:
+                         cal: CalibrationError, seed: int) -> PointCloud:
     """Per-profile loop: one Scene.cast and one sensor-to-base map per profile."""
     lateral = cfg.lateral_positions()
     n = len(lateral)
-    pts, nrm, parts, cells = [], [], [], []
+    pts, nrm, cells = [], [], []
     for k, assumed in enumerate(trajectory):
         true_pose = pose_compose(cal.mount_offset, assumed)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), k]))
@@ -103,22 +101,18 @@ def reference_sweep_scan(scene: Scene, trajectory, cfg: ScannerConfig,
         pts_sensor[:, 2] = depth[mask]
         pts.append(pts_sensor @ assumed.rotation_matrix().T + assumed.position)
         nrm.append(hits.normals[mask])
-        parts.append(hits.part_index[mask])
         cells.append(np.column_stack([np.full(mask.sum(), k, dtype=np.int64), np.flatnonzero(mask)]))
     if not pts:
-        return SweepScan(PointCloud(np.zeros((0, 3)), raster=np.zeros((0, 2), dtype=np.int64)),
-                         np.zeros(0, dtype=np.int64))
+        return PointCloud(np.zeros((0, 3)), raster=np.zeros((0, 2), dtype=np.int64))
     R_err = cal.mount_offset.inverse().rotation_matrix()
-    return SweepScan(PointCloud(np.vstack(pts), np.vstack(nrm) @ R_err.T, np.vstack(cells)),
-                     np.concatenate(parts))
+    return PointCloud(np.vstack(pts), np.vstack(nrm) @ R_err.T, np.vstack(cells))
 
 
-def assert_same_sweep(got: SweepScan, want: SweepScan):
-    pairs = [(got.cloud.points, want.cloud.points), (got.part_index, want.part_index),
-             (got.profile_index, want.profile_index)]
-    assert got.cloud.has_normals == want.cloud.has_normals
-    if want.cloud.has_normals:
-        pairs.append((got.cloud.normals, want.cloud.normals))
+def assert_same_sweep(got: PointCloud, want: PointCloud):
+    pairs = [(got.points, want.points), (got.raster, want.raster)]
+    assert got.has_normals == want.has_normals
+    if want.has_normals:
+        pairs.append((got.normals, want.normals))
     for a, b in pairs:
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
@@ -170,12 +164,12 @@ def test_sweep_matches_per_profile_reference(case):
     if case == "several_chunks":
         per_chunk = scanner_module._CHUNK_RAYS // len(cfg.lateral_positions())
         assert 2 * per_chunk < len(traj) < 3 * per_chunk
-    got = sweep_scan_detailed(scene, traj, cfg, cal, seed=611)
+    got = sweep_scan(scene, traj, cfg, cal, seed=611)
     want = reference_sweep_scan(scene, traj, cfg, cal, seed=611)
     if case == "all_miss":
-        assert len(want.cloud) == 0
+        assert len(want) == 0
     else:
-        assert len(np.unique(want.profile_index)) > 1
+        assert len(np.unique(want.raster[:, 0])) > 1
     assert_same_sweep(got, want)
 
 
@@ -183,8 +177,8 @@ def test_sweep_matches_per_profile_reference(case):
 def test_sweep_raster_matches_per_profile_reference(case):
     """Each point's raster cell is its profile and its detector column."""
     scene, traj, cfg, cal = SWEEP_CASES[case]()
-    got = sweep_scan_detailed(scene, traj, cfg, cal, seed=611).cloud.raster
-    want = reference_sweep_scan(scene, traj, cfg, cal, seed=611).cloud.raster
+    got = sweep_scan(scene, traj, cfg, cal, seed=611).raster
+    want = reference_sweep_scan(scene, traj, cfg, cal, seed=611).raster
     assert got.dtype == want.dtype
     np.testing.assert_array_equal(got, want)
 
@@ -192,7 +186,7 @@ def test_sweep_raster_matches_per_profile_reference(case):
 def test_sweep_with_chunks_narrower_than_a_profile(monkeypatch):
     monkeypatch.setattr(scanner_module, "_CHUNK_RAYS", 100)  # each chunk holds one profile
     scene, traj, cfg, cal = SWEEP_CASES["rotated_calibration"]()
-    assert_same_sweep(sweep_scan_detailed(scene, traj, cfg, cal, seed=3),
+    assert_same_sweep(sweep_scan(scene, traj, cfg, cal, seed=3),
                       reference_sweep_scan(scene, traj, cfg, cal, seed=3))
 
 
@@ -222,20 +216,6 @@ def test_calibration_offset_relates_clouds_by_the_offset():
     t_only = Pose(np.array([0.0, 0.0, 1e-3]), np.array([1.0, 0, 0, 0]))
     shifted = sweep_scan(scene, traj, cfg, CalibrationError(t_only), seed=4)
     np.testing.assert_allclose(shifted.points[:, 2], -1e-3, atol=1e-12)
-
-
-def test_part_labels_follow_scene_parts():
-    plate = ScenePart("plate", Box((0.05, 0.05, 0.001)), Pose(np.array([0.0, 0.0, -0.001]), np.array([1.0, 0, 0, 0])))
-    bump = ScenePart("bump", Box((0.0005, 0.0005, 0.002)), Pose(np.array([0.0, 0.0, 0.001]), np.array([1.0, 0, 0, 0])))
-    scene = Scene([plate, bump])
-    cfg = small_cfg(depth_noise_std=0.0)
-    traj = linear_sweep(DOWN, [0, 1, 0], 2e-4, 5)
-    scan = sweep_scan_detailed(scene, traj, cfg, CalibrationError.none(), seed=0)
-    bump_cloud = scan.points_of(scene, "bump")
-    plate_cloud = scan.points_of(scene, "plate")
-    assert len(bump_cloud) > 0 and len(plate_cloud) > 0
-    assert np.all(bump_cloud.points[:, 2] > 0.002 - 1e-9)
-    assert np.all(plate_cloud.points[:, 2] < 1e-9)
 
 
 def test_scene_rejects_duplicate_ids():
@@ -311,21 +291,19 @@ def test_scansim_rejects_non_finite_and_non_integer_sizes(case):
         INVALID_PARTS[case]()
 
 
-def reference_cast(scene: Scene, origins, dirs) -> SceneHits:
+def reference_cast(scene: Scene, origins, dirs) -> RayHits:
     """Scene.cast without the bounds cull: every part sees every ray."""
     n = len(origins)
     best_t = np.full(n, np.inf)
     best_n = np.zeros((n, 3))
-    best_part = np.full(n, -1, dtype=np.int64)
-    for i, part in enumerate(scene.parts):
+    for part in scene.parts:
         R = part.pose.rotation_matrix()
         hits = part.surface.ray_intersect((origins - part.pose.position) @ R, dirs @ R)
         closer = hits.hit & (hits.t < best_t)
         best_t = np.where(closer, hits.t, best_t)
         best_n = np.where(closer[:, None], hits.normals @ R.T, best_n)
-        best_part = np.where(closer, i, best_part)
     flip = np.einsum("ij,ij->i", best_n, dirs) > 0.0
-    return SceneHits(best_t, np.where(flip[:, None], -best_n, best_n), best_part, np.isfinite(best_t))
+    return RayHits(best_t, np.where(flip[:, None], -best_n, best_n), np.isfinite(best_t))
 
 
 def unit(v: np.ndarray) -> np.ndarray:
