@@ -271,13 +271,17 @@ class PointCloud:
 
     `raster`, when given, is each point's (profile, column) cell in the
     scanner raster that produced it: an (N, 2) integer array, one point per
-    cell. A scanner sets it; `select` and rigid moves keep it, since they
-    keep it valid. Clouds with no scanner behind them leave it None.
+    cell. `raster_shape`, when given, is that raster's full (profiles,
+    columns) shape, misses included, and every cell lies inside it; without
+    it a miss past the last hit cannot be told from the raster's edge. A
+    scanner sets both; `select` and rigid moves keep them, since they keep
+    them valid. Clouds with no scanner behind them leave them None.
     """
 
     points: np.ndarray
     normals: Optional[np.ndarray] = field(default=None)
     raster: Optional[np.ndarray] = field(default=None)
+    raster_shape: Optional[tuple] = field(default=None)
 
     def __post_init__(self):
         pts = np.atleast_2d(_as_f64(self.points))
@@ -311,6 +315,16 @@ class PointCloud:
                 raise ValueError("raster cells must be unique")
             ras.flags.writeable = False
             object.__setattr__(self, "raster", ras)
+        if self.raster_shape is not None:
+            shape = tuple(self.raster_shape)
+            if self.raster is None or len(shape) != 2 or not all(
+                    isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+                    for n in shape):
+                raise ValueError("raster_shape must be two integers >= 1 and needs a raster")
+            shape = (int(shape[0]), int(shape[1]))
+            if len(self.raster) and (self.raster.min() < 0 or np.any(self.raster.max(axis=0) >= shape)):
+                raise ValueError(f"raster cells must lie inside raster_shape {shape}")
+            object.__setattr__(self, "raster_shape", shape)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -322,13 +336,13 @@ class PointCloud:
     def select(self, index) -> "PointCloud":
         nrm = self.normals[index] if self.has_normals else None
         ras = self.raster[index] if self.raster is not None else None
-        return PointCloud(self.points[index], nrm, ras)
+        return PointCloud(self.points[index], nrm, ras, self.raster_shape)
 
 
 def transform_cloud(cloud: PointCloud, pose: Pose) -> PointCloud:
     """Apply a rigid transform: points R p + t, normals rotated by R; the
-    raster is kept."""
+    raster and its shape are kept."""
     R = pose.rotation_matrix()
     pts = cloud.points @ R.T + pose.position
     nrm = cloud.normals @ R.T if cloud.has_normals else None
-    return PointCloud(pts, nrm, cloud.raster)
+    return PointCloud(pts, nrm, cloud.raster, cloud.raster_shape)

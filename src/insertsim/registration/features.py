@@ -89,7 +89,7 @@ def estimate_normals(cloud: PointCloud) -> PointCloud:
     flip = np.einsum("ij,ij->i", normals, -cloud.points) < 0.0
     normals = np.where(flip[:, None], -normals, normals)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(cloud.points, normals, cloud.raster)
+    return PointCloud(cloud.points, normals, cloud.raster, cloud.raster_shape)
 
 
 def _dot(a, b):

@@ -1,12 +1,19 @@
-"""Full pose estimation: preprocess, then loop RANSAC -> orientation gate -> ICP.
+"""Full pose estimation: prepare both clouds, then loop RANSAC -> orientation
+gate -> ICP.
 
-The loop keeps the lowest-fitness gated result and stops once it reaches
-rho_icp. The orientation gate is checked on the RANSAC hypothesis (cheap
-rejection of flipped or degenerate-symmetry matches) and re-checked on the
-refined pose before it can be kept, so every result this function ever
-returns satisfies the gate. The outer for-loop runs at most max_outer_loops
-times; exhaustion raises RegistrationFailedError carrying the best estimate
-so the caller can decide to rescan and retry.
+A cloud that carries its scanner raster and the raster's shape is
+registered on its outline, and the thresholds left None in the params are
+derived from the scan's pitch (`RegistrationParams.resolved`); a cloud
+without one takes outlier removal, the voxel grid and the whole-cloud
+defaults. The loop keeps the lowest-fitness gated result and stops once it
+reaches rho_icp, which on a raster is the pitch gate ds^2 + dl^2: the true
+pose passes it, so a scan that registers does so in the first loop. The
+orientation gate is checked on the RANSAC hypothesis (cheap rejection of
+flipped or degenerate-symmetry matches) and re-checked on the refined pose
+before it can be kept, so every result this function ever returns satisfies
+the gate. The outer for-loop runs at most max_outer_loops times; exhaustion
+raises RegistrationFailedError carrying the best estimate so the caller can
+decide to rescan and retry.
 """
 
 from __future__ import annotations
@@ -24,21 +31,32 @@ from insertsim.registration.params import (
     RegistrationParams,
     RegistrationResult,
 )
-from insertsim.registration.preprocess import preprocess
+from insertsim.registration.preprocess import outline, preprocess, raster_pitch
 from insertsim.registration.ransac import correspondence_candidates, ransac_register
 
 _FITNESS_SENTINEL = 1e6  # effectively infinite start for the best fitness
 
 
-def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> FeatureCloud:
-    """Preprocess and describe a cloud once; reusable across estimate_pose calls.
+def _prepare(cloud: PointCloud, params: RegistrationParams):
+    """The cloud's FeatureCloud, and `params` resolved for the cloud."""
+    if cloud.raster_shape is None:
+        params = params.resolved(None)
+        return compute_features(preprocess(cloud, params), params.feature_radius), params
+    params = params.resolved(raster_pitch(cloud))
+    return compute_features(outline(cloud), params.feature_radius), params
 
-    Outlier removal, the voxel grid, normals and FPFH run here, once per
-    cloud. The returned FeatureCloud builds its KD-trees on first use and
-    keeps them, so no outer loop and no later estimate_pose call against the
-    same prepared cloud rebuilds one.
+
+def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> FeatureCloud:
+    """Condition and describe a cloud once; reusable across estimate_pose calls.
+
+    A cloud with a raster shape is reduced to its outline, with in-plane
+    normals from the raster, and described at a radius derived from its own
+    pitch; any other cloud goes through outlier removal and the voxel grid.
+    FPFH runs here, once per cloud. The returned FeatureCloud builds its
+    KD-trees on first use and keeps them, so no outer loop and no later
+    estimate_pose call against the same prepared cloud rebuilds one.
     """
-    return compute_features(preprocess(cloud, params), params.effective_feature_radius)
+    return _prepare(cloud, params)[0]
 
 
 def _loop_seed(seed: int, loop: int) -> int:
@@ -50,8 +68,8 @@ def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
     """Estimate the pose mapping `ref` into the frame of `scan`."""
     if len(scan) == 0 or (ref_prepared is None and len(ref) == 0):
         raise ValueError("clouds must be non-empty")
-    scan_f = prepare_cloud(scan, params)
     ref_f = ref_prepared if ref_prepared is not None else prepare_cloud(ref, params)
+    scan_f, params = _prepare(scan, params)
     # the seed only changes the RANSAC sampling; correspondences and the
     # inlier grid are per pair
     candidates = correspondence_candidates(scan_f, ref_f, params.ransac_inlier_threshold)

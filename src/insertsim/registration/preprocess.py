@@ -1,51 +1,33 @@
-"""Scan cloud conditioning: statistical outlier removal and voxel downsampling.
+"""Scan cloud conditioning: the outline of a scanner raster, or outlier
+removal and voxel downsampling of a cloud without one.
 
-Outlier removal (Rusu et al., RAS 2008) needs each point's k nearest
-distances. A scanner cloud carries its raster, the (profile, column) cell of
-every point, and then most of those distances come from a fixed window of
-cells around the point, ±1 profile by ±4 columns, with no KD-tree (cf. the
-organised-cloud neighbourhoods of Holzer et al., IROS 2012). The window's
-distances come from `geom.column_norm`, the expression cKDTree evaluates,
-and the window holds the point itself, so its k+1 smallest distances,
-sorted, are the tree's answer whenever no point outside the window is
-nearer than the largest of them, `D`.
+A scanned part with a flat face gives the same FPFH descriptor at every
+point of that face, so registration on the whole cloud has nothing to
+match; the part's outline carries the in-plane shape. When a cloud carries
+its scanner raster and the raster's shape, `outline` keeps the hit cells
+with a miss among their 8 neighbours (cells on the raster's border are
+never outline: what lies past them was not scanned) and gives each an
+in-plane normal from the hit mask alone: the Sobel gradient of the
+occupancy image, mapped into 3-D through the raster's axes. `raster_pitch`
+measures the point spacing along and across profiles, from which the
+registration thresholds are derived (`RegistrationParams.resolved`).
+Neither reads the cloud's normals, which a line scanner does not measure.
+The scanner adds no outliers, and outlier removal would drop only outline
+points, so the outline path runs neither it nor the voxel grid.
 
-A point keeps its window answer only when a certificate proves that. Take
-two unit axes, `u` across profiles and `v` along them. Every point in a
-profile beyond p±1 is at least as far as the gap in `u·s` between the point
-and the nearest of those profiles' extremes (a suffix minimum and a prefix
-maximum over profiles), and every point of profiles p-1..p+1 beyond column
-c±4 at least as far as the gap in `v·s` to those rows' column extremes (per
-row suffix minima and prefix maxima). These bounds hold for any axes and
-any raster labels, so the scanner's geometry decides only how many points
-are certified, never whether a certified answer is right. The smallest gap
-must beat `D` by the relative margin `_WINDOW_MARGIN` of `D` plus the
-cloud's extent, far above the rounding of the projections and of the
-distances. Tight gaps want axes along which successive profiles (columns)
-move apart while one profile's (column's) own points spread least, so each
-is Fisher's discriminant direction for its labels; on a scan of a tilted
-part, depth along the rays then moves neither projection.
-
-Points with fewer than k+1 window neighbours or too small a gap (near
-corners and rims, ~90 of 120k on a dense scan) ask a KD-tree with k+1, as
-does every point of a cloud with no raster or a raster box too sparse to
-grid. The window table is built in blocks of `_BLOCK` points, so it adds
-no memory peak beyond the tree query it replaces.
+A cloud without a raster shape takes statistical outlier removal (Rusu et
+al., RAS 2008) and a voxel grid.
 """
 
 from __future__ import annotations
 
-from functools import reduce
-
 import numpy as np
+from scipy.ndimage import binary_erosion
 from scipy.spatial import cKDTree
 
-from insertsim.geom import PointCloud, column_norm, raster_box
-from insertsim.registration.params import PreprocessingDegenerateError, RegistrationParams
-
-_WINDOW = (1, 4)       # raster window: profiles and columns on each side of a point
-_WINDOW_MARGIN = 1e-9  # relative margin of the window certificate
-_BLOCK = 8192          # points per block of the window distance table
+from insertsim.geom import PointCloud, column_norm
+from insertsim.registration.params import DegenerateFeatureError, \
+    PreprocessingDegenerateError, RegistrationParams
 
 
 def statistical_outlier_removal(cloud: PointCloud, mean_k: int, std_ratio: float) -> PointCloud:
@@ -56,116 +38,61 @@ def statistical_outlier_removal(cloud: PointCloud, mean_k: int, std_ratio: float
     k = min(mean_k, n - 1)
     if k < 1:
         return cloud
-    dists = _nearest_dists(cloud, k + 1)  # column 0 is the point itself
+    dists = cKDTree(cloud.points).query(cloud.points, k=k + 1)[0]  # column 0 is the point itself
     mean_d = dists[:, 1:].mean(axis=1)
     cutoff = mean_d.mean() + std_ratio * mean_d.std()
     keep = mean_d <= cutoff
     return cloud.select(keep)
 
 
-def _nearest_dists(cloud: PointCloud, m: int) -> np.ndarray:
-    """(n, m) ascending distances from each point to its m nearest points,
-    itself included, bit for bit as cKDTree.query(points, k=m) reports them."""
-    box = raster_box(cloud.raster) if cloud.raster is not None else None
-    if box is None or m > (2 * _WINDOW[0] + 1) * (2 * _WINDOW[1] + 1):
-        return cKDTree(cloud.points).query(cloud.points, k=m)[0]
-    lo, shape = box
-    cells = cloud.raster - lo
-    dists = _window_dists(cloud.points, cells, shape, m)
-    far = dists[:, m - 1]  # NaN where the window holds fewer than m points
-    gap, extent = _outside_gap(cloud.points, cells, shape)
-    stale = np.flatnonzero(~(gap - far > _WINDOW_MARGIN * (far + extent)))
-    if len(stale):
-        # a tree of any shape answers with the same distances; this one builds fastest
-        tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
-        dists[stale] = tree.query(cloud.points[stale], k=m)[0]
-    return dists
+def _cell_index(cloud: PointCloud) -> np.ndarray:
+    """(profiles, columns) table of the point in each raster cell, -1 for a miss."""
+    index = np.full(cloud.raster_shape, -1, dtype=np.intp)
+    index[tuple(cloud.raster.T)] = np.arange(len(cloud))
+    return index
 
 
-def _window_dists(points: np.ndarray, cells: np.ndarray, shape: tuple, m: int) -> np.ndarray:
-    """(n, m) smallest distances from each point to the points of its raster
-    window, ascending, NaN where the window holds fewer than m points."""
-    wp, wc = _WINDOW
-    rows, cols = shape
-    row, col = cells.T
-    n = len(points)
-    # coordinate planes of the raster padded by the window, NaN where no point
-    width = cols + 2 * wc
-    grid = np.full((3, rows + 2 * wp, width), np.nan)
-    grid[:, row + wp, col + wc] = points.T
-    x, y, z = grid.reshape(3, -1)
-    # one distance plane per flat window offset o > 0: |s(f + o) - s(f)| at
-    # cell f is f's distance at offset o and, read at f + o, that cell's
-    # distance at offset -o
-    half = np.array([dp * width + dc for dp in range(wp + 1) for dc in range(-wc, wc + 1)
-                     if dp * width + dc > 0])
-    planes = np.full((len(half), x.size), np.nan)
-    for plane, o in zip(planes, half):
-        plane[:-o] = column_norm(x[o:] - x[:-o], y[o:] - y[:-o], z[o:] - z[:-o])
-    reads = np.concatenate([np.arange(len(half)) * x.size + shift for shift in (0, -half)])
-    planes = planes.ravel()
-    centre = (row + wp) * width + (col + wc)
-    dists = np.empty((n, m))
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        d = np.empty((hi - lo, 1 + len(reads)))
-        d[:, 0] = 0.0  # the point itself
-        d[:, 1:] = planes[centre[lo:hi, None] + reads]
-        d.sort(axis=1)  # NaN, an empty cell, sorts last
-        dists[lo:hi] = d[:, :m]
-    return dists
+def raster_pitch(cloud: PointCloud) -> tuple:
+    """(ds, dl): the median distance between the points of neighbouring hit
+    cells along a profile (adjacent columns) and across profiles (adjacent
+    profiles) of a cloud with a raster shape."""
+    index = _cell_index(cloud)
+    pitch = []
+    for a, b, across in ((index[:, :-1], index[:, 1:], "columns"),
+                         (index[:-1], index[1:], "profiles")):
+        both = (a >= 0) & (b >= 0)
+        if not both.any():
+            raise DegenerateFeatureError(f"no two neighbouring raster cells across {across} "
+                                         f"both hit, so the scan's pitch is unknown")
+        step = cloud.points[b[both]] - cloud.points[a[both]]
+        pitch.append(float(np.median(column_norm(*step.T))))
+    return tuple(pitch)
 
 
-def _outside_gap(points: np.ndarray, cells: np.ndarray, shape: tuple):
-    """Lower bound on each point's distance to every point outside its
-    raster window, and the cloud's extent, for the certificate's margin."""
-    wp, wc = _WINDOW
-    rows, cols = shape
-    row, col = cells.T
-    # the certificate's axes, across and along profiles
-    rel = points - points[0]
-    gram = rel.T @ rel
-    u, v = _separating_axis(rel, gram, row), _separating_axis(rel, gram, col)
-    extent = float(np.sqrt(np.max(np.einsum("ij,ij->i", rel, rel))))
-    pu, pv = rel @ u, rel @ v
-    # profiles beyond p±wp: suffix minima and prefix maxima of u·s over profiles
-    low, high = np.full(rows, np.inf), np.full(rows, -np.inf)
-    np.minimum.at(low, row, pu)
-    np.maximum.at(high, row, pu)
-    above = np.full(rows + wp + 1, np.inf)
-    above[:rows] = np.minimum.accumulate(low[::-1])[::-1]
-    below = np.full(rows + wp + 1, -np.inf)
-    below[wp + 1:] = np.maximum.accumulate(high)
-    gap = np.minimum(above[row + wp + 1] - pu, pu - below[row])
-    # columns beyond c±wc in profiles p-wp..p+wp: per-row suffix minima and
-    # prefix maxima of v·s over columns, then their extremes over those rows
-    per_col = np.full((rows, cols), np.inf)
-    per_col[row, col] = pv
-    right = np.full((rows + 2 * wp, cols + wc + 1), np.inf)
-    right[wp:wp + rows, :cols] = np.minimum.accumulate(per_col[:, ::-1], axis=1)[:, ::-1]
-    per_col[row, col] = -pv
-    left = np.full((rows + 2 * wp, cols + wc + 1), -np.inf)
-    left[wp:wp + rows, wc + 1:] = -np.minimum.accumulate(per_col, axis=1)
-    right = reduce(np.minimum, (right[dr:dr + rows] for dr in range(2 * wp + 1)))
-    left = reduce(np.maximum, (left[dr:dr + rows] for dr in range(2 * wp + 1)))
-    return np.minimum(gap, np.minimum(right[row, col + wc + 1] - pv, pv - left[row, col])), extent
-
-
-def _separating_axis(rel: np.ndarray, gram: np.ndarray, label: np.ndarray) -> np.ndarray:
-    """Unit axis along which the points of successive labels (profiles or
-    columns) move apart while the points of one label spread least: Fisher's
-    discriminant (S + lam I)^-1 w, with `w` the step from the first label's
-    mean to the last's, S the within-label scatter and `gram` = rel.T @ rel.
-    The ridge lam, far below |w|^2, keeps it defined when S is singular."""
-    count = np.bincount(label)
-    found = count > 0
-    sums = np.stack([np.bincount(label, weights=c) for c in rel.T])[:, found]
-    means = sums / count[found]
-    w = means[:, -1] - means[:, 0]
-    scatter = (gram - means @ sums.T) / len(rel)
-    axis = np.linalg.solve(scatter + 1e-6 * (w @ w) * np.eye(3), w) if w @ w > 0 else w
-    norm = float(np.linalg.norm(axis))
-    return axis / norm if 0.0 < norm < np.inf else np.array([1.0, 0.0, 0.0])
+def outline(cloud: PointCloud) -> PointCloud:
+    """Outline points of a cloud with a raster shape, with unit in-plane
+    normals pointing out of the hit region (module docstring). An outline
+    cell whose Sobel gradient vanishes has no normal and is dropped."""
+    hit = _cell_index(cloud) >= 0
+    edge = hit & ~binary_erosion(hit, structure=np.ones((3, 3), dtype=bool), border_value=1)
+    edge[[0, -1], :] = False
+    edge[:, [0, -1]] = False
+    profile, column = cloud.raster.T
+    on = np.flatnonzero(edge[profile, column])
+    # the Sobel gradient of the occupancy image, at the outline cells only
+    p, c = profile[on], column[on]
+    across = [hit[p + d, c - 1] + 2.0 * hit[p + d, c] + hit[p + d, c + 1] for d in (-1, 1)]
+    along = [hit[p - 1, c + d] + 2.0 * hit[p, c + d] + hit[p + 1, c + d] for d in (-1, 1)]
+    grad = np.column_stack([across[1] - across[0], along[1] - along[0]])
+    described = np.any(grad != 0.0, axis=1)
+    on, grad = on[described], grad[described]
+    # raster axes: least squares of the points on (1, profile, column); the
+    # occupancy gradient over the raster's plane is pinv(axes)^T (d/dp, d/dc)
+    design = np.column_stack([np.ones(len(cloud)), profile, column]).astype(np.float64)
+    axes = np.linalg.lstsq(design, cloud.points, rcond=None)[0][1:].T  # (3, 2)
+    normals = -(grad @ np.linalg.pinv(axes))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return PointCloud(cloud.points[on], normals, cloud.raster[on], cloud.raster_shape)
 
 
 def _voxel_sums(inverse: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:

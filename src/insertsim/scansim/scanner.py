@@ -4,7 +4,8 @@ Each trajectory pose carries the sensor frame: the laser line lies along the
 sensor x-axis and rays travel along sensor +z. One pose yields one profile of
 up to `points_per_profile` depth samples. Misses produce no point. The
 cloud's raster records each point's (profile, column): its trajectory index
-and its detector column.
+and its detector column; its raster shape is (trajectory length, detector
+columns), so the misses stay known.
 
 The sweep casts whole profiles in chunks of at most `_CHUNK_RAYS` rays (at
 least one profile), one `Scene.cast` per chunk, which bounds the per-ray
@@ -124,9 +125,11 @@ def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
         ])[keep])
 
     points = np.vstack(pts)
+    shape = (len(trajectory), n)
     if len(points) == 0:
-        return PointCloud(np.zeros((0, 3)), raster=np.zeros((0, 2), dtype=np.int64))
+        return PointCloud(np.zeros((0, 3)), raster=np.zeros((0, 2), dtype=np.int64),
+                          raster_shape=shape)
     # map the true-surface normals through the same assumed-vs-true mismatch
     R_err = cal.mount_offset.inverse().rotation_matrix()
     normals = np.vstack(nrm) @ R_err.T
-    return PointCloud(points, normals, np.vstack(cells))
+    return PointCloud(points, normals, np.vstack(cells), shape)

@@ -6,7 +6,9 @@ loop scans the plate at the `sparse_fresh_ref` resolution (512 columns at
 48 um, 70 profiles 100 um apart) against a reference prepared once, and the
 open-loop loop is the `open_loop` workload. Both draw the same yaw, offset
 and arm error in trial k of a seed, so the two loops are compared on paired
-trials.
+trials. The plate pose comes from registering the scan's outline; the tip
+the corrected trajectory starts from is still the oracle pose
+cal^-1 * arm.actual (ROADMAP finding 4) until ROADMAP item 2 measures it.
 """
 
 import dataclasses
@@ -32,11 +34,6 @@ def successes(workload: workloads.Workload, seed: int) -> int:
     return sum(bench.run_trial(trial).success for trial in range(TRIALS))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 1 (outline registration) has not landed: FPFH on the plate's "
-    "flat top returns the prior yaw, so corrected trials miss the hole. Until "
-    "ROADMAP item 2 lands, the corrected trajectory starts at the oracle tip "
-    "pose cal^-1 * arm.actual (ROADMAP finding 4), not at a measured one."))
 @pytest.mark.parametrize("seed", SEEDS)
 def test_scan_corrected_insertion_beats_open_loop(seed):
     corrected = successes(CORRECTED, seed)

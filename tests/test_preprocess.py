@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from insertsim.geom import PointCloud, Pose, raster_box, transform_cloud
+from insertsim.geom import PointCloud, Pose, transform_cloud
 from insertsim.registration import (
+    DegenerateFeatureError,
+    InsufficientCorrespondencesError,
     PreprocessingDegenerateError,
     RegistrationParams,
+    estimate_pose,
     prepare_cloud,
     statistical_outlier_removal,
     voxel_downsample,
 )
-from insertsim.registration.preprocess import preprocess
+from insertsim.registration.preprocess import outline, preprocess, raster_pitch
 from insertsim.scansim import CalibrationError, HolePlate, Scene, ScenePart, ScannerConfig, \
     linear_sweep, sweep_scan
 
@@ -99,7 +102,9 @@ def test_voxel_grid_too_large_to_number_raises():
         voxel_downsample(cloud, voxel_size=1e-7)
 
 
-# -- raster k-NN for outlier removal --------------------------------------------
+# -- outlier removal on scans ----------------------------------------------------
+# A scan's raster rides along through outlier removal and does not change
+# which points it keeps: those a plain KD-tree query on every point keeps.
 
 preprocess_module = importlib.import_module("insertsim.registration.preprocess")
 
@@ -118,22 +123,18 @@ PLATE_POSES = {
 CAL = CalibrationError(Pose.from_axis_angle([60e-6, -80e-6, 0.0], [0.3, -0.5, 0.8], 2e-3))
 
 
-def plate_scan(scanner: str, pose: str, cal: CalibrationError) -> PointCloud:
-    cfg, step, profiles = SCANNERS[scanner]
+def plate_scan(scanner: str, pose: str, cal: CalibrationError, profiles: int = None) -> PointCloud:
+    cfg, step, count = SCANNERS[scanner]
     scene = Scene([ScenePart("plate", PLATE, PLATE_POSES[pose])])
-    return sweep_scan(scene, linear_sweep(SWEEP_START, [0, 1, 0], step, profiles), cfg, cal, seed=611)
-
-
-def tree_dists(points: np.ndarray, m: int) -> np.ndarray:
-    return cKDTree(points).query(points, k=m)[0]
+    sweep = linear_sweep(SWEEP_START, [0, 1, 0], step, profiles or count)
+    return sweep_scan(scene, sweep, cfg, cal, seed=611)
 
 
 def assert_sor_matches_tree(cloud: PointCloud, mean_k: int = 12, std_ratio: float = 2.0):
     """Outlier removal keeps exactly the points that a plain KD-tree query on
-    every point keeps, and its neighbour distances are the tree's."""
+    every point keeps, with their normals and raster cells."""
     k = min(mean_k, len(cloud) - 1)
-    dists = tree_dists(cloud.points, k + 1)
-    np.testing.assert_array_equal(preprocess_module._nearest_dists(cloud, k + 1), dists)
+    dists = cKDTree(cloud.points).query(cloud.points, k=k + 1)[0]
     mean_d = dists[:, 1:].mean(axis=1)
     keep = mean_d <= mean_d.mean() + std_ratio * mean_d.std()
     out = statistical_outlier_removal(cloud, mean_k, std_ratio)
@@ -142,31 +143,27 @@ def assert_sor_matches_tree(cloud: PointCloud, mean_k: int = 12, std_ratio: floa
     if cloud.has_normals:
         np.testing.assert_array_equal(out.normals, cloud.normals[keep])
     np.testing.assert_array_equal(out.raster, cloud.raster[keep])
+    assert out.raster_shape == cloud.raster_shape
 
 
-def count_tree_queries(monkeypatch) -> list:
-    """Points asked about by each query of a KD-tree that outlier removal builds."""
-    queried = []
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Arguments of every call to `module.name` from here on."""
+    calls = []
+    original = getattr(module, name)
 
-    class CountingTree(cKDTree):
-        def query(self, x, *args, **kwargs):
-            queried.append(len(x))
-            return super().query(x, *args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(preprocess_module, "cKDTree", CountingTree)
-    return queried
+    monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 @pytest.mark.parametrize("scanner", sorted(SCANNERS))
 @pytest.mark.parametrize("pose", sorted(PLATE_POSES))
 @pytest.mark.parametrize("cal_error", [False, True], ids=["no_cal_error", "cal_error"])
-def test_raster_sor_matches_tree_on_plate_scans(scanner, pose, cal_error, monkeypatch):
-    cloud = plate_scan(scanner, pose, CAL if cal_error else CalibrationError.none())
-    assert raster_box(cloud.raster) is not None
-    queried = count_tree_queries(monkeypatch)
-    assert_sor_matches_tree(cloud)
-    # the window settles at least 95% of the points, on the tilted part too
-    assert len(queried) == 2 and queried[0] < len(cloud) / 20
+def test_raster_sor_matches_tree_on_plate_scans(scanner, pose, cal_error):
+    assert_sor_matches_tree(plate_scan(scanner, pose, CAL if cal_error else CalibrationError.none()))
 
 
 def small_scan() -> PointCloud:
@@ -211,15 +208,6 @@ def test_raster_sor_with_few_points(n):
     assert_sor_matches_tree(cloud)
 
 
-def test_raster_box_too_large_takes_the_tree_path(monkeypatch):
-    cloud = small_scan()
-    spread = PointCloud(cloud.points, cloud.normals, cloud.raster * 3)  # 9x the cells
-    assert raster_box(spread.raster) is None
-    queried = count_tree_queries(monkeypatch)
-    assert_sor_matches_tree(spread)
-    assert queried == [len(spread)] * 2  # _nearest_dists, then the outlier removal
-
-
 def test_raster_validation():
     pts = np.zeros((3, 3))
     pts[:, 0] = [0.0, 1.0, 2.0]
@@ -238,13 +226,123 @@ def test_raster_validation():
     np.testing.assert_array_equal(moved.raster, cloud.raster)
     np.testing.assert_array_equal(cloud.select([2, 0]).raster, [[1, 0], [0, 0]])
     assert PointCloud(pts).select([0]).raster is None
+    # the raster's shape: every cell inside it, kept by select and rigid moves
+    cells = np.array([[0, 0], [0, 1], [1, 2]])
+    shaped = PointCloud(pts, raster=cells, raster_shape=(2, np.int64(3)))
+    assert shaped.raster_shape == (2, 3)
+    assert moved.raster_shape is None
+    assert transform_cloud(shaped, Pose.identity()).raster_shape == (2, 3)
+    assert shaped.select([2, 0]).raster_shape == (2, 3)
+    for bad in ((2,), (2, 3, 1), (2, 0), (2, 3.0), (True, 3), (1, 3), (2, 2)):
+        with pytest.raises(ValueError, match="raster_shape"):
+            PointCloud(pts, raster=cells, raster_shape=bad)
+    with pytest.raises(ValueError, match="raster_shape"):
+        PointCloud(pts, raster=-cells, raster_shape=(2, 3))
+    with pytest.raises(ValueError, match="raster_shape"):
+        PointCloud(pts, raster_shape=(2, 3))
 
 
-def test_prepare_cloud_asks_the_tree_only_for_uncertified_points(monkeypatch):
-    """The raster reaches outlier removal through prepare_cloud, and the
-    window certificate settles all but a few points of a dense scan."""
-    cloud = plate_scan("dense", "yaw+3", CAL)
-    queried = count_tree_queries(monkeypatch)
-    prepare_cloud(cloud, RegistrationParams())
-    assert len(cloud) > 100_000
-    assert len(queried) == 1 and 0 < queried[0] < 200
+# -- outline of a scan -------------------------------------------------------------
+
+def outline_oracle(cloud: PointCloud) -> set:
+    """Cells of the outline by a loop: a hit cell off the raster's border
+    with a miss among its 8 neighbours."""
+    rows, cols = cloud.raster_shape
+    hit = set(map(tuple, cloud.raster.tolist()))
+    return {(p, c) for p, c in hit if 0 < p < rows - 1 and 0 < c < cols - 1
+            and any((p + dp, c + dc) not in hit for dp in (-1, 0, 1) for dc in (-1, 0, 1))}
+
+
+@pytest.mark.parametrize("pose", ["level", "yaw+3", "tilted"])
+def test_outline_is_the_hit_cells_next_to_a_miss(pose):
+    cloud = plate_scan("sparse", pose, CAL)
+    expected = outline_oracle(cloud)
+    edge = outline(cloud)
+    cells = list(map(tuple, edge.raster.tolist()))
+    # only cells whose Sobel gradient vanishes (none on a plate) are left out
+    assert len(cells) == len(set(cells)) == len(expected) > 300
+    assert set(cells) == expected
+    index = {cell: i for i, cell in enumerate(map(tuple, cloud.raster.tolist()))}
+    np.testing.assert_array_equal(edge.points, cloud.points[[index[c] for c in cells]])
+    assert edge.raster_shape == cloud.raster_shape
+
+
+def test_outline_drops_cells_without_a_gradient():
+    """A plus of hit cells: every cell is outline, but the centre's Sobel
+    gradient vanishes, so it has no normal and is left out; each arm's
+    normal points away from the centre."""
+    cells = np.array([[1, 2], [2, 1], [2, 2], [2, 3], [3, 2]])
+    cloud = PointCloud(np.column_stack([cells[:, 1] * 1e-5, cells[:, 0] * 2e-5, np.zeros(5)]),
+                       raster=cells, raster_shape=(5, 5))
+    edge = outline(cloud)
+    np.testing.assert_array_equal(edge.raster, cells[[0, 1, 3, 4]])
+    np.testing.assert_allclose(edge.normals, [[0, -1, 0], [-1, 0, 0], [1, 0, 0], [0, 1, 0]],
+                               atol=1e-12)
+
+
+def test_outline_normals_point_out_of_the_plate_in_its_plane():
+    """On the straight sides of a level plate the normal is the side's
+    outward axis; on a tilted plate every normal lies in the plate's plane,
+    to within the ~0.01 rad by which the hits on its side face, ~3% of the
+    points, turn the fitted raster axes."""
+    edge = outline(plate_scan("dense", "level", CalibrationError.none()))
+    x, y = edge.points[:, 0], edge.points[:, 1]
+    for axis, coord, other in ((0, x, y), (1, y, x)):
+        side = (np.abs(coord) > 2.9e-3) & (np.abs(other) < 2.8e-3)
+        assert np.count_nonzero(side) > 400
+        outward = np.zeros((np.count_nonzero(side), 3))
+        outward[:, axis] = np.sign(coord[side])
+        assert np.min(np.einsum("ij,ij->i", edge.normals[side], outward)) > np.cos(0.05)
+    tilted = PLATE_POSES["tilted"]
+    edge = outline(plate_scan("sparse", "tilted", CalibrationError.none()))
+    assert np.max(np.abs(edge.normals @ tilted.rotate_vector([0.0, 0.0, 1.0]))) < 0.02
+
+
+@pytest.mark.parametrize("scanner, pitch", [("dense", (12e-6, 25e-6)),
+                                            ("sparse", (48e-6, 100e-6))])
+def test_raster_pitch_is_the_scanner_spacing(scanner, pitch):
+    """Median spacing along and across profiles; depth noise lengthens the
+    along-profile step a little."""
+    np.testing.assert_allclose(raster_pitch(plate_scan(scanner, "yaw+3", CAL)), pitch, rtol=0.02)
+
+
+def test_prepare_cloud_registers_a_scan_on_its_outline(monkeypatch):
+    """A scan reaches neither outlier removal nor the voxel grid, and its
+    keypoints are its outline; without its raster shape it takes both."""
+    sor = count_calls(monkeypatch, preprocess_module, "statistical_outlier_removal")
+    voxel = count_calls(monkeypatch, preprocess_module, "voxel_downsample")
+    cloud = plate_scan("sparse", "yaw+3", CAL)
+    prepared = prepare_cloud(cloud, RegistrationParams())
+    assert sor == [] and voxel == []
+    np.testing.assert_array_equal(prepared.keypoints.points, outline(cloud).points)
+    prepare_cloud(PointCloud(cloud.points, cloud.normals, cloud.raster), RegistrationParams())
+    assert len(sor) == len(voxel) == 1
+
+
+def test_a_plate_across_the_last_profile_has_no_outline_on_it():
+    """The sweep stops inside the plate: the last profile is all plate, and
+    what lies past it was not scanned, so none of its cells is outline."""
+    cloud = plate_scan("sparse", "yaw+3", CAL, profiles=50)
+    last = cloud.raster_shape[0] - 1
+    assert np.count_nonzero(cloud.raster[:, 0] == last) > 100
+    edge = outline(cloud)
+    assert np.max(edge.raster[:, 0]) == last - 1
+    assert edge.raster_shape == cloud.raster_shape
+
+
+def test_outline_poor_rasters_raise_typed_errors():
+    """A plate that fills the raster has no outline, and a single profile
+    has no pitch across profiles: both fail with the errors a trial counts."""
+    cfg = ScannerConfig(points_per_profile=64, lateral_span=64 * 40e-6, lateral_resolution=40e-6)
+    start = Pose.from_axis_angle([-1.5e-3, -2e-3, 0.03], [1, 0, 0], np.pi)
+    cloud = sweep_scan(Scene([ScenePart("plate", PLATE, Pose.identity())]),
+                       linear_sweep(start, [0, 1, 0], 100e-6, 20), cfg,
+                       CalibrationError.none(), seed=1)
+    assert len(cloud) == 20 * 64 and len(outline(cloud)) == 0
+    with pytest.raises(InsufficientCorrespondencesError):
+        estimate_pose(cloud, cloud, RegistrationParams(), seed=0)
+    one_profile = cloud.select(cloud.raster[:, 0] == 3)
+    with pytest.raises(DegenerateFeatureError, match="pitch"):
+        estimate_pose(one_profile, one_profile, RegistrationParams(), seed=0)
+
+

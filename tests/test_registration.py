@@ -1,4 +1,6 @@
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from insertsim.geom import PointCloud, Pose, column_norm, pose_compose, quat_distance, \
-    quat_from_matrix, quat_normalize, quat_to_matrix, transform_cloud
+    quat_from_axis_angle, quat_from_matrix, quat_normalize, quat_to_matrix, transform_cloud
 from insertsim.registration import (
     DegenerateFeatureError,
     DivergenceError,
@@ -112,6 +114,21 @@ def small_params(**kw) -> RegistrationParams:
 def test_params_reject_nan_and_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
         RegistrationParams(**{field: value})
+
+
+def test_params_derive_the_fields_left_none():
+    """From the pitch on a raster, the whole-cloud values without one; a
+    value the caller passes is kept either way."""
+    ds, dl = 12e-6, 25e-6
+    fields = ("rho_icp", "ransac_inlier_threshold", "icp_max_correspondence_dist",
+              "feature_radius")
+    raster = RegistrationParams().resolved((ds, dl))
+    assert [getattr(raster, f) for f in fields] == [ds * ds + dl * dl, 4 * dl, 12 * dl, 5e-4 + dl]
+    whole = RegistrationParams(voxel_size=2e-4).resolved(None)
+    assert [getattr(whole, f) for f in fields] == [(5e-6) ** 2, 2e-4, 1e-3, 1e-3]
+    given = small_params(rho_icp=1e-12)
+    for pitch in ((ds, dl), None):
+        assert [getattr(given.resolved(pitch), f) for f in fields] == [1e-12, 2e-4, 1.5e-3, 6e-4]
 
 
 def test_params_accept_numpy_integers():
@@ -975,6 +992,57 @@ def test_estimate_pose_deterministic():
     np.testing.assert_array_equal(a.pose.position, b.pose.position)
     np.testing.assert_array_equal(a.pose.orientation, b.pose.orientation)
     assert a.fitness == b.fitness and a.outer_loops_used == b.outer_loops_used
+
+
+# -- estimate_pose on scanner output ---------------------------------------------
+# The benchmark's plate, scanner and calibration error, in the plate's frame.
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "trialbench"))
+import workloads  # noqa: E402
+
+
+def bench_scan(workload: str, pose: Pose, cal: CalibrationError) -> PointCloud:
+    w = workloads.WORKLOADS[workload]
+    scene = Scene([ScenePart("plate", workloads.plate(workloads.HOLE_CENTER), pose)])
+    return sweep_scan(scene, w.sweep(), w.scanner, cal, seed=5)
+
+
+@pytest.fixture(scope="module")
+def dense_reference() -> FeatureCloud:
+    return prepare_cloud(bench_scan("dense_corrected", Pose.identity(), CalibrationError.none()),
+                         RegistrationParams())
+
+
+@pytest.mark.parametrize("cal", [CalibrationError.none(), workloads.CAL],
+                         ids=["no_cal_error", "cal_error"])
+@pytest.mark.parametrize("offset", [(200e-6, -200e-6), (-200e-6, 200e-6)], ids=["+-", "-+"])
+@pytest.mark.parametrize("yaw", [0.0, 3.0, -3.0])
+def test_estimate_pose_on_a_dense_scan_is_accurate_in_one_loop(dense_reference, yaw, offset, cal):
+    """Outline registration with the default params finds the plate to 15 um
+    and 2 mrad in its first outer loop. The outline holds whole raster
+    cells, so an edge along the raster keeps a sub-pitch bias: hence 15 um,
+    not 10, and at 0 yaw, where every side runs along the raster, the yaw
+    is fixed only to about the 25 um profile step over the 6 mm side,
+    4.2 mrad, not 2 (ICP stops anywhere in that range)."""
+    true = Pose(np.array([*offset, 0.0]), quat_from_axis_angle([0, 0, 1], np.deg2rad(yaw)))
+    scan = bench_scan("dense_corrected", true, cal)
+    result = estimate_pose(scan, dense_reference.keypoints, RegistrationParams(), seed=3,
+                           ref_prepared=dense_reference)
+    truth = pose_compose(cal.mount_offset.inverse(), true)
+    assert result.outer_loops_used == 1
+    assert result.pose.translation_to(truth) <= 15e-6
+    assert result.pose.rotation_to(truth) <= (2e-3 if yaw else 5e-3)
+
+
+def test_estimate_pose_reads_no_scan_normals():
+    """A line scanner measures no normals: stripping them from both clouds
+    changes no bit of the result."""
+    ref = bench_scan("sparse_fresh_ref", Pose.identity(), CalibrationError.none())
+    scan = bench_scan("sparse_fresh_ref", Pose.from_axis_angle(
+        np.array([1e-4, -1.5e-4, 0.0]), [0, 0, 1], 0.03), workloads.CAL)
+    strip = [PointCloud(c.points, None, c.raster, c.raster_shape) for c in (scan, ref)]
+    assert estimate_pose(*strip, RegistrationParams(), seed=4).to_json_dict() == \
+        estimate_pose(scan, ref, RegistrationParams(), seed=4).to_json_dict()
 
 
 def test_registration_result_json_round_trip():

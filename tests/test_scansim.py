@@ -175,12 +175,14 @@ def test_sweep_matches_per_profile_reference(case):
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_raster_matches_per_profile_reference(case):
-    """Each point's raster cell is its profile and its detector column."""
+    """Each point's raster cell is its profile and its detector column, and
+    the raster's shape is (profiles, detector columns), misses included."""
     scene, traj, cfg, cal = SWEEP_CASES[case]()
-    got = sweep_scan(scene, traj, cfg, cal, seed=611).raster
+    cloud = sweep_scan(scene, traj, cfg, cal, seed=611)
     want = reference_sweep_scan(scene, traj, cfg, cal, seed=611).raster
-    assert got.dtype == want.dtype
-    np.testing.assert_array_equal(got, want)
+    assert cloud.raster.dtype == want.dtype
+    np.testing.assert_array_equal(cloud.raster, want)
+    assert cloud.raster_shape == (len(traj), len(cfg.lateral_positions()))
 
 
 def test_sweep_with_chunks_narrower_than_a_profile(monkeypatch):
@@ -197,8 +199,10 @@ def test_empty_trajectory_rejected():
 
 def test_all_misses_give_empty_cloud():
     scene = Scene([ScenePart("far", Box((0.01, 0.01, 0.01)), Pose(np.array([5.0, 5.0, 5.0]), np.array([1.0, 0, 0, 0])))])
-    cloud = sweep_scan(scene, [DOWN], small_cfg(depth_noise_std=0.0), CalibrationError.none(), seed=0)
+    cfg = small_cfg(depth_noise_std=0.0)
+    cloud = sweep_scan(scene, [DOWN], cfg, CalibrationError.none(), seed=0)
     assert len(cloud) == 0
+    assert cloud.raster_shape == (1, len(cfg.lateral_positions()))
 
 
 def test_calibration_offset_relates_clouds_by_the_offset():
