@@ -224,43 +224,28 @@ def column_norm(x, y, z) -> np.ndarray:
     """Lengths of vectors given as coordinate columns.
 
     The squares are summed `(x*x + y*y) + z*z` before the root, the order in
-    which cKDTree sums a squared distance, so the length of a point
-    difference equals the distance the tree reports for that pair bit for
-    bit. Callers that stand in for a tree query rely on it: keep the order.
+    which `np.linalg.norm` sums an (N, 3) row, so FPFH's column kernel gives
+    the distances of the row routines it replaces bit for bit (the test
+    `test_pair_features_match_the_row_reference` checks it): keep the order.
     """
     return np.sqrt((x * x + y * y) + z * z)
 
 
-# A raster is gridded only when its bounding box holds at most this many cells
-# per point; sparser rasters are checked, and searched, without a grid.
-RASTER_CELLS_PER_POINT = 4
-
-
-def raster_box(raster: np.ndarray) -> Optional[tuple]:
-    """Lowest cell and (profiles, columns) shape of the bounding box of an
-    (N, 2) raster, or None when it is empty or holds more than
-    RASTER_CELLS_PER_POINT cells per point."""
+def _raster_cells_unique(raster: np.ndarray) -> bool:
+    """Whether no two rows of an (N, 2) integer raster name the same cell."""
     n = len(raster)
     if n == 0:
-        return None
+        return True
     # per column, and in Python ints, which cannot wrap
     lo = [int(raster[:, a].min()) for a in range(2)]
-    shape = tuple(int(raster[:, a].max()) - lo[a] + 1 for a in range(2))
-    if shape[0] * shape[1] > RASTER_CELLS_PER_POINT * n:
-        return None
-    return np.array(lo, dtype=np.int64), shape
-
-
-def _raster_cells_unique(raster: np.ndarray) -> bool:
-    box = raster_box(raster)
-    if box is None:
-        return len(raster) == 0 or len(np.unique(raster, axis=0)) == len(raster)
+    rows, cols = (int(raster[:, a].max()) - lo[a] + 1 for a in range(2))
+    if rows * cols > 4 * n:  # a bounding box this sparse is not worth a grid
+        return len(np.unique(raster, axis=0)) == n
     # scatter every point's number into its cell and read it back: a cell
     # shared by two points keeps only one of them
-    lo, (rows, cols) = box
     cells = (raster[:, 0] - lo[0]) * cols + (raster[:, 1] - lo[1])
     slot = np.empty(rows * cols, dtype=np.intp)
-    order = np.arange(len(raster))
+    order = np.arange(n)
     slot[cells] = order
     return bool(np.array_equal(slot[cells], order))
 

@@ -60,11 +60,6 @@ class Trajectory:
             out.append((dx, dq))
         return out
 
-    def total_correction(self) -> tuple[np.ndarray, np.ndarray]:
-        first, last = self.waypoints[0], self.waypoints[-1]
-        dq = quat_multiply(last.orientation, quat_conjugate(first.orientation))
-        return last.position - first.position, quat_normalize(dq)
-
 
 def plan_relative_trajectory(p_obj: Pose, p_target: Pose, horizon: int,
                              duration: float) -> Trajectory:

@@ -70,9 +70,8 @@ def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
         raise ValueError("clouds must be non-empty")
     ref_f = ref_prepared if ref_prepared is not None else prepare_cloud(ref, params)
     scan_f, params = _prepare(scan, params)
-    # the seed only changes the RANSAC sampling; correspondences and the
-    # inlier grid are per pair
-    candidates = correspondence_candidates(scan_f, ref_f, params.ransac_inlier_threshold)
+    # the seed only changes the RANSAC sampling; the correspondences are per pair
+    candidates = correspondence_candidates(scan_f, ref_f)
 
     f_best = _FITNESS_SENTINEL
     best_pose = None
@@ -95,16 +94,17 @@ def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
         if f_best <= params.rho_icp:
             break
 
-    best = None
-    if best_pose is not None:
-        best = RegistrationResult(
-            pose=best_pose,
-            fitness=f_best,
-            outer_loops_used=len(history),
-            ransac_inlier_fraction=best_fraction,
-            fitness_history=tuple(history),
-        )
-    if best is not None and f_best <= params.rho_icp:
+    if best_pose is None:
+        raise RegistrationFailedError(
+            f"no refined pose passed the orientation gate in {len(history)} outer loops", None)
+    best = RegistrationResult(
+        pose=best_pose,
+        fitness=f_best,
+        outer_loops_used=len(history),
+        ransac_inlier_fraction=best_fraction,
+        fitness_history=tuple(history),
+    )
+    if f_best <= params.rho_icp:
         return best
     raise RegistrationFailedError(
         f"fitness {f_best:.3e} above rho_icp {params.rho_icp:.3e} "

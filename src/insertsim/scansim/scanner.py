@@ -2,10 +2,11 @@
 
 Each trajectory pose carries the sensor frame: the laser line lies along the
 sensor x-axis and rays travel along sensor +z. One pose yields one profile of
-up to `points_per_profile` depth samples. Misses produce no point. The
-cloud's raster records each point's (profile, column): its trajectory index
-and its detector column; its raster shape is (trajectory length, detector
-columns), so the misses stay known.
+up to `points_per_profile` depth samples. Misses produce no point, and no
+point carries a normal: a line scanner measures depth only. The cloud's
+raster records each point's (profile, column): its trajectory index and its
+detector column; its raster shape is (trajectory length, detector columns),
+so the misses stay known.
 
 The sweep casts whole profiles in chunks of at most `_CHUNK_RAYS` rays (at
 least one profile), one `Scene.cast` per chunk, which bounds the per-ray
@@ -98,7 +99,7 @@ def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
     sensor[:, 0] = lateral
     profiles_per_chunk = max(1, _CHUNK_RAYS // n)
 
-    pts, nrm, cells = [], [], []
+    pts, cells = [], []
     for lo in range(0, len(trajectory), profiles_per_chunk):
         assumed = trajectory[lo:lo + profiles_per_chunk]
         true = [pose_compose(cal.mount_offset, p) for p in assumed]
@@ -117,19 +118,10 @@ def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
         # misses (depth inf) are dropped below; zero keeps inf * 0 out of the product
         samples[:, :, 2] = np.where(keep, depth, 0.0).reshape(len(assumed), n)
         pts.append(_to_base(assumed, samples).reshape(-1, 3)[keep])
-        nrm.append(hits.normals[keep])
         # (profile, column) raster cell of each ray
         cells.append(np.column_stack([
             np.repeat(np.arange(lo, lo + len(assumed), dtype=np.int64), n),
             np.tile(np.arange(n, dtype=np.int64), len(assumed)),
         ])[keep])
 
-    points = np.vstack(pts)
-    shape = (len(trajectory), n)
-    if len(points) == 0:
-        return PointCloud(np.zeros((0, 3)), raster=np.zeros((0, 2), dtype=np.int64),
-                          raster_shape=shape)
-    # map the true-surface normals through the same assumed-vs-true mismatch
-    R_err = cal.mount_offset.inverse().rotation_matrix()
-    normals = np.vstack(nrm) @ R_err.T
-    return PointCloud(points, normals, np.vstack(cells), shape)
+    return PointCloud(np.vstack(pts), None, np.vstack(cells), (len(trajectory), n))

@@ -1,15 +1,16 @@
 """Scene geometry for the virtual scanner: triangle meshes and analytic parts.
 
 Every surface implements `ray_intersect(origins, dirs)` in its local frame and
-returns, per ray, the smallest positive hit parameter together with the
-geometric surface normal at the hit. A Scene places surfaces with poses and
-casts world-frame rays against all parts, keeping the nearest hit.
+returns, per ray, the smallest positive hit parameter. A Scene places
+surfaces with poses and casts world-frame rays against all parts, keeping
+the nearest hit. No surface normal is computed: a line scanner measures
+depth only.
 
 Every surface also exposes `bounds`, its local axis-aligned bounding box as
 a (2, 3) array of low and high corners. Before `Scene.cast` hands a part its
 rays, it culls the rays whose line cannot reach that box at t >= 0 (the slab
-test of Williams et al., JGT 2005) and gives them the miss values (t = inf,
-zero normal) without calling `ray_intersect`. The cull is exact:
+test of Williams et al., JGT 2005) and gives them the miss value t = inf
+without calling `ray_intersect`. The cull is exact:
 `ray_intersect` works ray by ray, so a ray's result does not depend on the
 other rays in the call, and every hit it reports lies inside the bounds. The
 box is padded by `_BOUNDS_PAD` times the coordinates' magnitude, far above
@@ -32,9 +33,8 @@ _BOUNDS_PAD = 1e-9  # relative padding of a part's bounds in the cull
 
 
 class RayHits(NamedTuple):
-    t: np.ndarray        # (N,) hit parameter, inf where miss
-    normals: np.ndarray  # (N, 3) geometric unit normal, zero where miss
-    hit: np.ndarray      # (N,) bool
+    t: np.ndarray    # (N,) hit parameter, inf where miss
+    hit: np.ndarray  # (N,) bool
 
 
 def _box_faces(o: np.ndarray, d: np.ndarray, h: np.ndarray, open_z=None) -> RayHits:
@@ -45,7 +45,6 @@ def _box_faces(o: np.ndarray, d: np.ndarray, h: np.ndarray, open_z=None) -> RayH
     """
     n = len(o)
     best_t = np.full(n, np.inf)
-    best_n = np.zeros((n, 3))
     for axis in range(3):
         for sign in (-1.0, 1.0):
             da = d[:, axis]
@@ -58,11 +57,8 @@ def _box_faces(o: np.ndarray, d: np.ndarray, h: np.ndarray, open_z=None) -> RayH
             if axis == 2 and open_z is not None:
                 inside &= ~open_z(pt)
             valid = movable & (t > _T_MIN) & inside & (t < best_t)
-            nrm = np.zeros(3)
-            nrm[axis] = sign
             best_t = np.where(valid, t, best_t)
-            best_n = np.where(valid[:, None], nrm, best_n)
-    return RayHits(best_t, best_n, np.isfinite(best_t))
+    return RayHits(best_t, np.isfinite(best_t))
 
 
 class TriangleMesh:
@@ -95,11 +91,6 @@ class TriangleMesh:
         a, b, c = self.triangle_corners()
         return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
-    def triangle_normals(self) -> np.ndarray:
-        a, b, c = self.triangle_corners()
-        n = np.cross(b - a, c - a)
-        return n / np.linalg.norm(n, axis=1, keepdims=True)
-
     @classmethod
     def box(cls, half_extents) -> "TriangleMesh":
         hx, hy, hz = np.asarray(half_extents, dtype=np.float64)
@@ -126,11 +117,9 @@ class TriangleMesh:
         dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
         n = len(origins)
         out_t = np.full(n, np.inf)
-        out_n = np.zeros((n, 3))
         a, b, c = self.triangle_corners()
         e1 = b - a
         e2 = c - a
-        tri_n = self.triangle_normals()
         for lo in range(0, n, _MESH_CHUNK):
             hi = min(lo + _MESH_CHUNK, n)
             o = origins[lo:hi, None, :]   # (R,1,3)
@@ -145,13 +134,8 @@ class TriangleMesh:
             v = np.einsum("rfk,rfk->rf", d, qvec) * inv_det
             t = np.einsum("rfk,fk->rf", qvec, e2) * inv_det
             valid = ok & (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1.0 + 1e-12) & (t > _T_MIN)
-            t = np.where(valid, t, np.inf)
-            best = np.argmin(t, axis=1)
-            rows = np.arange(hi - lo)
-            tb = t[rows, best]
-            out_t[lo:hi] = tb
-            out_n[lo:hi] = np.where(np.isfinite(tb)[:, None], tri_n[best], 0.0)
-        return RayHits(out_t, out_n, np.isfinite(out_t))
+            out_t[lo:hi] = np.where(valid, t, np.inf).min(axis=1)
+        return RayHits(out_t, np.isfinite(out_t))
 
 
 class Box:
@@ -213,9 +197,8 @@ class HolePlate:
     def ray_intersect(self, origins, dirs) -> RayHits:
         o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
         d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-        faces = _box_faces(o, d, np.array([self.hx, self.hy, self.half_thickness]),
-                           open_z=self._in_hole)
-        best_t, best_n = faces.t, faces.normals
+        best_t = _box_faces(o, d, np.array([self.hx, self.hy, self.half_thickness]),
+                            open_z=self._in_hole).t
 
         # hole wall: ((x-cx)/a)^2 + ((y-cy)/b)^2 = 1, |z| <= half_thickness
         px = o[:, 0] - self.cx
@@ -231,18 +214,9 @@ class HolePlate:
             with np.errstate(invalid="ignore"):
                 pt = o + t[:, None] * d
             valid = quad & (t > _T_MIN) & (np.abs(pt[:, 2]) <= self.half_thickness) & (t < best_t)
-            # material normal points toward the hole axis
-            grad = np.zeros_like(pt)
-            with np.errstate(invalid="ignore"):
-                grad[:, 0] = (pt[:, 0] - self.cx) / self.a**2
-                grad[:, 1] = (pt[:, 1] - self.cy) / self.b**2
-                lens = np.linalg.norm(grad, axis=1, keepdims=True)
-                nrm = -np.divide(grad, np.where(lens > 0, lens, 1.0))
-            nrm[~np.isfinite(nrm).all(axis=1)] = 0.0
             best_t = np.where(valid, t, best_t)
-            best_n = np.where(valid[:, None], nrm, best_n)
 
-        return RayHits(best_t, best_n, np.isfinite(best_t))
+        return RayHits(best_t, np.isfinite(best_t))
 
 
 @dataclass(frozen=True)
@@ -282,28 +256,18 @@ class Scene:
         self.parts = parts
 
     def cast(self, origins, dirs) -> RayHits:
-        """Nearest hit over all parts; world-frame normals face the incoming ray."""
+        """Nearest hit over all parts."""
         origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
         dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
         n = len(origins)
         best_t = np.full(n, np.inf)
-        best_n = np.zeros((n, 3))
         for part in self.parts:
             R = part.pose.rotation_matrix()
             o_local = (origins - part.pose.position) @ R
             d_local = dirs @ R
             reach = _may_reach(o_local, d_local, part.surface.bounds)
-            hits = part.surface.ray_intersect(o_local[reach], d_local[reach])
-            # back to full length: the rotation below then sees the same matrix as an
-            # uncut cast (BLAS may round a row differently in a matrix of another size)
             t = np.full(n, np.inf)
-            t[reach] = hits.t
-            normals = np.zeros((n, 3))
-            normals[reach] = hits.normals
+            t[reach] = part.surface.ray_intersect(o_local[reach], d_local[reach]).t
             closer = np.isfinite(t) & (t < best_t)
             best_t = np.where(closer, t, best_t)
-            best_n = np.where(closer[:, None], normals @ R.T, best_n)
-        # orient normals to face the incoming ray
-        flip = np.einsum("ij,ij->i", best_n, dirs) > 0.0
-        best_n = np.where(flip[:, None], -best_n, best_n)
-        return RayHits(best_t, best_n, np.isfinite(best_t))
+        return RayHits(best_t, np.isfinite(best_t))

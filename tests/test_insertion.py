@@ -4,7 +4,7 @@ import pytest
 import insertsim.insertion as insertion_module
 from insertsim.arm import ArmInstance, ArmModel, JointConfig, ProprioceptionError
 from insertsim.arm.ik import UnreachableTargetError
-from insertsim.geom import Pose, quat_distance, quat_multiply, quat_normalize
+from insertsim.geom import Pose, quat_conjugate, quat_distance, quat_multiply, quat_normalize
 from insertsim.insertion import (
     DegenerateApproachError,
     InsertedObject,
@@ -62,7 +62,9 @@ def test_offsets_compose_to_total_correction():
     for _ in range(200):
         a, b = random_pose(rng), random_pose(rng)
         traj = plan_relative_trajectory(a, b, horizon=50, duration=2.0)
-        dx_total, dq_total = traj.total_correction()
+        first, last = traj.waypoints[0], traj.waypoints[-1]
+        dx_total = last.position - first.position
+        dq_total = quat_normalize(quat_multiply(last.orientation, quat_conjugate(first.orientation)))
         dx = np.zeros(3)
         dq = IDENTITY_Q
         for step_dx, step_dq in traj.offsets():

@@ -171,15 +171,20 @@ def small_scan() -> PointCloud:
 
 
 def test_raster_sor_with_shuffled_labels():
+    """Shuffled raster cells, and unit normals (the scanner gives none) that
+    must follow their points."""
     cloud = small_scan()
-    order = np.random.default_rng(5).permutation(len(cloud))
-    assert_sor_matches_tree(PointCloud(cloud.points, cloud.normals, cloud.raster[order]))
+    rng = np.random.default_rng(5)
+    order = rng.permutation(len(cloud))
+    normals = rng.normal(size=cloud.points.shape)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    assert_sor_matches_tree(PointCloud(cloud.points, normals, cloud.raster[order]))
 
 
 def test_raster_sor_with_every_point_in_one_profile():
     cloud = small_scan()
     raster = np.column_stack([np.zeros(len(cloud), dtype=np.int64), np.arange(len(cloud))])
-    assert_sor_matches_tree(PointCloud(cloud.points, cloud.normals, raster))
+    assert_sor_matches_tree(PointCloud(cloud.points, raster=raster))
 
 
 def test_raster_sor_with_gaps_and_missing_rows():
@@ -315,7 +320,7 @@ def test_prepare_cloud_registers_a_scan_on_its_outline(monkeypatch):
     prepared = prepare_cloud(cloud, RegistrationParams())
     assert sor == [] and voxel == []
     np.testing.assert_array_equal(prepared.keypoints.points, outline(cloud).points)
-    prepare_cloud(PointCloud(cloud.points, cloud.normals, cloud.raster), RegistrationParams())
+    prepare_cloud(PointCloud(cloud.points, raster=cloud.raster), RegistrationParams())
     assert len(sor) == len(voxel) == 1
 
 

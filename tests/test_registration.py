@@ -4,12 +4,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from insertsim.geom import PointCloud, Pose, column_norm, pose_compose, quat_distance, \
-    quat_from_axis_angle, quat_from_matrix, quat_normalize, quat_to_matrix, transform_cloud
+from insertsim.geom import PointCloud, Pose, pose_compose, quat_distance, quat_from_axis_angle, \
+    transform_cloud
 from insertsim.registration import (
     DegenerateFeatureError,
     DivergenceError,
@@ -30,8 +28,6 @@ from insertsim.registration import icp as icp_module
 from insertsim.registration import pipeline as pipeline_module
 from insertsim.registration import preprocess as preprocess_module
 from insertsim.registration import ransac as ransac_module
-from insertsim.registration.ransac import inlier_count, inlier_grid
-from insertsim.registration.rigid import kabsch_transform
 from insertsim.scansim import CalibrationError, HolePlate, Scene, ScenePart, ScannerConfig, \
     linear_sweep, sweep_scan
 
@@ -80,6 +76,12 @@ def lattice_plate_cloud(pose: Pose | None = None) -> PointCloud:
     start = Pose.from_axis_angle([0.0, -1.2e-3, 0.03], [1, 0, 0], np.pi)
     return sweep_scan(scene, linear_sweep(start, [0, 1, 0], 25e-6, 96), cfg,
                       CalibrationError.none(), seed=0)
+
+
+def with_up_normals(cloud: PointCloud) -> PointCloud:
+    """The plate scan with its top face's +z normals, which the scanner does not give."""
+    return PointCloud(cloud.points, np.tile([0.0, 0.0, 1.0], (len(cloud), 1)), cloud.raster,
+                      cloud.raster_shape)
 
 
 def small_params(**kw) -> RegistrationParams:
@@ -283,7 +285,7 @@ def assert_same_voxels(cloud: PointCloud, voxel_size: float):
 
 
 def test_features_match_loop_reference_on_lattice_scan():
-    cloud = lattice_plate_cloud()
+    cloud = with_up_normals(lattice_plate_cloud())
     # sqrt(5) lattice steps: a quarter of the neighbour pairs sit on the radius
     assert_same_features(cloud, radius=np.sqrt(5) * 25e-6)
     # normals estimated inside compute_features
@@ -336,7 +338,7 @@ def test_pair_features_match_the_row_reference():
     """The column kernel gives the row kernel's values bit for bit, on a plate
     scan with copies below some points: their pairs lie on the normal line
     (no Darboux frame) and carry antiparallel normals."""
-    plate = lattice_plate_cloud()
+    plate = with_up_normals(lattice_plate_cloud())
     below = plate.select(np.arange(len(plate)) % 7 == 0)
     cloud = PointCloud(np.vstack([plate.points, below.points - [0.0, 0.0, 30e-6]]),
                        np.vstack([plate.normals, -below.normals]))
@@ -369,7 +371,7 @@ def test_features_without_a_darboux_frame_raise():
 
 
 def test_voxel_grid_matches_loop_reference_on_lattice_scan():
-    cloud = lattice_plate_cloud()
+    cloud = with_up_normals(lattice_plate_cloud())
     for voxel_size in (1e-4, 5e-5, 2.5e-5):   # cell edges on lattice rows, and one point per cell
         assert_same_voxels(cloud, voxel_size)
         assert_same_voxels(PointCloud(cloud.points), voxel_size)
@@ -389,22 +391,16 @@ def test_voxel_grid_matches_loop_reference_on_opposing_normals():
 
 
 def test_estimate_pose_indexes_each_cloud_once(monkeypatch):
-    """KD-tree builds per estimate_pose do not grow with the outer loop count,
-    and the RANSAC inlier grid is built once."""
-    builds, grids = [], []
+    """KD-tree builds per estimate_pose do not grow with the outer loop count."""
+    builds = []
 
     def counting_tree(*args, **kwargs):
         builds.append(1)
         return cKDTree(*args, **kwargs)
 
-    def counting_grid(*args, **kwargs):
-        grids.append(1)
-        return inlier_grid(*args, **kwargs)
-
     for module in (preprocess_module, features_module, ransac_module, icp_module,
                    pipeline_module):
         monkeypatch.setattr(module, "cKDTree", counting_tree, raising=False)
-    monkeypatch.setattr(ransac_module, "inlier_grid", counting_grid)
     ref = terrain_cloud()
     rng = np.random.default_rng(11)
     scan = transform_cloud(ref, Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
@@ -412,14 +408,12 @@ def test_estimate_pose_indexes_each_cloud_once(monkeypatch):
     counts = []
     for loops in (1, 5):
         builds.clear()
-        grids.clear()
         # rho_icp below any reachable fitness, so every outer loop runs
         params = small_params(rho_icp=1e-30, max_outer_loops=loops)
         with pytest.raises(RegistrationFailedError) as err:
             estimate_pose(scan, ref, params, seed=3)
         assert err.value.best.outer_loops_used == loops
         counts.append(len(builds))
-        assert len(grids) == 1
     assert counts[0] == counts[1]
 
 
@@ -507,233 +501,6 @@ def test_ransac_insufficient_keypoints():
         ransac_register(fc, fc, small_params(), seed=0)
 
 
-# -- RANSAC loop reference -------------------------------------------------------
-# The RANSAC loop as it was before the inlier grid, kept as an oracle: every
-# hypothesis is scored with one KD-tree query over all reference keypoints.
-# The grid-scored loop must return the same RansacResult bit for bit.
-
-def reference_ransac_register(scan: FeatureCloud, ref: FeatureCloud,
-                              params: RegistrationParams, seed: int):
-    knn, pool, _ = ransac_module.correspondence_candidates(scan, ref,
-                                                           params.ransac_inlier_threshold)
-    k = knn.shape[1]
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xAC]))
-    scan_pts = scan.keypoints.points
-    ref_pts = ref.keypoints.points
-    n_scan = len(scan_pts)
-    n_ref = len(ref_pts)
-    scan_tree = cKDTree(scan_pts)
-    threshold = params.ransac_inlier_threshold
-    min_edge = 3.0 * threshold
-    R_prior = quat_to_matrix(params.q0)
-
-    def score(R, t):
-        d, idx = scan_tree.query(ref_pts @ R.T + t, distance_upper_bound=threshold)
-        inliers = np.isfinite(d)
-        return int(inliers.sum()), inliers, idx
-
-    best_count = -1
-    best = None
-    for it in range(params.ransac_iterations):
-        if it % 2 == 0:
-            sample = pool[rng.choice(len(pool), size=3, replace=False)]
-            ref_sample = knn[sample, rng.integers(0, k, size=3)]
-            if len(set(ref_sample.tolist())) < 3:
-                continue
-            src = ref_pts[ref_sample]
-            dst = scan_pts[sample]
-            e_src = ransac_module._edge_lengths(src)
-            e_dst = ransac_module._edge_lengths(dst)
-            if np.any(e_dst < min_edge):
-                continue
-            longest = np.maximum(e_src, e_dst)
-            if np.any(longest <= 0.0) or np.any(np.minimum(e_src, e_dst) / longest < 0.9):
-                continue
-            area = 0.5 * np.linalg.norm(np.cross(dst[1] - dst[0], dst[2] - dst[0]))
-            if area < 0.05 * float(np.max(e_dst)) ** 2:
-                continue
-            R, t = kabsch_transform(src, dst)
-        else:
-            s = int(rng.integers(0, n_scan))
-            if it % 4 == 1:
-                r = int(knn[s, rng.integers(0, k)])
-            else:
-                r = int(rng.integers(0, n_ref))
-            R = R_prior
-            t = scan_pts[s] - R @ ref_pts[r]
-        if quat_distance(quat_from_matrix(R), params.q0) >= params.rho_rot:
-            continue
-        count, inliers, idx = score(R, t)
-        if count > best_count:
-            best_count = count
-            best = (R, t, inliers, idx)
-            if count >= 0.9 * n_ref:
-                break
-
-    if best is None:
-        return ransac_module.RansacResult(Pose.identity(), 0.0)
-    R, t, inliers, idx = best
-    count = best_count
-    if count >= 3:
-        R2, t2 = kabsch_transform(ref_pts[inliers], scan_pts[idx[inliers]])
-        if quat_distance(quat_from_matrix(R2), params.q0) < params.rho_rot:
-            refined_count = score(R2, t2)[0]
-            if refined_count >= count:
-                R, t, count = R2, t2, refined_count
-    return ransac_module.RansacResult(Pose(t, quat_from_matrix(R)), count / n_ref)
-
-
-def assert_same_ransac(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationParams,
-                       seeds=range(4)):
-    for seed in seeds:
-        expected = reference_ransac_register(scan, ref, params, seed)
-        result = ransac_register(scan, ref, params, seed)
-        np.testing.assert_array_equal(result.pose.position, expected.pose.position)
-        np.testing.assert_array_equal(result.pose.orientation, expected.pose.orientation)
-        assert result.inlier_fraction == expected.inlier_fraction
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), threshold=st.floats(3e-5, 7e-4), rotate=st.booleans(),
-       beat_offset=st.integers(-400, 400))
-def test_inlier_grid_count_matches_the_tree(seed, threshold, rotate, beat_offset):
-    """The count is the tree's whenever it exceeds `beat`, and at most `beat` otherwise."""
-    rng = np.random.default_rng(seed)
-    cube = threshold / 2
-    scan = rng.uniform(-1e-3, 1e-3, size=(300, 3))
-    scan[:100] = np.round(scan[:100] / cube) * cube  # on cube faces, edges and corners
-    axes = np.eye(3)[rng.integers(0, 3, size=200)] * rng.choice([-1.0, 1.0], size=(200, 1))
-    ref = np.vstack([
-        scan[:200] + threshold * axes,  # at distance thr from a keypoint, on and off cube faces
-        scan[rng.integers(0, 300, size=200)] + rng.normal(scale=threshold, size=(200, 3)),
-        np.round(rng.uniform(-1.2e-3, 1.2e-3, size=(200, 3)) / cube) * cube,
-        rng.uniform(-2e-3, 2e-3, size=(200, 3)),
-    ])
-    if rotate:
-        R = quat_to_matrix(quat_normalize(rng.normal(size=4)))
-        ref = ref @ R.T + rng.normal(scale=threshold, size=3)
-    tree = cKDTree(scan)
-    expected = np.count_nonzero(np.isfinite(tree.query(ref, distance_upper_bound=threshold)[0]))
-    grid = inlier_grid(scan, threshold)
-    sure, most = (0, len(ref)) if grid is None else grid_bounds(ref, threshold, grid)
-    assert sure <= expected <= most
-    # around the grid's bounds and the count itself, where an off-by-one shows
-    for beat in (expected + beat_offset, -1, sure - 1, sure, expected - 1, expected,
-                 most - 1, most):
-        count = inlier_count(ref, tree, threshold, grid, beat)
-        if expected > beat:
-            assert count == expected
-        else:
-            assert count <= beat
-        assert inlier_count(ref, tree, threshold, None, beat) == expected
-
-
-def grid_bounds(moved: np.ndarray, threshold: float, grid) -> tuple:
-    """Points of `moved` in keypoint cubes, and in keypoint or near cubes:
-    the grid's lower and upper bounds on their inlier count."""
-    cubes = np.clip(np.floor(moved / (threshold / 2)) - grid.lo, 0.0, grid.top)
-    state = grid.state[tuple(cubes.astype(np.intp).T)]
-    return int(np.count_nonzero(state == 2)), int(np.count_nonzero(state >= 1))
-
-
-def test_ransac_losers_skip_the_tree(monkeypatch):
-    """A hypothesis whose grid upper bound is no more than the count to beat
-    never reaches scan_tree.query. RANSAC keeps the loop reference's result
-    even when every count at or below `beat` comes back as `beat` itself,
-    the least helpful answer inlier_count may give."""
-    calls = []
-
-    class CountingTree:
-        def __init__(self, tree):
-            self.tree, self.queries = tree, 0
-
-        def query(self, *args, **kwargs):
-            self.queries += 1
-            return self.tree.query(*args, **kwargs)
-
-    def least_helpful_count(moved, tree, threshold, grid, beat):
-        counting = CountingTree(tree)
-        count = inlier_count(moved, counting, threshold, grid, beat)
-        calls.append((grid_bounds(moved, threshold, grid)[1] <= beat, counting.queries,
-                      count, beat))
-        return beat if count <= beat else count
-
-    monkeypatch.setattr(ransac_module, "inlier_count", least_helpful_count)
-    params = small_params()
-    ref = prepare_cloud(lattice_plate_cloud(), params)
-    moved = Pose.from_axis_angle(np.array([6e-5, -4e-5, 0.0]), [0, 0, 1], 0.04)
-    assert_same_ransac(prepare_cloud(lattice_plate_cloud(moved), params), ref, params)
-    # half the terrain seen: no hypothesis reaches the 0.9 stop, so every
-    # iteration and the polish are scored against a count to beat
-    terrain = terrain_cloud()
-    true = Pose.from_axis_angle(np.array([4e-4, -2e-4, 3e-4]), [0.1, 0.2, 1.0], np.deg2rad(8))
-    half = transform_cloud(terrain.select(terrain.points[:, 0] < 3e-3), true)
-    assert_same_ransac(compute_features(half, radius=6e-4),
-                       compute_features(terrain, radius=6e-4), params)
-    settled = [c for c in calls if c[0]]
-    assert len(settled) > len(calls) / 2
-    assert all(queries == 0 and count <= beat for _, queries, count, beat in settled)
-    assert any(queries for _, queries, _, _ in calls)
-
-
-def test_ransac_matches_loop_reference_on_lattice_scan():
-    params = small_params()
-    ref = prepare_cloud(lattice_plate_cloud(), params)
-    moved = Pose.from_axis_angle(np.array([6e-5, -4e-5, 0.0]), [0, 0, 1], 0.04)
-    scan = prepare_cloud(lattice_plate_cloud(moved), params)
-    assert_same_ransac(scan, ref, params)
-    # an inlier threshold that is no multiple of the voxel or lattice size
-    other = small_params(ransac_inlier_threshold=1.7e-4)
-    assert_same_ransac(scan, ref, other)
-    with pytest.raises(ValueError, match="another inlier threshold"):
-        ransac_register(scan, ref, other, seed=0, candidates=ransac_module.correspondence_candidates(
-            scan, ref, params.ransac_inlier_threshold))
-
-
-def test_ransac_matches_loop_reference_on_jittered_terrain():
-    ref = compute_features(terrain_cloud(), radius=6e-4)
-    true = Pose.from_axis_angle(np.array([4e-4, -2e-4, 3e-4]), [0.1, 0.2, 1.0], np.deg2rad(8))
-    scan = compute_features(transform_cloud(terrain_cloud(), true), radius=6e-4)
-    assert_same_ransac(scan, ref, small_params())
-    assert_same_ransac(scan, ref, small_params(ransac_inlier_threshold=2.3e-4, rho_rot=0.1))
-
-
-def test_ransac_grid_with_a_far_keypoint():
-    """A keypoint far from the rest puts the grid's box over its cube budget,
-    and a scan 1e9 m away has cube indices past 2**40; either way there is no
-    grid and every point is looked up in the tree."""
-    params = small_params()
-    threshold = params.ransac_inlier_threshold
-    ref = compute_features(terrain_cloud(), radius=6e-4)
-    near = compute_features(transform_cloud(
-        terrain_cloud(), Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02)), radius=6e-4)
-    assert inlier_grid(near.keypoints.points, threshold) is not None
-    scans = [FeatureCloud(
-        PointCloud(np.vstack([near.keypoints.points, far]),
-                   np.vstack([near.keypoints.normals, [0.0, 0.0, 1.0]])),
-        np.vstack([near.descriptors, near.descriptors[:1]]))
-        for far in ([1.0, 0.0, 0.0], [1e6, -1e6, 1e6], [0.0, 0.0, 1e9])]
-    shifted = near.keypoints.points + [1e9, 0.0, 0.0]  # same box, cube x-indices past 2**40
-    assert 1e9 / (threshold / 2) > 2.0 ** 41
-    scans.append(FeatureCloud(PointCloud(shifted, near.keypoints.normals), near.descriptors))
-    for scan in scans:
-        assert inlier_grid(scan.keypoints.points, threshold) is None
-        assert_same_ransac(scan, ref, params, seeds=range(2))
-
-
-def test_inlier_grid_is_built_on_scanner_clouds():
-    """A silent fallback to the tree keeps every count, so only this shows it:
-    the grid of a scanned plate exists and stays within 343 cubes per keypoint."""
-    params = small_params()
-    moved = Pose.from_axis_angle(np.array([6e-5, -4e-5, 0.0]), [0, 0, 1], 0.04)
-    ref = prepare_cloud(lattice_plate_cloud(), params)
-    for scan in (ref, prepare_cloud(lattice_plate_cloud(moved), params)):
-        grid = ransac_module.correspondence_candidates(
-            scan, ref, params.ransac_inlier_threshold).grid
-        assert grid is not None
-        assert grid.state.size <= 343 * len(scan)
-
-
 # -- ICP ----------------------------------------------------------------------
 
 def test_icp_identical_clouds():
@@ -761,6 +528,14 @@ def test_icp_fitness_history_monotone():
     result = icp_refine(ref, moved, small_params())
     hist = np.array(result.fitness_history)
     assert np.all(np.diff(hist) <= 1e-18)
+    # a jittered copy of a plate scan, started 300 um off, slides for all 60 iterations
+    plate = lattice_plate_cloud()
+    jittered = plate.points.copy()
+    jittered[:, :2] += np.random.default_rng(0).uniform(-12.5e-6, 12.5e-6, size=(len(plate), 2))
+    start = Pose.from_axis_angle(np.array([3e-4, -1.5e-4, 0.0]), [0, 0, 1], 0.02)
+    result = icp_refine(plate, PointCloud(jittered), small_params(), initial_pose=start)
+    assert result.iterations == 60
+    assert np.all(np.diff(result.fitness_history) <= 1e-18)
 
 
 def test_icp_divergence_error():
@@ -777,162 +552,6 @@ def test_icp_total_pose_composes_initial():
     # scan == ref, so the total ref->scan transform must be identity
     assert np.linalg.norm(result.pose.position) < 1e-7
     assert quat_distance(result.pose.orientation, IDENTITY_Q) < 1e-6
-
-def test_tree_distances_are_the_explicit_expression():
-    """ICP's fitness, the SOR raster window and the FPFH pair distances take
-    distances from geom.column_norm instead of the tree, so the two must
-    agree bit for bit; a scipy whose cKDTree sums otherwise fails here."""
-    tilt = Pose.from_axis_angle(np.array([3e-5, -2e-5, 1e-5]), [0.2, -0.1, 1.0], 0.03)
-    for scan in (lattice_plate_cloud(), lattice_plate_cloud(tilt)):
-        tree = cKDTree(scan.points)
-        rng = np.random.default_rng(7)
-        queries = scan.points + rng.normal(scale=20e-6, size=scan.points.shape)
-        d, i = tree.query(queries)
-        dx, dy, dz = (queries - scan.points[i]).T
-        np.testing.assert_array_equal(d, np.sqrt((dx * dx + dy * dy) + dz * dz))
-        np.testing.assert_array_equal(d, column_norm(*(queries - scan.points[i]).T))
-        d, i = tree.query(queries, k=2, distance_upper_bound=40e-6)
-        found = np.isfinite(d)
-        assert 0 < np.count_nonzero(found) < found.size
-        for col in range(2):
-            rows = found[:, col]
-            np.testing.assert_array_equal(
-                d[rows, col], column_norm(*(queries[rows] - scan.points[i[rows, col]]).T))
-
-
-# -- ICP loop reference ----------------------------------------------------------
-# The ICP loop as it was before match reuse, kept as an oracle: every iteration
-# makes one k=1 KD-tree query over all moving points. The loop that reuses
-# certified matches must return the same IcpResult bit for bit.
-
-def reference_icp_refine(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
-                         initial_pose=None):
-    if initial_pose is None:
-        initial_pose = Pose.identity()
-    tree = cKDTree(scan.points)
-    moving = initial_pose.transform_points(ref.points)
-    cutoff = params.icp_max_correspondence_dist
-    R_total = np.eye(3)
-    t_total = np.zeros(3)
-    history = []
-    iterations = 0
-    for _ in range(params.icp_max_iterations):
-        d, idx = tree.query(moving, distance_upper_bound=cutoff)
-        matched = np.isfinite(d)
-        if not np.any(matched):
-            raise DivergenceError("no correspondences within the cutoff distance")
-        targets = scan.points[idx[matched]]
-        R, t = kabsch_transform(moving[matched], targets)
-        moving = moving @ R.T + t
-        R_total = R @ R_total
-        t_total = R @ t_total + t
-        iterations += 1
-        resid = moving[matched] - targets
-        history.append(float(np.mean(np.einsum("ij,ij->i", resid, resid))))
-        angle = np.arccos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))
-        if np.linalg.norm(t) < icp_module._POS_CONVERGE and angle < icp_module._ROT_CONVERGE:
-            break
-    d, idx = tree.query(moving, distance_upper_bound=cutoff)
-    matched = np.isfinite(d)
-    if not np.any(matched):
-        raise DivergenceError("no correspondences within the cutoff distance")
-    fitness = float(np.mean(d[matched] ** 2))
-    incremental = Pose(t_total, quat_from_matrix(R_total))
-    return icp_module.IcpResult(fitness, pose_compose(incremental, initial_pose), tuple(history),
-                                iterations)
-
-
-def assert_same_icp(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
-                    initial_pose=None):
-    expected = reference_icp_refine(scan, ref, params, initial_pose)
-    result = icp_refine(scan, ref, params, initial_pose=initial_pose)
-    assert result.fitness == expected.fitness
-    np.testing.assert_array_equal(result.pose.position, expected.pose.position)
-    np.testing.assert_array_equal(result.pose.orientation, expected.pose.orientation)
-    assert result.fitness_history == expected.fitness_history
-    assert result.iterations == expected.iterations
-    return result
-
-
-def test_icp_matches_loop_reference_on_lattice_scan():
-    scan = lattice_plate_cloud()
-    params = small_params(icp_max_correspondence_dist=2e-4)
-    for offset, angle in (([7e-6, -11e-6, 0.0], 0.0), ([3e-6, 5e-6, 2e-6], 0.004),
-                          ([-20e-6, 9e-6, 0.0], -0.01)):
-        start = Pose.from_axis_angle(np.array(offset), [0, 0, 1], angle)
-        assert_same_icp(scan, scan, params, start)
-
-
-def test_icp_matches_loop_reference_on_tied_lattice():
-    """A half-pitch offset puts each moving point at equal distances from scan points."""
-    pitch = 2.0 ** -15   # ~30.5 um, so the lattice and its offset are exact in binary
-    g = np.arange(-24, 25) * pitch
-    gx, gy = np.meshgrid(g, g, indexing="ij")
-    grid = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
-    scan = PointCloud(grid)
-    start = Pose(np.array([pitch / 2, pitch / 2, 0.0]), IDENTITY_Q)
-    d, _ = cKDTree(grid).query(start.transform_points(grid), k=2)
-    assert np.count_nonzero(d[:, 0] == d[:, 1]) >= len(grid) - 1   # all but a corner tie
-    assert_same_icp(scan, scan, small_params(icp_max_correspondence_dist=2e-4), start)
-    assert_same_icp(scan, scan, small_params(icp_max_correspondence_dist=2e-4),
-                    Pose(np.array([pitch / 2, 0.0, 0.0]), IDENTITY_Q))
-    # the scan's own lattice, offset by half its pitch along the sweep
-    plate = lattice_plate_cloud()
-    assert_same_icp(plate, plate, small_params(icp_max_correspondence_dist=2e-4),
-                    Pose(np.array([0.0, 12.5e-6, 0.0]), IDENTITY_Q))
-
-
-def test_icp_matches_loop_reference_on_jittered_terrain():
-    ref = terrain_cloud()
-    pose = Pose.from_axis_angle(np.array([3e-4, -1e-4, 2e-4]), [0.2, 0.1, 1.0], np.deg2rad(4))
-    assert_same_icp(ref, transform_cloud(ref, pose), small_params())
-    assert_same_icp(ref, ref, small_params(), pose)
-
-
-def test_icp_matches_loop_reference_beyond_the_cutoff():
-    """Part of the reference lies farther than the cutoff from every scan point."""
-    ref = terrain_cloud()
-    scan = ref.select(ref.points[:, 0] < 3e-3)
-    params = small_params(icp_max_correspondence_dist=4e-4)
-    start = Pose.from_axis_angle(np.array([1e-4, 5e-5, 0.0]), [0, 0, 1], 0.01)
-    assert np.any(np.isinf(cKDTree(scan.points).query(
-        start.transform_points(ref.points), distance_upper_bound=4e-4)[0]))
-    assert_same_icp(scan, ref, params, start)
-
-
-def test_icp_matches_loop_reference_on_a_one_point_scan():
-    ref = terrain_cloud()
-    one = PointCloud(ref.points[480:481])
-    assert_same_icp(one, ref, small_params(icp_max_correspondence_dist=3e-4))
-    assert_same_icp(one, one, small_params(), Pose(np.array([1e-5, 0.0, 0.0]), IDENTITY_Q))
-
-
-def test_icp_matches_loop_reference_over_a_long_drift(monkeypatch):
-    """A jittered copy of a plate scan, started 300 um off, slides for all 60
-    iterations, and most matches are reused rather than queried again."""
-    queried = []
-
-    def counting_query(tree, points, cutoff):
-        queried.append(len(points))
-        return query(tree, points, cutoff)
-
-    query = icp_module._query
-    monkeypatch.setattr(icp_module, "_query", counting_query)
-    plate = lattice_plate_cloud()
-    jittered = plate.points.copy()
-    jittered[:, :2] += np.random.default_rng(0).uniform(-12.5e-6, 12.5e-6, size=(len(plate), 2))
-    start = Pose.from_axis_angle(np.array([3e-4, -1.5e-4, 0.0]), [0, 0, 1], 0.02)
-    result = assert_same_icp(plate, PointCloud(jittered), small_params(), start)
-    assert result.iterations == 60
-    assert sum(queried) < 0.75 * 60 * len(plate)
-
-
-def test_icp_divergence_matches_loop_reference():
-    a = terrain_cloud()
-    b = PointCloud(a.points + np.array([1.0, 0.0, 0.0]), a.normals)
-    for fn in (reference_icp_refine, icp_refine):
-        with pytest.raises(DivergenceError):
-            fn(a, b, small_params())
 
 
 # -- estimate_pose (Algorithm loop) --------------------------------------------
@@ -966,6 +585,9 @@ def test_estimate_pose_gate_negative_control():
     with pytest.raises(RegistrationFailedError) as err:
         estimate_pose(ref, ref, params, seed=5)
     assert "4 outer loops" in str(err.value)
+    # no pose was kept, so there is no fitness to report
+    assert err.value.best is None
+    assert "no refined pose passed the orientation gate" in str(err.value)
 
 
 def test_estimate_pose_gate_soundness_and_monotone_history():
@@ -1035,13 +657,15 @@ def test_estimate_pose_on_a_dense_scan_is_accurate_in_one_loop(dense_reference, 
 
 
 def test_estimate_pose_reads_no_scan_normals():
-    """A line scanner measures no normals: stripping them from both clouds
-    changes no bit of the result."""
+    """A line scanner measures no normals, and the scanner gives none: adding
+    estimated normals to both raster clouds changes no bit of the result."""
     ref = bench_scan("sparse_fresh_ref", Pose.identity(), CalibrationError.none())
     scan = bench_scan("sparse_fresh_ref", Pose.from_axis_angle(
         np.array([1e-4, -1.5e-4, 0.0]), [0, 0, 1], 0.03), workloads.CAL)
-    strip = [PointCloud(c.points, None, c.raster, c.raster_shape) for c in (scan, ref)]
-    assert estimate_pose(*strip, RegistrationParams(), seed=4).to_json_dict() == \
+    assert scan.normals is None and ref.normals is None
+    with_normals = [estimate_normals(c) for c in (scan, ref)]
+    assert all(c.has_normals and c.raster_shape is not None for c in with_normals)
+    assert estimate_pose(*with_normals, RegistrationParams(), seed=4).to_json_dict() == \
         estimate_pose(scan, ref, RegistrationParams(), seed=4).to_json_dict()
 
 

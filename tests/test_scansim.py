@@ -82,7 +82,7 @@ def reference_sweep_scan(scene: Scene, trajectory, cfg: ScannerConfig,
     """Per-profile loop: one Scene.cast and one sensor-to-base map per profile."""
     lateral = cfg.lateral_positions()
     n = len(lateral)
-    pts, nrm, cells = [], [], []
+    pts, cells = [], []
     for k, assumed in enumerate(trajectory):
         true_pose = pose_compose(cal.mount_offset, assumed)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), k]))
@@ -100,20 +100,14 @@ def reference_sweep_scan(scene: Scene, trajectory, cfg: ScannerConfig,
         pts_sensor[:, 0] = lateral[mask]
         pts_sensor[:, 2] = depth[mask]
         pts.append(pts_sensor @ assumed.rotation_matrix().T + assumed.position)
-        nrm.append(hits.normals[mask])
         cells.append(np.column_stack([np.full(mask.sum(), k, dtype=np.int64), np.flatnonzero(mask)]))
     if not pts:
         return PointCloud(np.zeros((0, 3)), raster=np.zeros((0, 2), dtype=np.int64))
-    R_err = cal.mount_offset.inverse().rotation_matrix()
-    return PointCloud(np.vstack(pts), np.vstack(nrm) @ R_err.T, np.vstack(cells))
+    return PointCloud(np.vstack(pts), raster=np.vstack(cells))
 
 
 def assert_same_sweep(got: PointCloud, want: PointCloud):
-    pairs = [(got.points, want.points), (got.raster, want.raster)]
-    assert got.has_normals == want.has_normals
-    if want.has_normals:
-        pairs.append((got.normals, want.normals))
-    for a, b in pairs:
+    for a, b in ((got.points, want.points), (got.raster, want.raster)):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
 
@@ -166,6 +160,7 @@ def test_sweep_matches_per_profile_reference(case):
         assert 2 * per_chunk < len(traj) < 3 * per_chunk
     got = sweep_scan(scene, traj, cfg, cal, seed=611)
     want = reference_sweep_scan(scene, traj, cfg, cal, seed=611)
+    assert got.normals is None  # a line scanner measures no normals
     if case == "all_miss":
         assert len(want) == 0
     else:
@@ -297,17 +292,13 @@ def test_scansim_rejects_non_finite_and_non_integer_sizes(case):
 
 def reference_cast(scene: Scene, origins, dirs) -> RayHits:
     """Scene.cast without the bounds cull: every part sees every ray."""
-    n = len(origins)
-    best_t = np.full(n, np.inf)
-    best_n = np.zeros((n, 3))
+    best_t = np.full(len(origins), np.inf)
     for part in scene.parts:
         R = part.pose.rotation_matrix()
         hits = part.surface.ray_intersect((origins - part.pose.position) @ R, dirs @ R)
         closer = hits.hit & (hits.t < best_t)
         best_t = np.where(closer, hits.t, best_t)
-        best_n = np.where(closer[:, None], hits.normals @ R.T, best_n)
-    flip = np.einsum("ij,ij->i", best_n, dirs) > 0.0
-    return RayHits(best_t, np.where(flip[:, None], -best_n, best_n), np.isfinite(best_t))
+    return RayHits(best_t, np.isfinite(best_t))
 
 
 def unit(v: np.ndarray) -> np.ndarray:
