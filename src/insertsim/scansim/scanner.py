@@ -8,11 +8,19 @@ raster records each point's (profile, column): its trajectory index and its
 detector column; its raster shape is (trajectory length, detector columns),
 so the misses stay known.
 
-The sweep casts whole profiles in chunks of at most `_CHUNK_RAYS` rays (at
-least one profile), one `Scene.cast` per chunk, which bounds the per-ray
-buffers on long sweeps. Depth noise is drawn per profile from
-`SeedSequence([seed, k])` for profile k, so the cloud does not depend on how
-the profiles are chunked.
+The sweep takes whole profiles in chunks of at most `_CHUNK_RAYS` rays (at
+least one profile), which bounds the per-ray buffers on long sweeps, and
+casts only the chunk's column window [c0, c1). A hit at column x lies at
+sensor (x, 0, s), s > 0, inside a part's bounds, so x lies within the
+sensor-x extent of the bounds' corners, over the poses whose laser plane
+(sensor y = 0) crosses the box and whose box reaches z >= 0. The window is
+that extent over the chunk and the parts, padded by `_WINDOW_PAD` times the
+coordinates' magnitude, far above their rounding.
+
+Depth noise is drawn per profile k from `SeedSequence([seed, k])`, so the
+cloud does not depend on the chunking. A profile draws `normal(size=c1)` and
+keeps `[c0:]`: the stream is a prefix, so column c gets the same noise
+whatever the window.
 
 Calibration error model: the assumed sensor poses are the trajectory as given;
 the physical sensor actually sits at `mount_offset` composed on the base side
@@ -33,6 +41,7 @@ from insertsim.geom import Pose, PointCloud, pose_compose
 from insertsim.scansim.surfaces import Scene
 
 _CHUNK_RAYS = 32768
+_WINDOW_PAD = 1e-9  # relative padding of a part's sensor-frame extent
 
 
 @dataclass(frozen=True)
@@ -77,15 +86,31 @@ class CalibrationError:
 def linear_sweep(start: Pose, direction, step: float, count: int) -> list[Pose]:
     """Constant-orientation trajectory translating `step` per profile."""
     direction = np.asarray(direction, dtype=np.float64)
+    if direction.shape != (3,) or not 0 < np.linalg.norm(direction) < np.inf:
+        raise ValueError("direction must be a finite, non-zero 3-vector")
+    if not np.isfinite(step):
+        raise ValueError("step must be finite")
+    if not isinstance(count, (int, np.integer)) or isinstance(count, bool) or count < 1:
+        raise ValueError("count must be an integer >= 1")
     direction = direction / np.linalg.norm(direction)
     return [Pose(start.position + k * step * direction, start.orientation) for k in range(count)]
 
 
-def _to_base(poses: list[Pose], local: np.ndarray) -> np.ndarray:
-    """Map sensor-frame samples, (n, 3) or one (n, 3) block per pose, through each pose."""
-    R = np.stack([p.rotation_matrix() for p in poses])
-    t = np.stack([p.position for p in poses])
-    return local @ R.transpose(0, 2, 1) + t[:, None, :]
+def _frames(poses: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation matrices (m, 3, 3) and positions (m, 3) of `poses`."""
+    return np.stack([p.rotation_matrix() for p in poses]), np.stack([p.position for p in poses])
+
+
+def _column_window(scene: Scene, R: np.ndarray, t: np.ndarray, lateral: np.ndarray) -> tuple[int, int]:
+    """Columns [c0, c1) of `lateral` whose rays from the sensor poses (R, t) can reach a part."""
+    boxes = [np.stack(np.meshgrid(*part.surface.bounds.T), -1).reshape(-1, 3) for part in scene.parts]
+    corners = np.stack([part.pose.transform_points(box) for part, box in zip(scene.parts, boxes)])
+    pad = _WINDOW_PAD * (np.abs(corners).max() + np.abs(t).max() + np.abs(lateral).max())
+    s = (corners[None] - t[:, None, None]) @ R[:, None]  # sensor-frame corners, (poses, parts, 8, 3)
+    seen = (s[..., 1].min(-1) <= pad) & (s[..., 1].max(-1) >= -pad) & (s[..., 2].max(-1) >= -pad)
+    x = s[..., 0][seen]  # no x where no pose sees a part: then c0 = n > c1 = 0
+    return (int(np.searchsorted(lateral, x.min(initial=np.inf) - pad, "left")),
+            int(np.searchsorted(lateral, x.max(initial=-np.inf) + pad, "right")))
 
 
 def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
@@ -95,33 +120,37 @@ def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
         raise ValueError("scanner trajectory must be non-empty")
     lateral = cfg.lateral_positions()
     n = len(lateral)
-    sensor = np.zeros((n, 3))
-    sensor[:, 0] = lateral
     profiles_per_chunk = max(1, _CHUNK_RAYS // n)
 
-    pts, cells = [], []
+    pts, cells = [np.zeros((0, 3))], [np.zeros((0, 2), dtype=np.int64)]
     for lo in range(0, len(trajectory), profiles_per_chunk):
         assumed = trajectory[lo:lo + profiles_per_chunk]
-        true = [pose_compose(cal.mount_offset, p) for p in assumed]
-        origins = _to_base(true, sensor)
-        dirs = np.repeat([p.rotation_matrix()[:, 2] for p in true], n, axis=0)
-        hits = scene.cast(origins.reshape(-1, 3), dirs)
+        R, t = _frames([pose_compose(cal.mount_offset, p) for p in assumed])
+        c0, c1 = _column_window(scene, R, t, lateral)
+        if c0 >= c1:
+            continue
+        m, w, x = len(assumed), c1 - c0, lateral[c0:c1]
+        # bit-equal to the matrix product, which rounds a sensor row (x, 0, 0) once in any order
+        origins = x[None, :, None] * R[:, None, :, 0] + t[:, None, :]
+        hits = scene.cast(origins.reshape(-1, 3), np.repeat(R[:, :, 2], w, axis=0))
         depth = hits.t
         if cfg.depth_noise_std > 0.0:
             depth = depth + np.concatenate([
                 np.random.default_rng(np.random.SeedSequence([int(seed), k]))
-                .normal(scale=cfg.depth_noise_std, size=n)
-                for k in range(lo, lo + len(assumed))
+                .normal(scale=cfg.depth_noise_std, size=c1)[c0:]
+                for k in range(lo, lo + m)
             ])
         keep = hits.hit
-        samples = np.repeat(sensor[None], len(assumed), axis=0)
+        samples = np.zeros((m, w, 3))
+        samples[:, :, 0] = x
         # misses (depth inf) are dropped below; zero keeps inf * 0 out of the product
-        samples[:, :, 2] = np.where(keep, depth, 0.0).reshape(len(assumed), n)
-        pts.append(_to_base(assumed, samples).reshape(-1, 3)[keep])
+        samples[:, :, 2] = np.where(keep, depth, 0.0).reshape(m, w)
+        Ra, ta = _frames(assumed)
+        pts.append((samples @ Ra.transpose(0, 2, 1) + ta[:, None, :]).reshape(-1, 3)[keep])
         # (profile, column) raster cell of each ray
         cells.append(np.column_stack([
-            np.repeat(np.arange(lo, lo + len(assumed), dtype=np.int64), n),
-            np.tile(np.arange(n, dtype=np.int64), len(assumed)),
+            np.repeat(np.arange(lo, lo + m, dtype=np.int64), w),
+            np.tile(np.arange(c0, c1, dtype=np.int64), m),
         ])[keep])
 
     return PointCloud(np.vstack(pts), None, np.vstack(cells), (len(trajectory), n))

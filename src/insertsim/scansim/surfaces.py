@@ -7,15 +7,10 @@ the nearest hit. No surface normal is computed: a line scanner measures
 depth only.
 
 Every surface also exposes `bounds`, its local axis-aligned bounding box as
-a (2, 3) array of low and high corners. Before `Scene.cast` hands a part its
-rays, it culls the rays whose line cannot reach that box at t >= 0 (the slab
-test of Williams et al., JGT 2005) and gives them the miss value t = inf
-without calling `ray_intersect`. The cull is exact:
-`ray_intersect` works ray by ray, so a ray's result does not depend on the
-other rays in the call, and every hit it reports lies inside the bounds. The
-box is padded by `_BOUNDS_PAD` times the coordinates' magnitude, far above
-the rounding of either test, and a ray lying in a slab's plane (0 * inf =
-NaN in the test) stays a candidate.
+a (2, 3) array of low and high corners. The scanner's column window relies
+on two contracts: `ray_intersect` works ray by ray, so a ray's result does
+not depend on the other rays in the call, and every hit it reports lies
+inside the bounds.
 """
 
 from __future__ import annotations
@@ -29,7 +24,6 @@ from insertsim.geom import Pose
 
 _T_MIN = 1e-9  # reject hits closer than this to the ray origin
 _MESH_CHUNK = 256  # rays per Moller-Trumbore broadcast block
-_BOUNDS_PAD = 1e-9  # relative padding of a part's bounds in the cull
 
 
 class RayHits(NamedTuple):
@@ -40,22 +34,21 @@ class RayHits(NamedTuple):
 def _box_faces(o: np.ndarray, d: np.ndarray, h: np.ndarray, open_z=None) -> RayHits:
     """Nearest hit on the six faces of the box |x_i| <= h_i (slab test).
 
-    `open_z`, given the hit points on a ±z face, marks the ones that are open
-    (no material there), which the ray passes through.
+    `open_z`, given the (x, y) coordinates of the hits on a ±z face, marks the
+    ones that are open (no material there), which the ray passes through.
     """
-    n = len(o)
-    best_t = np.full(n, np.inf)
+    best_t = np.full(len(o), np.inf)
     for axis in range(3):
+        a, b = (i for i in range(3) if i != axis)
+        da = d[:, axis]
+        movable = np.abs(da) > 1e-30
         for sign in (-1.0, 1.0):
-            da = d[:, axis]
-            movable = np.abs(da) > 1e-30
             t = np.where(movable, (sign * h[axis] - o[:, axis]) / np.where(movable, da, 1.0), np.inf)
-            with np.errstate(invalid="ignore"):
-                pt = o + t[:, None] * d
-            others = [i for i in range(3) if i != axis]
-            inside = np.all(np.abs(pt[:, others]) <= h[others] + 1e-15, axis=1)
+            with np.errstate(invalid="ignore"):  # inf * 0 where the ray cannot reach the face
+                pa, pb = (o[:, i] + t * d[:, i] for i in (a, b))
+            inside = (np.abs(pa) <= h[a] + 1e-15) & (np.abs(pb) <= h[b] + 1e-15)
             if axis == 2 and open_z is not None:
-                inside &= ~open_z(pt)
+                inside &= ~open_z(pa, pb)
             valid = movable & (t > _T_MIN) & inside & (t < best_t)
             best_t = np.where(valid, t, best_t)
     return RayHits(best_t, np.isfinite(best_t))
@@ -189,9 +182,9 @@ class HolePlate:
     def hole_axis_local(self) -> np.ndarray:
         return np.array([0.0, 0.0, 1.0])
 
-    def _in_hole(self, pt: np.ndarray) -> np.ndarray:
-        u = (pt[:, 0] - self.cx) / self.a
-        v = (pt[:, 1] - self.cy) / self.b
+    def _in_hole(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        u = (x - self.cx) / self.a
+        v = (y - self.cy) / self.b
         return u * u + v * v < 1.0
 
     def ray_intersect(self, origins, dirs) -> RayHits:
@@ -212,8 +205,8 @@ class HolePlate:
         for sign in (-1.0, 1.0):
             t = np.where(quad, (-B + sign * sq) / (2.0 * np.where(quad, A, 1.0)), np.inf)
             with np.errstate(invalid="ignore"):
-                pt = o + t[:, None] * d
-            valid = quad & (t > _T_MIN) & (np.abs(pt[:, 2]) <= self.half_thickness) & (t < best_t)
+                z = o[:, 2] + t * d[:, 2]
+            valid = quad & (t > _T_MIN) & (np.abs(z) <= self.half_thickness) & (t < best_t)
             best_t = np.where(valid, t, best_t)
 
         return RayHits(best_t, np.isfinite(best_t))
@@ -224,23 +217,6 @@ class ScenePart:
     part_id: str
     surface: object
     pose: Pose
-
-
-def _may_reach(o: np.ndarray, d: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Rays whose line meets the padded box `bounds` at some t >= 0 (slab test)."""
-    pad = _BOUNDS_PAD * (np.abs(o).max(initial=0.0) + np.abs(bounds).max())
-    lo, hi = bounds[0] - pad, bounds[1] + pad
-    near = np.full(len(o), -np.inf)
-    far = np.full(len(o), np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for axis in range(3):
-            inv = 1.0 / d[:, axis]
-            t_lo = (lo[axis] - o[:, axis]) * inv
-            t_hi = (hi[axis] - o[:, axis]) * inv
-            near = np.maximum(near, np.minimum(t_lo, t_hi))
-            far = np.minimum(far, np.maximum(t_lo, t_hi))
-    # NaN (0 * inf: a ray lying in a slab's plane) compares false, so such a ray stays
-    return ~((near > far) | (far < 0.0))
 
 
 class Scene:
@@ -259,15 +235,9 @@ class Scene:
         """Nearest hit over all parts."""
         origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
         dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-        n = len(origins)
-        best_t = np.full(n, np.inf)
+        best_t = np.full(len(origins), np.inf)
         for part in self.parts:
             R = part.pose.rotation_matrix()
-            o_local = (origins - part.pose.position) @ R
-            d_local = dirs @ R
-            reach = _may_reach(o_local, d_local, part.surface.bounds)
-            t = np.full(n, np.inf)
-            t[reach] = part.surface.ray_intersect(o_local[reach], d_local[reach]).t
-            closer = np.isfinite(t) & (t < best_t)
-            best_t = np.where(closer, t, best_t)
+            hits = part.surface.ray_intersect((origins - part.pose.position) @ R, dirs @ R)
+            best_t = np.minimum(best_t, hits.t)
         return RayHits(best_t, np.isfinite(best_t))

@@ -14,8 +14,6 @@ from insertsim.scansim import (
     sweep_scan,
 )
 from insertsim.scansim import scanner as scanner_module
-from insertsim.scansim import surfaces as surfaces_module
-from insertsim.scansim.surfaces import RayHits
 
 DOWN = Pose.from_axis_angle(np.array([0.0, 0.0, 0.02]), [1, 0, 0], np.pi)  # sensor +z -> world -z
 SWEEP_STEP = 25e-6  # profile spacing of the test sweeps
@@ -140,6 +138,23 @@ def wide_cfg(**kw) -> ScannerConfig:
 
 
 FAR_BOX = Scene([ScenePart("far", Box((0.01, 0.01, 0.01)), Pose(np.array([5.0, 5.0, 5.0]), np.array([1.0, 0, 0, 0])))])
+
+
+def boxes_at(*centers_and_half_extents) -> Scene:
+    """Unrotated boxes, one part per (centre, half extents)."""
+    return Scene([ScenePart(f"box{i}", Box(h), Pose(np.array(c, dtype=float), np.array([1.0, 0, 0, 0])))
+                  for i, (c, h) in enumerate(centers_and_half_extents)])
+
+
+# with DOWN, sensor x is base x: column 40's ray runs down the +x side, column 23's down the -x side
+SIDE_ON_A_COLUMN = boxes_at(((0.0, 0.0, -1e-3), (small_cfg().lateral_positions()[40], 1e-3, 1e-3)))
+# the -y face lies in the laser plane of profile 15 (y = 0), which tilts by ~1e-16 away from the box
+FACE_IN_THE_LASER_PLANE = boxes_at(((0.0, 1e-4, -1e-3), (2e-4, 1e-4, 1e-3)))
+# a pillar around the sensor (z = 0.02) and a box wholly behind it
+BEHIND_THE_SENSOR = boxes_at(((2e-4, 0.0, 0.01), (1e-4, 1e-3, 0.015)),
+                             ((-2e-4, 0.0, 0.035), (1e-4, 1e-3, 5e-3)))
+# two narrow parts at opposite ends of the line, with unhit columns between them
+TWO_WINDOWS = boxes_at(((-2.5e-4, 0.0, -1e-3), (5e-5, 1e-3, 1e-3)), ((2.5e-4, 0.0, -1e-3), (5e-5, 1e-3, 1e-3)))
 SWEEP_CASES = {  # name -> (scene, trajectory, config, calibration)
     "varying_orientation": lambda: (hole_plate_scene(), wobbling_sweep(40), wide_cfg(), CalibrationError.none()),
     "rotated_calibration": lambda: (hole_plate_scene(), wobbling_sweep(40), wide_cfg(), ROTATED_CAL),
@@ -147,6 +162,17 @@ SWEEP_CASES = {  # name -> (scene, trajectory, config, calibration)
     "plate_and_bump": lambda: (plate_and_bump_scene(), linear_sweep(DOWN, [0, 1, 0], 2e-4, 12), small_cfg(),
                                ROTATED_CAL),
     "all_miss": lambda: (FAR_BOX, linear_sweep(DOWN, [0, 1, 0], 25e-6, 6), small_cfg(), ROTATED_CAL),
+    "side_on_a_column": lambda: (SIDE_ON_A_COLUMN, linear_sweep(DOWN, [0, 1, 0], 25e-6, 6), small_cfg(),
+                                 CalibrationError.none()),
+    # 16 profiles per chunk: profile 15, the last of the first chunk, is the only one there that sees the part
+    "face_in_the_laser_plane": lambda: (FACE_IN_THE_LASER_PLANE,
+                                        linear_sweep(Pose(DOWN.position - [0.0, 15 * 25e-6, 0.0], DOWN.orientation),
+                                                     [0, 1, 0], 25e-6, 18),
+                                        ScannerConfig(), CalibrationError.none()),
+    "behind_the_sensor": lambda: (BEHIND_THE_SENSOR, linear_sweep(DOWN, [0, 1, 0], 25e-6, 8), small_cfg(),
+                                  ROTATED_CAL),
+    "two_windows_in_one_chunk": lambda: (TWO_WINDOWS, linear_sweep(DOWN, [0, 1, 0], 25e-6, 8), small_cfg(),
+                                         ROTATED_CAL),
     # 2048 rays per profile: 40 profiles fill two whole chunks and part of a third
     "several_chunks": lambda: (hole_plate_scene(), wobbling_sweep(40), ScannerConfig(), ROTATED_CAL),
 }
@@ -185,6 +211,38 @@ def test_sweep_with_chunks_narrower_than_a_profile(monkeypatch):
     scene, traj, cfg, cal = SWEEP_CASES["rotated_calibration"]()
     assert_same_sweep(sweep_scan(scene, traj, cfg, cal, seed=3),
                       reference_sweep_scan(scene, traj, cfg, cal, seed=3))
+
+
+def test_sweep_casts_only_the_columns_a_plate_can_reach(monkeypatch):
+    """A plate under a quarter of the line is handed under 30% of the rays."""
+    scene = boxes_at(((0.0, 0.0, -1e-3), (3e-3, 0.01, 1e-3)))
+    cfg = ScannerConfig()
+    traj = linear_sweep(DOWN, [0, 1, 0], SWEEP_STEP, 20)
+    cast, rays = scene.cast, []
+    monkeypatch.setattr(scene, "cast", lambda o, d: rays.append(len(o)) or cast(o, d))
+    got = sweep_scan(scene, traj, cfg, ROTATED_CAL, seed=5)
+    all_rays = len(traj) * len(cfg.lateral_positions())
+    assert 0.2 * all_rays < len(got) and sum(rays) <= 0.3 * all_rays
+    assert_same_sweep(got, reference_sweep_scan(scene, traj, cfg, ROTATED_CAL, seed=5))
+
+
+BAD_SWEEPS = {  # name -> (linear_sweep arguments that differ from a good sweep, argument named)
+    "zero_direction": (dict(direction=[0.0, 0.0, 0.0]), "direction"),
+    "nan_direction": (dict(direction=[0.0, np.nan, 0.0]), "direction"),
+    "two_component_direction": (dict(direction=[0.0, 1.0]), "direction"),
+    "nan_step": (dict(step=np.nan, count=1), "step"),
+    "inf_step": (dict(step=np.inf), "step"),
+    "zero_count": (dict(count=0), "count"),
+    "negative_count": (dict(count=-2), "count"),
+    "fractional_count": (dict(count=2.5), "count"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SWEEPS))
+def test_linear_sweep_rejects_bad_arguments(case):
+    changed, argument = BAD_SWEEPS[case]
+    with pytest.raises(ValueError, match=argument):
+        linear_sweep(**(dict(start=DOWN, direction=[0, 1, 0], step=SWEEP_STEP, count=3) | changed))
 
 
 def test_empty_trajectory_rejected():
@@ -290,17 +348,6 @@ def test_scansim_rejects_non_finite_and_non_integer_sizes(case):
         INVALID_PARTS[case]()
 
 
-def reference_cast(scene: Scene, origins, dirs) -> RayHits:
-    """Scene.cast without the bounds cull: every part sees every ray."""
-    best_t = np.full(len(origins), np.inf)
-    for part in scene.parts:
-        R = part.pose.rotation_matrix()
-        hits = part.surface.ray_intersect((origins - part.pose.position) @ R, dirs @ R)
-        closer = hits.hit & (hits.t < best_t)
-        best_t = np.where(closer, hits.t, best_t)
-    return RayHits(best_t, np.isfinite(best_t))
-
-
 def unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
@@ -344,7 +391,7 @@ def bounds_ray_sets(lo: np.ndarray, hi: np.ndarray, rng) -> dict:
     return sets
 
 
-CULL_SURFACES = {
+BOUNDED_SURFACES = {
     "box": Box((1e-3, 2e-3, 5e-4)),
     "hole_plate": HOLE_PLATE,
     # a wedge: a right triangle extruded along z, off its own origin
@@ -356,48 +403,21 @@ CULL_SURFACES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CULL_SURFACES))
-def test_cast_culls_only_rays_that_cannot_hit(name, monkeypatch):
-    surface = CULL_SURFACES[name]
-    pose = Pose.from_axis_angle(np.array([0.012, -0.007, 0.031]), [0.3, -0.6, 0.7], 2.1)
-    scene = Scene([ScenePart(name, surface, pose)])
-    cast_rays = []   # rays handed to ray_intersect: by Scene.cast, then by the reference
-    ray_intersect = surface.ray_intersect
-    monkeypatch.setattr(surface, "ray_intersect",
-                        lambda o, d: cast_rays.append(len(o)) or ray_intersect(o, d))
-    R = pose.rotation_matrix()
+@pytest.mark.parametrize("name", sorted(BOUNDED_SURFACES))
+def test_hits_lie_inside_the_padded_bounds(name):
+    """The scanner's column window relies on this: a surface reports hits only
+    inside its bounds, padded as the window pads them."""
+    surface = BOUNDED_SURFACES[name]
     lo, hi = surface.bounds
     for case, (o, d) in bounds_ray_sets(lo, hi, np.random.default_rng(17)).items():
-        origins, dirs = pose.transform_points(o), d @ R.T
-        cast_rays.clear()
-        got = scene.cast(origins, dirs)
-        want = reference_cast(scene, origins, dirs)
-        for a, b in zip(got, want):
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b, err_msg=case)
+        hits = surface.ray_intersect(o, d)
         if case in ("in_face_plane", "inside", "grazing_edges_and_corners"):
-            assert want.hit.any(), case
+            assert hits.hit.any(), case
         if case in ("pointing_away", "all_miss"):
-            assert cast_rays[0] == 0 and not want.hit.any(), case
-        assert cast_rays[0] < len(o) or case == "inside"
-
-
-def test_cull_keeps_rays_lying_in_a_slab_plane(monkeypatch):
-    """Without padding, a ray in the plane of a box face meets that slab as 0 * inf = NaN;
-    it must stay a candidate, since it hits the side faces."""
-    monkeypatch.setattr(surfaces_module, "_BOUNDS_PAD", 0.0)
-    box = Box((1e-3, 2e-3, 5e-4))
-    scene = Scene([ScenePart("box", box, Pose.identity())])
-    origins = np.array([[-4e-3, 0.0, 5e-4], [-4e-3, 2e-3, 0.0], [0.0, -4e-3, -5e-4], [-4e-3, 2e-3, 5e-4]])
-    dirs = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slab_t = np.stack([(side - origins) * (1.0 / dirs) for side in box.bounds])
-    assert np.isnan(slab_t).any(axis=(0, 2)).all()
-    assert surfaces_module._may_reach(origins, dirs, box.bounds).all()
-    got = scene.cast(origins, dirs)
-    assert got.hit.all()
-    for a, b in zip(got, reference_cast(scene, origins, dirs)):
-        np.testing.assert_array_equal(a, b)
+            assert not hits.hit.any(), case
+        pts = o[hits.hit] + hits.t[hits.hit, None] * d[hits.hit]
+        pad = scanner_module._WINDOW_PAD * (np.abs(o).max() + np.abs(surface.bounds).max())
+        assert np.all((lo - pad <= pts) & (pts <= hi + pad)), case
 
 
 def test_mesh_box_and_analytic_box_agree():
