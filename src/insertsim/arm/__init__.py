@@ -1,5 +1,5 @@
-from insertsim.arm.model import ArmModel, JointConfig, fk, jacobian, mdh_transform, chain_fk
-from insertsim.arm.ik import IkSettings, LimitViolationError, UnreachableTargetError, ik
+from insertsim.arm.model import ArmModel, JointConfig, fk, jacobian
+from insertsim.arm.ik import LimitViolationError, UnreachableTargetError, ik
 from insertsim.arm.error_model import ArmInstance, ProprioceptionError, execute_motion
 
 __all__ = [
@@ -7,9 +7,6 @@ __all__ = [
     "JointConfig",
     "fk",
     "jacobian",
-    "mdh_transform",
-    "chain_fk",
-    "IkSettings",
     "LimitViolationError",
     "UnreachableTargetError",
     "ik",

@@ -46,10 +46,6 @@ class ProprioceptionError:
         bias_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xB1A5]))
         return cls(bias_rng.normal(scale=BIAS_STD, size=7), repeat_noise_std, seed)
 
-    @classmethod
-    def zero(cls) -> "ProprioceptionError":
-        return cls(np.zeros(7), 0.0, 0)
-
     def next_noise(self, motion_amplitude: float = None) -> np.ndarray:
         """Advance the repeatability state for one commanded motion.
 

@@ -182,12 +182,6 @@ class Pose:
     def rotation_matrix(self) -> np.ndarray:
         return quat_to_matrix(self.orientation)
 
-    def to_matrix(self) -> np.ndarray:
-        T = np.eye(4)
-        T[:3, :3] = self.rotation_matrix()
-        T[:3, 3] = self.position
-        return T
-
     def inverse(self) -> "Pose":
         qc = quat_conjugate(self.orientation)
         return Pose(-(quat_to_matrix(qc) @ self.position), qc)

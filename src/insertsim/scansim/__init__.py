@@ -1,4 +1,4 @@
-from insertsim.scansim.surfaces import Box, HolePlate, Scene, ScenePart, TriangleMesh
+from insertsim.scansim.surfaces import Box, HolePlate, Scene, ScenePart
 from insertsim.scansim.scanner import CalibrationError, ScannerConfig, linear_sweep, sweep_scan
 
 __all__ = [
@@ -6,7 +6,6 @@ __all__ = [
     "HolePlate",
     "Scene",
     "ScenePart",
-    "TriangleMesh",
     "CalibrationError",
     "ScannerConfig",
     "linear_sweep",

@@ -1,4 +1,4 @@
-"""Scene geometry for the virtual scanner: triangle meshes and analytic parts.
+"""Scene geometry for the virtual scanner: analytic parts.
 
 Every surface implements `ray_intersect(origins, dirs)` in its local frame and
 returns, per ray, the smallest positive hit parameter. A Scene places
@@ -23,7 +23,6 @@ import numpy as np
 from insertsim.geom import Pose
 
 _T_MIN = 1e-9  # reject hits closer than this to the ray origin
-_MESH_CHUNK = 256  # rays per Moller-Trumbore broadcast block
 
 
 class RayHits(NamedTuple):
@@ -52,83 +51,6 @@ def _box_faces(o: np.ndarray, d: np.ndarray, h: np.ndarray, open_z=None) -> RayH
             valid = movable & (t > _T_MIN) & inside & (t < best_t)
             best_t = np.where(valid, t, best_t)
     return RayHits(best_t, np.isfinite(best_t))
-
-
-class TriangleMesh:
-    """Indexed triangle mesh. Faces must be non-degenerate (area > 1e-18 m^2)."""
-
-    def __init__(self, vertices, faces):
-        self.vertices = np.asarray(vertices, dtype=np.float64)
-        self.faces = np.asarray(faces, dtype=np.int64)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 3:
-            raise ValueError("vertices must be (V, 3)")
-        if self.faces.ndim != 2 or self.faces.shape[1] != 3:
-            raise ValueError("faces must be (F, 3)")
-        if self.faces.size and (self.faces.min() < 0 or self.faces.max() >= len(self.vertices)):
-            raise ValueError("face index out of range")
-        if len(self.faces) == 0:
-            raise ValueError("mesh has no triangles")
-        if np.any(self.triangle_areas() <= 1e-18):
-            raise ValueError("mesh contains degenerate triangles")
-
-    @property
-    def bounds(self) -> np.ndarray:
-        return np.stack([self.vertices.min(axis=0), self.vertices.max(axis=0)])
-
-    def triangle_corners(self):
-        v = self.vertices
-        f = self.faces
-        return v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-
-    def triangle_areas(self) -> np.ndarray:
-        a, b, c = self.triangle_corners()
-        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-
-    @classmethod
-    def box(cls, half_extents) -> "TriangleMesh":
-        hx, hy, hz = np.asarray(half_extents, dtype=np.float64)
-        corners = np.array(
-            [[sx * hx, sy * hy, sz * hz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
-        )
-        # two triangles per face, outward winding
-        quads = [
-            (0, 1, 3, 2),  # -x
-            (4, 6, 7, 5),  # +x
-            (0, 4, 5, 1),  # -y
-            (2, 3, 7, 6),  # +y
-            (0, 2, 6, 4),  # -z
-            (1, 5, 7, 3),  # +z
-        ]
-        faces = []
-        for a, b, c, d in quads:
-            faces.append((a, b, c))
-            faces.append((a, c, d))
-        return cls(corners, np.array(faces))
-
-    def ray_intersect(self, origins, dirs) -> RayHits:
-        origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
-        dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
-        n = len(origins)
-        out_t = np.full(n, np.inf)
-        a, b, c = self.triangle_corners()
-        e1 = b - a
-        e2 = c - a
-        for lo in range(0, n, _MESH_CHUNK):
-            hi = min(lo + _MESH_CHUNK, n)
-            o = origins[lo:hi, None, :]   # (R,1,3)
-            d = dirs[lo:hi, None, :]
-            pvec = np.cross(d, e2[None, :, :])
-            det = np.einsum("rfk,fk->rf", pvec, e1)
-            ok = np.abs(det) > 1e-16
-            inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-            tvec = o - a[None, :, :]
-            u = np.einsum("rfk,rfk->rf", tvec, pvec) * inv_det
-            qvec = np.cross(tvec, e1[None, :, :])
-            v = np.einsum("rfk,rfk->rf", d, qvec) * inv_det
-            t = np.einsum("rfk,fk->rf", qvec, e2) * inv_det
-            valid = ok & (u >= -1e-12) & (v >= -1e-12) & (u + v <= 1.0 + 1e-12) & (t > _T_MIN)
-            out_t[lo:hi] = np.where(valid, t, np.inf).min(axis=1)
-        return RayHits(out_t, np.isfinite(out_t))
 
 
 class Box:

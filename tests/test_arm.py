@@ -7,12 +7,10 @@ import pytest
 from insertsim.arm import (
     ArmInstance,
     ArmModel,
-    IkSettings,
     JointConfig,
     LimitViolationError,
     ProprioceptionError,
     UnreachableTargetError,
-    chain_fk,
     execute_motion,
     fk,
     ik,
@@ -20,8 +18,9 @@ from insertsim.arm import (
 )
 from insertsim.geom import Pose, quat_to_rotvec, quat_multiply, quat_conjugate
 
-# the module, not the function of the same name that insertsim.arm exports
+# the modules, not the functions of the same names that insertsim.arm exports
 ik_module = importlib.import_module("insertsim.arm.ik")
+model_module = importlib.import_module("insertsim.arm.model")
 
 HOME = JointConfig(np.array([0.0, -0.5, 0.0, -2.0, 0.0, 1.6, 0.8]))
 
@@ -31,16 +30,17 @@ def panda() -> ArmModel:
 
 
 def random_configs(model, n, seed=0):
+    """Configurations drawn uniformly 0.1 rad inside the joint limits."""
     rng = np.random.default_rng(seed)
-    return [model.random_config(rng) for _ in range(n)]
+    lo, hi = model.joint_limits[:, 0] + 0.1, model.joint_limits[:, 1] - 0.1
+    return [JointConfig(rng.uniform(lo, hi)) for _ in range(n)]
+
+
+def distance(a: JointConfig, b: JointConfig) -> float:
+    return float(np.linalg.norm(a.angles - b.angles))
 
 
 # -- forward kinematics --------------------------------------------------------
-
-def test_single_link_chain():
-    frames = chain_fk(np.array([[0.0, 0.7, 0.0]]), np.zeros(1), np.zeros(1))
-    np.testing.assert_allclose(frames[-1][:3, 3], [0.0, 0.0, 0.7], atol=1e-15)
-
 
 def test_fk_matches_homogeneous_chain_oracle():
     model = panda()
@@ -57,7 +57,7 @@ def test_fk_matches_homogeneous_chain_oracle():
                 [st * sa, ct * sa, ca, d * ca],
                 [0, 0, 0, 1],
             ]))
-        return reduce(np.matmul, mats, model.base_pose.to_matrix())
+        return reduce(np.matmul, mats)
 
     for q in random_configs(model, 100, seed=1):
         T = oracle(q.angles)
@@ -87,6 +87,41 @@ def test_jacobian_matches_central_differences():
             q_rel = quat_multiply(plus.orientation, quat_conjugate(minus.orientation))
             J_fd[3:, i] = quat_to_rotvec(q_rel) / (2 * h)
         assert np.linalg.norm(J - J_fd) / max(np.linalg.norm(J), 1.0) < 1e-6
+
+
+def reference_jacobian(model, q):
+    """One column per joint, each with its own np.cross."""
+    frames = model_module._frames(model, q)
+    p_ee = frames[-1][:3, 3]
+    J = np.zeros((6, 7))
+    for i in range(7):
+        z = frames[i + 1][:3, 2]
+        p = frames[i + 1][:3, 3]
+        J[:3, i] = np.cross(z, p_ee - p)
+        J[3:, i] = z
+    return J
+
+
+def test_jacobian_matches_the_per_column_reference_bit_for_bit():
+    model = panda()
+    for q in random_configs(model, 100, seed=10):
+        np.testing.assert_array_equal(jacobian(model, q), reference_jacobian(model, q))
+
+
+NAN_AT_2 = JointConfig(np.where(np.arange(7) == 2, np.nan, HOME.angles))
+NAN_JOINT_ENTRY_POINTS = {
+    "check_limits": lambda model: model.check_limits(NAN_AT_2),
+    "fk": lambda model: fk(model, NAN_AT_2),
+    "ik_start": lambda model: ik(model, fk(model, HOME), bias_config=HOME, start=NAN_AT_2),
+    "execute_motion": lambda model: execute_motion(model, ProprioceptionError(np.zeros(7), 0.0, 0),
+                                                   NAN_AT_2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NAN_JOINT_ENTRY_POINTS))
+def test_a_nan_joint_is_named_as_outside_its_limits(entry):
+    with pytest.raises(ValueError, match=r"joints \[2\] outside limits"):
+        NAN_JOINT_ENTRY_POINTS[entry](panda())
 
 
 def test_fk_lipschitz_smoothness():
@@ -131,14 +166,13 @@ def test_ik_null_space_bias_selects_solutions():
     target = fk(model, HOME)
     # find a second config on the self-motion manifold of the same target
     pull = JointConfig(model.clamp(HOME.angles + np.array([0.5, 0.2, -0.6, 0.1, 0.5, -0.2, 0.3])))
-    other = ik(model, target, bias_config=pull, start=pull,
-               settings=IkSettings(settle_iterations=200))
-    assert other.distance_to(HOME) > 0.2  # genuinely different solution
+    other = ik(model, target, bias_config=pull, start=pull)
+    assert distance(other, HOME) > 0.2  # genuinely different solution
 
     sol_a = ik(model, target, bias_config=HOME, start=HOME)
     sol_b = ik(model, target, bias_config=other, start=other)
-    assert sol_a.distance_to(HOME) < sol_a.distance_to(other)
-    assert sol_b.distance_to(other) < sol_b.distance_to(HOME)
+    assert distance(sol_a, HOME) < distance(sol_a, other)
+    assert distance(sol_b, other) < distance(sol_b, HOME)
 
 
 def test_ik_bias_never_worse_than_unbiased():
@@ -147,10 +181,9 @@ def test_ik_bias_never_worse_than_unbiased():
     for q in random_configs(model, 10, seed=9):
         target = fk(model, q)
         start = JointConfig(model.clamp(q.angles + rng.normal(scale=0.1, size=7)))
-        biased = ik(model, target, bias_config=q, start=start,
-                    settings=IkSettings(settle_iterations=50))
+        biased = ik(model, target, bias_config=q, start=start)
         unbiased = ik(model, target, bias_config=start, start=start)
-        assert biased.distance_to(q) <= unbiased.distance_to(q) + 1e-9
+        assert distance(biased, q) <= distance(unbiased, q) + 1e-9
 
 
 def test_ik_unreachable_target():
@@ -158,6 +191,21 @@ def test_ik_unreachable_target():
     far = Pose(np.array([2.5, 0.0, 0.3]), np.array([1.0, 0, 0, 0]))
     with pytest.raises((UnreachableTargetError, LimitViolationError)):
         ik(model, far, bias_config=HOME, start=HOME)
+
+
+BAD_BIASES = {
+    "six_long": np.zeros(6),
+    "nan": NAN_AT_2.angles,
+    "inf": np.where(np.arange(7) == 5, np.inf, HOME.angles),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BIASES))
+def test_ik_rejects_a_bias_config_without_7_finite_angles(case):
+    model = panda()
+    with pytest.raises(ValueError, match="bias_config"):
+        ik(model, fk(model, HOME), bias_config=JointConfig(BAD_BIASES[case]),
+           start=JointConfig(HOME.angles + 0.05))
 
 
 def test_ik_judges_the_last_evaluated_pose(monkeypatch):
@@ -178,26 +226,24 @@ def test_ik_judges_the_last_evaluated_pose(monkeypatch):
     ik(model, target, bias_config=HOME, start=HOME)
     assert calls == {"fk": 1, "jacobian": 0}  # already on target: judged as found
 
-    for settings in (IkSettings(), IkSettings(settle_iterations=20)):
-        calls.update(fk=0, jacobian=0)
-        start = JointConfig(HOME.angles + 0.05)
-        sol = ik(model, target, bias_config=HOME, start=start, settings=settings)
-        assert calls["jacobian"] > 0
-        assert calls["fk"] == calls["jacobian"] + 1
-        assert fk(model, sol, check_limits=False).translation_to(target) < settings.pos_tol
+    calls.update(fk=0, jacobian=0)
+    sol = ik(model, target, bias_config=HOME, start=JointConfig(HOME.angles + 0.05))
+    assert calls["jacobian"] > 0
+    assert calls["fk"] == calls["jacobian"] + 1
+    assert fk(model, sol, check_limits=False).translation_to(target) < ik_module.POS_TOL
 
     calls.update(fk=0, jacobian=0)
     far = Pose(np.array([2.5, 0.0, 0.3]), np.array([1.0, 0, 0, 0]))
     with pytest.raises((UnreachableTargetError, LimitViolationError)):
-        ik(model, far, bias_config=HOME, start=HOME, settings=IkSettings(max_iterations=20))
-    assert calls == {"fk": 21, "jacobian": 20}
+        ik(model, far, bias_config=HOME, start=HOME)
+    assert calls == {"fk": ik_module.MAX_ITERATIONS + 1, "jacobian": ik_module.MAX_ITERATIONS}
 
 
 # -- proprioception error model -------------------------------------------------
 
 def test_zero_error_reported_equals_actual():
     model = panda()
-    reported, actual = execute_motion(model, ProprioceptionError.zero(), HOME)
+    reported, actual = execute_motion(model, ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
     np.testing.assert_array_equal(reported.position, actual.position)
     np.testing.assert_array_equal(reported.orientation, actual.orientation)
 
@@ -252,7 +298,7 @@ def test_bias_shifts_mean_not_spread():
 
 def test_arm_instance_tracks_state():
     model = panda()
-    inst = ArmInstance(model, ProprioceptionError.zero(), HOME)
+    inst = ArmInstance(model, ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
     np.testing.assert_array_equal(inst.reported.position, inst.actual.position)
     q2 = JointConfig(HOME.angles + 0.01)
     inst.move_to(q2)

@@ -100,13 +100,19 @@ def test_compose_with_inverse_is_identity():
         assert quat_distance(out.orientation, IDENTITY_Q) < 1e-12
 
 
+def homogeneous(p: Pose) -> np.ndarray:
+    T = np.eye(4)
+    T[:3, :3] = p.rotation_matrix()
+    T[:3, 3] = p.position
+    return T
+
+
 def test_compose_matches_homogeneous_matrix_oracle():
     rng = np.random.default_rng(5)
     for _ in range(50):
         a, b = random_pose(rng), random_pose(rng)
-        oracle = a.to_matrix() @ b.to_matrix()
-        got = pose_compose(a, b).to_matrix()
-        np.testing.assert_allclose(got, oracle, atol=1e-10)
+        oracle = homogeneous(a) @ homogeneous(b)
+        np.testing.assert_allclose(homogeneous(pose_compose(a, b)), oracle, atol=1e-10)
 
 
 def test_compose_associative():

@@ -97,7 +97,7 @@ def test_trajectory_validation():
 
 def test_zero_offset_trajectory_keeps_pose():
     model = ArmModel.panda()
-    arm = ArmInstance(model, ProprioceptionError.zero(), HOME)
+    arm = ArmInstance(model, ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
     start_actual = arm.actual
     here = arm.reported
     traj = plan_relative_trajectory(here, here, horizon=10, duration=1.0)
@@ -120,7 +120,7 @@ def test_execute_insertion_propagates_other_errors_unchanged(monkeypatch):
         raise raised
 
     monkeypatch.setattr(insertion_module, "ik", failing_ik)
-    arm = ArmInstance(ArmModel.panda(), ProprioceptionError.zero(), HOME)
+    arm = ArmInstance(ArmModel.panda(), ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
     traj = plan_relative_trajectory(arm.reported, arm.reported, horizon=5, duration=1.0)
     with pytest.raises(TwoArgumentError) as err:
         execute_insertion(arm, traj, ic_bias=HOME)
@@ -138,7 +138,7 @@ def test_unreachable_waypoint_is_named(monkeypatch):
         return HOME
 
     monkeypatch.setattr(insertion_module, "ik", ik_failing_at_third)
-    arm = ArmInstance(ArmModel.panda(), ProprioceptionError.zero(), HOME)
+    arm = ArmInstance(ArmModel.panda(), ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
     traj = plan_relative_trajectory(arm.reported, arm.reported, horizon=5, duration=1.0)
     with pytest.raises(UnreachableTargetError, match=r"waypoint 3/4: no convergence") as err:
         execute_insertion(arm, traj, ic_bias=HOME)

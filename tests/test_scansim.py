@@ -9,7 +9,6 @@ from insertsim.scansim import (
     Scene,
     ScenePart,
     ScannerConfig,
-    TriangleMesh,
     linear_sweep,
     sweep_scan,
 )
@@ -394,12 +393,6 @@ def bounds_ray_sets(lo: np.ndarray, hi: np.ndarray, rng) -> dict:
 BOUNDED_SURFACES = {
     "box": Box((1e-3, 2e-3, 5e-4)),
     "hole_plate": HOLE_PLATE,
-    # a wedge: a right triangle extruded along z, off its own origin
-    "mesh": TriangleMesh(np.array([[0.0, 0.0, 0.0], [3e-3, 0.0, 0.0], [0.0, 2e-3, 0.0],
-                                   [0.0, 0.0, 1e-3], [3e-3, 0.0, 1e-3], [0.0, 2e-3, 1e-3]])
-                         + [5e-4, -2e-4, 1e-4],
-                         [[0, 2, 1], [3, 4, 5], [0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
-                          [2, 0, 3], [2, 3, 5]]),
 }
 
 
@@ -418,22 +411,3 @@ def test_hits_lie_inside_the_padded_bounds(name):
         pts = o[hits.hit] + hits.t[hits.hit, None] * d[hits.hit]
         pad = scanner_module._WINDOW_PAD * (np.abs(o).max() + np.abs(surface.bounds).max())
         assert np.all((lo - pad <= pts) & (pts <= hi + pad)), case
-
-
-def test_mesh_box_and_analytic_box_agree():
-    mesh = TriangleMesh.box((0.01, 0.02, 0.005))
-    box = Box((0.01, 0.02, 0.005))
-    rng = np.random.default_rng(5)
-    origins = rng.uniform(-0.005, 0.005, size=(200, 3))
-    origins[:, 2] = 0.05
-    dirs = np.tile([0.0, 0.0, -1.0], (200, 1))
-    hm = mesh.ray_intersect(origins, dirs)
-    hb = box.ray_intersect(origins, dirs)
-    np.testing.assert_array_equal(hm.hit, hb.hit)
-    np.testing.assert_allclose(hm.t[hm.hit], hb.t[hb.hit], atol=1e-12)
-
-
-def test_degenerate_mesh_rejected():
-    verts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
-    with pytest.raises(ValueError):
-        TriangleMesh(verts, [[0, 1, 2]])
