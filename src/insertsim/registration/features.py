@@ -63,7 +63,7 @@ class FeatureCloud:
         return self.keypoints
 
     # Indexes over the cloud, each built on first use and kept with it, so a
-    # cloud registered in many RANSAC rounds or against many scans is indexed once.
+    # scan that RANSAC and ICP both query, or a reference used by many scans, is indexed once.
     @cached_property
     def keypoint_tree(self) -> cKDTree:
         return cKDTree(self.keypoints.points)

@@ -49,7 +49,6 @@ class RegistrationParams:
     ransac_inlier_threshold: Optional[float] = None
     icp_max_iterations: int = 60
     icp_max_correspondence_dist: Optional[float] = None
-    max_outer_loops: int = 10
     feature_radius: Optional[float] = None
 
     def __post_init__(self):
@@ -64,7 +63,7 @@ class RegistrationParams:
             raise ValueError("rho_rot must be in (0, pi]")
         if np.isnan(self.outlier_std_ratio):
             raise ValueError("outlier_std_ratio must not be NaN")
-        for name in ("outlier_mean_k", "ransac_iterations", "icp_max_iterations", "max_outer_loops"):
+        for name in ("outlier_mean_k", "ransac_iterations", "icp_max_iterations"):
             value = getattr(self, name)
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1")
@@ -88,26 +87,29 @@ _DERIVED = ("rho_icp", "ransac_inlier_threshold", "icp_max_correspondence_dist",
 
 @dataclass(frozen=True)
 class RegistrationResult:
-    """Best pose found by the outer loop plus its diagnostics."""
+    """The refined pose of one registration pass plus its diagnostics."""
 
     pose: Pose
     fitness: float
-    outer_loops_used: int
     ransac_inlier_fraction: float
-    fitness_history: tuple = ()  # best fitness after each outer loop
 
     def __post_init__(self):
         if self.fitness < 0:
             raise ValueError("fitness must be >= 0")
+
+    @property
+    def outer_loops_used(self) -> int:
+        """1, as estimate_pose makes one pass. Kept only because the benchmark's
+        `trialbench/harness.py::_estimate_attrs` reads it; the next benchmark
+        change drops it, together with `FeatureCloud.fine`."""
+        return 1
 
     def to_json_dict(self) -> dict:
         return {
             "position": [float(v) for v in self.pose.position],
             "orientation_wxyz": [float(v) for v in self.pose.orientation],
             "fitness": float(self.fitness),
-            "outer_loops_used": int(self.outer_loops_used),
             "ransac_inlier_fraction": float(self.ransac_inlier_fraction),
-            "fitness_history": [float(v) for v in self.fitness_history],
         }
 
 
@@ -128,7 +130,8 @@ class DivergenceError(RuntimeError):
 
 
 class RegistrationFailedError(RuntimeError):
-    """Outer loop exhausted without reaching rho_icp; carries the best so far."""
+    """estimate_pose's one pass missed the orientation gate or rho_icp. `best`
+    is the refined result if only its fitness missed, and None otherwise."""
 
     def __init__(self, message: str, best: Optional[RegistrationResult]):
         super().__init__(message)

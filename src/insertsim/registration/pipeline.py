@@ -1,19 +1,18 @@
-"""Full pose estimation: prepare both clouds, then loop RANSAC -> orientation
-gate -> ICP.
+"""Full pose estimation: prepare both clouds, then one pass of RANSAC ->
+orientation gate -> ICP -> orientation gate -> fitness check.
 
 A cloud that carries its scanner raster and the raster's shape is
 registered on its outline, and the thresholds left None in the params are
 derived from the scan's pitch (`RegistrationParams.resolved`); a cloud
 without one takes outlier removal, the voxel grid and the whole-cloud
-defaults. The loop keeps the lowest-fitness gated result and stops once it
-reaches rho_icp, which on a raster is the pitch gate ds^2 + dl^2: the true
-pose passes it, so a scan that registers does so in the first loop. The
+defaults. On a raster rho_icp is the pitch gate ds^2 + dl^2, which the true
+pose passes, so a scan that registers does so in this one pass. The
 orientation gate is checked on the RANSAC hypothesis (cheap rejection of
-flipped or degenerate-symmetry matches) and re-checked on the refined pose
-before it can be kept, so every result this function ever returns satisfies
-the gate. The outer for-loop runs at most max_outer_loops times; exhaustion
-raises RegistrationFailedError carrying the best estimate so the caller can
-decide to rescan and retry.
+flipped or degenerate-symmetry matches) and again on the refined pose, so
+every result this function returns satisfies the gate. A failure raises
+RegistrationFailedError: with `best` None when no refined pose passed the
+gate or ICP diverged, and with the refined result when only its fitness is
+above rho_icp, so the caller can decide to rescan and retry.
 """
 
 from __future__ import annotations
@@ -32,9 +31,7 @@ from insertsim.registration.params import (
     RegistrationResult,
 )
 from insertsim.registration.preprocess import outline, preprocess, raster_pitch
-from insertsim.registration.ransac import correspondence_candidates, ransac_register
-
-_FITNESS_SENTINEL = 1e6  # effectively infinite start for the best fitness
+from insertsim.registration.ransac import ransac_register
 
 
 def _prepare(cloud: PointCloud, params: RegistrationParams):
@@ -53,14 +50,16 @@ def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> FeatureCloud
     normals from the raster, and described at a radius derived from its own
     pitch; any other cloud goes through outlier removal and the voxel grid.
     FPFH runs here, once per cloud. The returned FeatureCloud builds its
-    KD-trees on first use and keeps them, so no outer loop and no later
-    estimate_pose call against the same prepared cloud rebuilds one.
+    KD-trees on first use and keeps them, so no later estimate_pose call
+    against the same prepared cloud rebuilds one.
     """
     return _prepare(cloud, params)[0]
 
 
-def _loop_seed(seed: int, loop: int) -> int:
-    return int(np.random.SeedSequence([int(seed), 0x10D, loop]).generate_state(1, dtype=np.uint64)[0])
+def _ransac_seed(seed: int) -> int:
+    # the first round's seed of the retry loop this pass replaced (loop index
+    # 0), which keeps every pose bit-identical
+    return int(np.random.SeedSequence([int(seed), 0x10D, 0]).generate_state(1, dtype=np.uint64)[0])
 
 
 def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
@@ -70,42 +69,21 @@ def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
         raise ValueError("clouds must be non-empty")
     ref_f = ref_prepared if ref_prepared is not None else prepare_cloud(ref, params)
     scan_f, params = _prepare(scan, params)
-    # the seed only changes the RANSAC sampling; the correspondences are per pair
-    candidates = correspondence_candidates(scan_f, ref_f)
 
-    f_best = _FITNESS_SENTINEL
-    best_pose = None
-    best_fraction = 0.0
-    history = []
-    for loop in range(params.max_outer_loops):
-        coarse = ransac_register(scan_f, ref_f, params, _loop_seed(seed, loop), candidates)
-        if quat_distance(coarse.pose.orientation, params.q0) < params.rho_rot:
-            try:
-                refined = icp_refine(scan_f.keypoints, ref_f.keypoints, params,
-                                     initial_pose=coarse.pose, scan_tree=scan_f.keypoint_tree)
-            except DivergenceError:
-                refined = None  # coarse pose too far off; try another loop
-            if refined is not None and refined.fitness < f_best and \
-                    quat_distance(refined.pose.orientation, params.q0) < params.rho_rot:
-                f_best = refined.fitness
-                best_pose = refined.pose
-                best_fraction = coarse.inlier_fraction
-        history.append(f_best)
-        if f_best <= params.rho_icp:
-            break
-
-    if best_pose is None:
+    coarse = ransac_register(scan_f, ref_f, params, _ransac_seed(seed))
+    if quat_distance(coarse.pose.orientation, params.q0) >= params.rho_rot:
         raise RegistrationFailedError(
-            f"no refined pose passed the orientation gate in {len(history)} outer loops", None)
-    best = RegistrationResult(
-        pose=best_pose,
-        fitness=f_best,
-        outer_loops_used=len(history),
-        ransac_inlier_fraction=best_fraction,
-        fitness_history=tuple(history),
-    )
-    if f_best <= params.rho_icp:
-        return best
+            "no refined pose passed the orientation gate: the RANSAC pose is outside it", None)
+    try:
+        refined = icp_refine(scan_f.keypoints, ref_f.keypoints, params,
+                             initial_pose=coarse.pose, scan_tree=scan_f.keypoint_tree)
+    except DivergenceError as e:
+        raise RegistrationFailedError(f"ICP diverged from the RANSAC pose: {e}", None) from e
+    if quat_distance(refined.pose.orientation, params.q0) >= params.rho_rot:
+        raise RegistrationFailedError(
+            "no refined pose passed the orientation gate: the ICP pose is outside it", None)
+    result = RegistrationResult(refined.pose, refined.fitness, coarse.inlier_fraction)
+    if refined.fitness <= params.rho_icp:
+        return result
     raise RegistrationFailedError(
-        f"fitness {f_best:.3e} above rho_icp {params.rho_icp:.3e} "
-        f"after {len(history)} outer loops", best)
+        f"fitness {refined.fitness:.3e} above rho_icp {params.rho_icp:.3e}", result)

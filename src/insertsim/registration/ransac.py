@@ -16,19 +16,17 @@ Hypotheses whose orientation already violates the rho_rot gate are skipped
 before counting, so a flipped basin can never shadow the true one. The
 returned transform maps the reference cloud into the scan frame.
 
-The descriptor correspondences and the sampling pool depend only on the two
-clouds, not on the seed: `correspondence_candidates` computes them once per
-scan/reference pair (estimate_pose does so once per call, before its outer
-loop) and every RANSAC round reuses them. A hypothesis scores the number of
-moved reference keypoints within the inlier threshold of some scan keypoint,
-from one query of the scan's keypoint KD-tree; the winner's matches from
-that query are the correspondences its polish is solved on. The KD-trees
-come from the FeatureClouds, which build each one once.
+Each call draws its hypotheses from the descriptor correspondences and the
+sampling pool of `correspondence_candidates`. A hypothesis scores the number
+of moved reference keypoints within the inlier threshold of some scan
+keypoint, from one query of the scan's keypoint KD-tree; the winner's
+matches from that query are the correspondences its polish is solved on.
+The KD-trees come from the FeatureClouds, which build each one once.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,13 +52,10 @@ def _edge_lengths(pts: np.ndarray) -> np.ndarray:
     ])
 
 
-class Candidates(NamedTuple):
-    knn: np.ndarray   # (n_scan, k) reference keypoints nearest in descriptor space
-    pool: np.ndarray  # scan keypoints that triple hypotheses sample from
-
-
-def correspondence_candidates(scan: FeatureCloud, ref: FeatureCloud) -> Candidates:
-    """Descriptor kNN (scan -> reference) and the distinctive-keypoint pool."""
+def correspondence_candidates(scan: FeatureCloud, ref: FeatureCloud):
+    """Descriptor kNN (scan -> reference) and the distinctive-keypoint pool:
+    (n_scan, k) reference keypoint indices, and the scan keypoints that
+    triple hypotheses sample from."""
     if len(scan) < 3 or len(ref) < 3:
         raise InsufficientCorrespondencesError(
             f"need >= 3 keypoints on both sides, got {len(scan)} / {len(ref)}"
@@ -72,20 +67,14 @@ def correspondence_candidates(scan: FeatureCloud, ref: FeatureCloud) -> Candidat
     deviation = np.linalg.norm(scan.descriptors - scan.descriptors.mean(axis=0), axis=1)
     pool_size = min(n_scan, max(40, n_scan // 10))
     pool = np.argsort(deviation, kind="stable")[-pool_size:]
-    return Candidates(np.asarray(knn, dtype=np.int64), pool)
+    return np.asarray(knn, dtype=np.int64), pool
 
 
 def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationParams,
-                    seed: int, candidates: Optional[Candidates] = None) -> RansacResult:
-    """Best gated hypothesis of one seeded RANSAC round, polished on its inliers.
-
-    `candidates` must come from correspondence_candidates(scan, ref); it is
-    computed here when not given.
-    """
+                    seed: int) -> RansacResult:
+    """Best gated hypothesis of one seeded RANSAC run, polished on its inliers."""
     threshold = params.ransac_inlier_threshold
-    if candidates is None:
-        candidates = correspondence_candidates(scan, ref)
-    knn, pool = candidates
+    knn, pool = correspondence_candidates(scan, ref)
     k = knn.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xAC]))
     scan_pts = scan.keypoints.points

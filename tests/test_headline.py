@@ -8,7 +8,7 @@ open-loop loop is the `open_loop` workload. Both draw the same yaw, offset
 and arm error in trial k of a seed, so the two loops are compared on paired
 trials. The plate pose comes from registering the scan's outline; the tip
 the corrected trajectory starts from is still the oracle pose
-cal^-1 * arm.actual (ROADMAP finding 4) until ROADMAP item 2 measures it.
+cal^-1 * arm.actual (ROADMAP finding 1) until ROADMAP item 1 measures it.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ import workloads  # noqa: E402
 
 SEEDS = (901, 905)
 TRIALS = 6
-MIN_CORRECTED_SUCCESSES = 5  # of TRIALS per seed: ROADMAP item 1's acceptance bar
+MIN_CORRECTED_SUCCESSES = 5  # of TRIALS per seed: the bar outline registration met (ROADMAP)
 
 CORRECTED = dataclasses.replace(workloads.WORKLOADS["sparse_fresh_ref"], name="headline_corrected",
                                 fresh_reference=False, hole_range=0.0)

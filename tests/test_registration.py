@@ -110,8 +110,7 @@ def small_params(**kw) -> RegistrationParams:
     ("outlier_std_ratio", np.nan), ("icp_max_correspondence_dist", np.nan),
     ("rho_rot", np.nan),
     ("outlier_mean_k", np.nan), ("outlier_mean_k", 0), ("ransac_iterations", 2.5),
-    ("ransac_iterations", 3.0), ("max_outer_loops", np.inf), ("icp_max_iterations", True),
-    ("max_outer_loops", np.float64(2.0)), ("outlier_mean_k", "12"),
+    ("ransac_iterations", 3.0), ("icp_max_iterations", True), ("outlier_mean_k", "12"),
 ])
 def test_params_reject_nan_and_non_finite(field, value):
     with pytest.raises(ValueError, match=field):
@@ -134,8 +133,8 @@ def test_params_derive_the_fields_left_none():
 
 
 def test_params_accept_numpy_integers():
-    params = RegistrationParams(outlier_mean_k=np.int64(8), max_outer_loops=np.int32(3))
-    assert params.outlier_mean_k == 8 and params.max_outer_loops == 3
+    params = RegistrationParams(outlier_mean_k=np.int64(8), icp_max_iterations=np.int32(3))
+    assert params.outlier_mean_k == 8 and params.icp_max_iterations == 3
 
 
 # -- features -----------------------------------------------------------------
@@ -391,7 +390,10 @@ def test_voxel_grid_matches_loop_reference_on_opposing_normals():
 
 
 def test_estimate_pose_indexes_each_cloud_once(monkeypatch):
-    """KD-tree builds per estimate_pose do not grow with the outer loop count."""
+    """One estimate_pose builds six KD-trees: per cloud one for outlier
+    removal and one for the FPFH pairs, then the reference's descriptor tree
+    (RANSAC's correspondences) and the scan's keypoint tree (RANSAC's
+    scoring and every ICP iteration)."""
     builds = []
 
     def counting_tree(*args, **kwargs):
@@ -405,21 +407,13 @@ def test_estimate_pose_indexes_each_cloud_once(monkeypatch):
     rng = np.random.default_rng(11)
     scan = transform_cloud(ref, Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
     scan = PointCloud(scan.points + rng.normal(scale=1.5e-6, size=scan.points.shape), scan.normals)
-    counts = []
-    for loops in (1, 5):
-        builds.clear()
-        # rho_icp below any reachable fitness, so every outer loop runs
-        params = small_params(rho_icp=1e-30, max_outer_loops=loops)
-        with pytest.raises(RegistrationFailedError) as err:
-            estimate_pose(scan, ref, params, seed=3)
-        assert err.value.best.outer_loops_used == loops
-        counts.append(len(builds))
-    assert counts[0] == counts[1]
+    estimate_pose(scan, ref, small_params(), seed=3)
+    assert len(builds) == 6
 
 
 def test_icp_matches_against_the_scan_keypoint_tree(monkeypatch):
     """ICP reuses the scan FeatureCloud's keypoint tree instead of building its own,
-    and places the reference keypoints itself from the same loop's RANSAC pose."""
+    and places the reference keypoints itself from RANSAC's pose."""
     ransac_calls, icp_calls = [], []
 
     def recording_ransac(scan, ref, *args, **kwargs):
@@ -435,14 +429,12 @@ def test_icp_matches_against_the_scan_keypoint_tree(monkeypatch):
     monkeypatch.setattr(pipeline_module, "icp_refine", recording_icp)
     ref = terrain_cloud()
     scan = transform_cloud(ref, Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
-    estimate_pose(scan, ref, small_params(max_outer_loops=2), seed=3)
-    assert icp_calls and len(icp_calls) == len(ransac_calls)
-    scan_f, ref_f, _ = ransac_calls[0]
-    # every loop here passes the gate, so call i of each belongs to loop i
-    for (icp_ref, initial_pose, tree), (_, _, coarse) in zip(icp_calls, ransac_calls):
-        assert tree is scan_f.keypoint_tree
-        assert icp_ref is ref_f.keypoints
-        assert initial_pose is coarse.pose
+    estimate_pose(scan, ref, small_params(), seed=3)
+    assert len(ransac_calls) == len(icp_calls) == 1
+    (scan_f, ref_f, coarse), (icp_ref, initial_pose, tree) = ransac_calls[0], icp_calls[0]
+    assert tree is scan_f.keypoint_tree
+    assert icp_ref is ref_f.keypoints
+    assert initial_pose is coarse.pose
 
 
 def test_prepare_cloud_returns_the_feature_cloud():
@@ -554,13 +546,12 @@ def test_icp_total_pose_composes_initial():
     assert quat_distance(result.pose.orientation, IDENTITY_Q) < 1e-6
 
 
-# -- estimate_pose (Algorithm loop) --------------------------------------------
+# -- estimate_pose: one RANSAC -> ICP pass -------------------------------------
 
 def test_estimate_pose_trivial_self_registration():
     cloud = terrain_cloud()
     params = small_params(rho_rot=np.pi / 4)
     result = estimate_pose(cloud, cloud, params, seed=0)
-    assert result.outer_loops_used == 1
     assert result.fitness <= 1e-12
     assert np.linalg.norm(result.pose.position) < 1e-6
 
@@ -581,16 +572,29 @@ def test_estimate_pose_recovers_perturbation_with_noise():
 def test_estimate_pose_gate_negative_control():
     ref = terrain_cloud()
     q0 = Pose.from_axis_angle(np.zeros(3), [1, 0, 0], np.pi / 2).orientation
-    params = small_params(q0=q0, rho_rot=np.deg2rad(10), max_outer_loops=4)
+    params = small_params(q0=q0, rho_rot=np.deg2rad(10))
     with pytest.raises(RegistrationFailedError) as err:
         estimate_pose(ref, ref, params, seed=5)
-    assert "4 outer loops" in str(err.value)
     # no pose was kept, so there is no fitness to report
     assert err.value.best is None
     assert "no refined pose passed the orientation gate" in str(err.value)
 
 
-def test_estimate_pose_gate_soundness_and_monotone_history():
+def test_estimate_pose_reports_a_diverged_icp(monkeypatch):
+    """An ICP that diverges from the RANSAC pose fails the registration as a
+    divergence, with no pose, and not as an orientation-gate failure."""
+    def diverging_icp(*args, **kwargs):
+        raise DivergenceError("no correspondences within 1.5e-03 m")
+
+    monkeypatch.setattr(pipeline_module, "icp_refine", diverging_icp)
+    ref = terrain_cloud()
+    with pytest.raises(RegistrationFailedError, match="ICP diverged") as err:
+        estimate_pose(ref, ref, small_params(), seed=0)
+    assert err.value.best is None
+    assert isinstance(err.value.__cause__, DivergenceError)
+
+
+def test_estimate_pose_gate_soundness():
     ref = terrain_cloud()
     rng = np.random.default_rng(6)
     params = small_params()
@@ -601,8 +605,6 @@ def test_estimate_pose_gate_soundness_and_monotone_history():
         p = RegistrationParams(**{**params.__dict__, "q0": true.orientation})
         result = estimate_pose(scan, ref, p, seed=100 + trial)
         assert quat_distance(result.pose.orientation, p.q0) < p.rho_rot
-        hist = [h for h in result.fitness_history if h < 1e6]
-        assert np.all(np.diff(hist) <= 0.0 + 1e-18)
 
 
 def test_estimate_pose_deterministic():
@@ -613,7 +615,7 @@ def test_estimate_pose_deterministic():
     b = estimate_pose(scan, ref, params, seed=9)
     np.testing.assert_array_equal(a.pose.position, b.pose.position)
     np.testing.assert_array_equal(a.pose.orientation, b.pose.orientation)
-    assert a.fitness == b.fitness and a.outer_loops_used == b.outer_loops_used
+    assert a.fitness == b.fitness
 
 
 # -- estimate_pose on scanner output ---------------------------------------------
@@ -641,7 +643,7 @@ def dense_reference() -> FeatureCloud:
 @pytest.mark.parametrize("yaw", [0.0, 3.0, -3.0])
 def test_estimate_pose_on_a_dense_scan_is_accurate_in_one_loop(dense_reference, yaw, offset, cal):
     """Outline registration with the default params finds the plate to 15 um
-    and 2 mrad in its first outer loop. The outline holds whole raster
+    and 2 mrad in its one RANSAC -> ICP pass. The outline holds whole raster
     cells, so an edge along the raster keeps a sub-pitch bias: hence 15 um,
     not 10, and at 0 yaw, where every side runs along the raster, the yaw
     is fixed only to about the 25 um profile step over the 6 mm side,
@@ -651,9 +653,46 @@ def test_estimate_pose_on_a_dense_scan_is_accurate_in_one_loop(dense_reference, 
     result = estimate_pose(scan, dense_reference.keypoints, RegistrationParams(), seed=3,
                            ref_prepared=dense_reference)
     truth = pose_compose(cal.mount_offset.inverse(), true)
-    assert result.outer_loops_used == 1
     assert result.pose.translation_to(truth) <= 15e-6
     assert result.pose.rotation_to(truth) <= (2e-3 if yaw else 5e-3)
+
+
+def test_a_scan_missing_the_hole_and_two_edges_fails_in_one_pass(monkeypatch):
+    """A sparse sweep over y in [0.8, 2.5] mm sees neither the hole nor the
+    plate's y edges, so nothing pins the plate's position along them:
+    registering it against the whole reference fails after one RANSAC run."""
+    calls = []
+
+    def counting_ransac(*args, **kwargs):
+        calls.append(1)
+        return ransac_register(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_module, "ransac_register", counting_ransac)
+    w = workloads.WORKLOADS["sparse_fresh_ref"]
+    ref = prepare_cloud(bench_scan("sparse_fresh_ref", Pose.identity(), CalibrationError.none()),
+                        RegistrationParams())
+    sweep = linear_sweep(Pose.from_axis_angle([0.0, 0.8e-3, 0.03], [1, 0, 0], np.pi),
+                         [0, 1, 0], w.sweep_step, 18)
+    scene = Scene([ScenePart("plate", workloads.plate(workloads.HOLE_CENTER),
+                             Pose.from_axis_angle(np.array([1e-4, -1e-4, 0.0]), [0, 0, 1], 0.02))])
+    scan = sweep_scan(scene, sweep, w.scanner, workloads.CAL, seed=5)
+    with pytest.raises(RegistrationFailedError):
+        estimate_pose(scan, ref.fine, RegistrationParams(), seed=3, ref_prepared=ref)
+    assert len(calls) == 1
+
+
+def test_a_traced_corrected_run_reports_every_layer():
+    """The benchmark's traced run reads the registration result of every
+    corrected trial (`harness._estimate_attrs`); a tiny corrected workload
+    must trace without a failed trial and report every per-layer metric."""
+    import harness
+    tiny = workloads.Workload(
+        "tiny_corrected", corrected=True,
+        scanner=ScannerConfig(points_per_profile=256, lateral_resolution=96e-6),
+        sweep_step=200e-6, profiles=35, quality_trials=2)
+    report = harness.run(tiny, seed=7, seconds=0.0, trace=True)
+    assert report["failed"] == 0
+    assert list(report["metrics"]) == [name for name, _, _ in harness.PER_LAYER]
 
 
 def test_estimate_pose_reads_no_scan_normals():
@@ -675,5 +714,5 @@ def test_registration_result_json_round_trip():
     result = estimate_pose(ref, ref, small_params(), seed=0)
     payload = json.dumps(result.to_json_dict())
     back = json.loads(payload)
-    assert back["outer_loops_used"] == 1
+    assert set(back) == {"position", "orientation_wxyz", "fitness", "ransac_inlier_fraction"}
     assert len(back["orientation_wxyz"]) == 4
