@@ -16,6 +16,8 @@ though full-workspace repeats scatter at the datasheet level.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from insertsim.geom import Pose
@@ -49,11 +51,14 @@ class ProprioceptionError:
     def next_noise(self, motion_amplitude: float = None) -> np.ndarray:
         """Advance the repeatability state for one commanded motion.
 
-        `motion_amplitude` is the joint-space travel (rad); None means a
-        large, fully decorrelating motion. The marginal distribution of the
-        returned state is N(0, repeat_noise_std^2) per joint regardless of
-        the motion history.
+        `motion_amplitude` is the joint-space travel (rad); None (or inf)
+        means a large, fully decorrelating motion. NaN is refused before
+        anything is drawn, so the state and the generator stay as they were.
+        The marginal distribution of the returned state is
+        N(0, repeat_noise_std^2) per joint regardless of the motion history.
         """
+        if motion_amplitude is not None and math.isnan(motion_amplitude):
+            raise ValueError("motion_amplitude must not be NaN")
         if self.repeat_noise_std == 0.0:
             return np.zeros(7)
         if motion_amplitude is None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from insertsim.geom import Pose, quat_to_rotvec, quat_multiply, quat_conjugate
+from insertsim.geom import Pose, quat_to_rotvec, quat_multiply, quat_conjugate, vector_norm
 from insertsim.arm.model import DOF, ArmModel, JointConfig, fk, jacobian
 
 DAMPING = 1e-3
@@ -46,13 +46,13 @@ def ik(model: ArmModel, target: Pose, bias_config: JointConfig, start: JointConf
     eye7 = np.eye(DOF)
 
     for it in range(MAX_ITERATIONS + 1):
-        cur = fk(model, JointConfig(q), check_limits=False)
-        err = _pose_error(target, cur)
-        task_ok = np.linalg.norm(err[:3]) < POS_TOL and np.linalg.norm(err[3:]) < ROT_TOL
+        q_cfg = JointConfig(q)
+        err = _pose_error(target, fk(model, q_cfg, check_limits=False))
+        task_ok = vector_norm(err[:3]) < POS_TOL and vector_norm(err[3:]) < ROT_TOL
         # stop on the pose just evaluated: it is the one judged below
         if task_ok or it == MAX_ITERATIONS:
             break
-        J = jacobian(model, JointConfig(q))
+        J = jacobian(model, q_cfg)
         JJt = J @ J.T + lam2 * eye6
         J_dls = J.T @ np.linalg.inv(JJt)
         # exact projector: a damped pseudoinverse would leak the null-space

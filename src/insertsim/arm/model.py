@@ -81,32 +81,41 @@ class ArmModel:
             raise ValueError(f"expected {DOF} joint angles, got {len(a)}")
         lo, hi = self.joint_limits[:, 0], self.joint_limits[:, 1]
         # written so that a NaN angle fails it too
-        bad = np.flatnonzero(~((lo - 1e-12 <= a) & (a <= hi + 1e-12)))
-        if bad.size:
-            raise ValueError(f"joints {bad.tolist()} outside limits")
+        inside = (lo - 1e-12 <= a) & (a <= hi + 1e-12)
+        if not inside.all():
+            raise ValueError(f"joints {np.flatnonzero(~inside).tolist()} outside limits")
 
     def clamp(self, angles: np.ndarray) -> np.ndarray:
         return np.clip(angles, self.joint_limits[:, 0], self.joint_limits[:, 1])
 
 
-def _frames(model: ArmModel, q: JointConfig) -> list[np.ndarray]:
-    """Cumulative frames T_0..T_7 from the base; each row's link transform is
-    RotX(alpha) TransX(a) RotZ(theta) TransZ(d)."""
-    T = np.eye(4)
-    frames = [T]
-    for (a, d, alpha, offset), qi in zip(model.dh_parameters, q.angles):
-        theta = offset + qi
-        ct, st = np.cos(theta), np.sin(theta)
-        ca, sa = np.cos(alpha), np.sin(alpha)
-        T = T @ np.array(
-            [
-                [ct, -st, 0.0, a],
-                [st * ca, ct * ca, -sa, -d * sa],
-                [st * sa, ct * sa, ca, d * ca],
-                [0.0, 0.0, 0.0, 1.0],
-            ]
-        )
-        frames.append(T)
+def _frames(model: ArmModel, q: JointConfig) -> np.ndarray:
+    """Cumulative frames T_0..T_7 from the base, as one (8, 4, 4) array; each
+    row's link transform is RotX(alpha) TransX(a) RotZ(theta) TransZ(d).
+
+    The cosines and sines of all seven joints come from one numpy call each,
+    which rounds as the per-joint scalar calls do, and the links are chained
+    by the same seven 4 x 4 products, in the same order, as a loop over
+    per-row matrices, so every bit is that loop's (the tests
+    `test_vector_cos_and_sin_match_the_scalar_calls_bit_for_bit` and
+    `test_frames_match_the_per_row_reference_bit_for_bit` check both).
+    """
+    a, d, alpha, offset = np.ascontiguousarray(model.dh_parameters.T)
+    theta = offset + q.angles
+    ct, st = np.cos(theta), np.sin(theta)
+    ca, sa = np.cos(alpha), np.sin(alpha)
+    zero = np.zeros(DOF)
+    # one column per matrix entry, transposed to one row per link
+    links = np.array([
+        ct, -st, zero, a,
+        st * ca, ct * ca, -sa, -d * sa,
+        st * sa, ct * sa, ca, d * ca,
+        zero, zero, zero, np.ones(DOF),
+    ]).T.reshape(DOF, 4, 4)
+    frames = np.empty((DOF + 1, 4, 4))
+    frames[0] = np.eye(4)
+    for prev, link, out in zip(frames, links, frames[1:]):
+        np.matmul(prev, link, out=out)
     return frames
 
 
@@ -121,7 +130,11 @@ def fk(model: ArmModel, q: JointConfig, check_limits: bool = True) -> Pose:
 
 def jacobian(model: ArmModel, q: JointConfig) -> np.ndarray:
     """Geometric Jacobian (6 x 7): linear rows on top, angular below."""
-    joints = np.stack(_frames(model, q)[1:])  # frame of joint i: its z-axis is the rotation axis
-    z = joints[:, :3, 2]
-    p = joints[:, :3, 3]
-    return np.vstack([np.cross(z, p[-1] - p).T, z.T])
+    joints = _frames(model, q)[1:]  # frame of joint i: its z-axis is the rotation axis
+    z = joints[:, :3, 2].T                                 # (3, 7) joint axes
+    r = joints[-1, :3, 3, None] - joints[:, :3, 3].T       # (3, 7) lever arms to the flange
+    # z x r per component, as np.cross forms it
+    return np.vstack([z[1] * r[2] - z[2] * r[1],
+                      z[2] * r[0] - z[0] * r[2],
+                      z[0] * r[1] - z[1] * r[0],
+                      z])

@@ -9,6 +9,7 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,22 +25,34 @@ def _as_f64(x, shape=None) -> np.ndarray:
     return a
 
 
+def vector_norm(v) -> float:
+    """`np.linalg.norm` of a float64 vector, bit for bit and without its
+    overhead: the same dot product over a contiguous copy, then the root
+    (a dot product over a strided view sums in another order)."""
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    return math.sqrt(v.dot(v))
+
+
 # ---------------------------------------------------------------------------
 # Quaternion helpers (w, x, y, z)
+#
+# The scalar helpers unpack to Python floats: + - * / and sqrt round exactly
+# as on numpy scalars at a fraction of the cost. Transcendentals (cos, sin,
+# arctan2, ...) stay numpy, whose results need not match the math module's.
 # ---------------------------------------------------------------------------
 
 def quat_normalize(q) -> np.ndarray:
     q = _as_f64(q, (4,))
-    n = float(np.linalg.norm(q))
-    if not 1e-12 <= n < np.inf:  # NaN fails both comparisons
+    n = vector_norm(q)
+    if not 1e-12 <= n < math.inf:  # NaN fails both comparisons
         raise ValueError("cannot normalize a near-zero or non-finite quaternion")
     return q / n
 
 
 def quat_multiply(q1, q2) -> np.ndarray:
     """Hamilton product q1 * q2."""
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
+    w1, x1, y1, z1 = _as_f64(q1, (4,)).tolist()
+    w2, x2, y2, z2 = _as_f64(q2, (4,)).tolist()
     return np.array(
         [
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
@@ -51,12 +64,12 @@ def quat_multiply(q1, q2) -> np.ndarray:
 
 
 def quat_conjugate(q) -> np.ndarray:
-    q = _as_f64(q, (4,))
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    w, x, y, z = _as_f64(q, (4,)).tolist()
+    return np.array([w, -x, -y, -z])
 
 
 def quat_to_matrix(q) -> np.ndarray:
-    w, x, y, z = q
+    w, x, y, z = _as_f64(q, (4,)).tolist()
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
@@ -71,30 +84,34 @@ def quat_to_matrix(q) -> np.ndarray:
 
 def quat_from_matrix(R) -> np.ndarray:
     """Rotation matrix to unit quaternion, w >= 0 canonical sign."""
-    R = _as_f64(R, (3, 3))
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = _as_f64(R, (3, 3)).tolist()
+    # the root's argument is >= 1 on every branch of a finite R, so s >= 2
+    tr = r00 + r11 + r22
     if tr > 0.0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s, (R[2, 1] - R[1, 2]) / s, (R[0, 2] - R[2, 0]) / s, (R[1, 0] - R[0, 1]) / s])
-    elif R[0, 0] > R[1, 1] and R[0, 0] > R[2, 2]:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array([(R[2, 1] - R[1, 2]) / s, 0.25 * s, (R[0, 1] + R[1, 0]) / s, (R[0, 2] + R[2, 0]) / s])
-    elif R[1, 1] > R[2, 2]:
-        s = np.sqrt(1.0 + R[1, 1] - R[0, 0] - R[2, 2]) * 2.0
-        q = np.array([(R[0, 2] - R[2, 0]) / s, (R[0, 1] + R[1, 0]) / s, 0.25 * s, (R[1, 2] + R[2, 1]) / s])
+        s = math.sqrt(tr + 1.0) * 2.0
+        q = [0.25 * s, (r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
+    elif r00 > r11 and r00 > r22:
+        s = math.sqrt(1.0 + r00 - r11 - r22) * 2.0
+        q = [(r21 - r12) / s, 0.25 * s, (r01 + r10) / s, (r02 + r20) / s]
+    elif r11 > r22:
+        s = math.sqrt(1.0 + r11 - r00 - r22) * 2.0
+        q = [(r02 - r20) / s, (r01 + r10) / s, 0.25 * s, (r12 + r21) / s]
     else:
-        s = np.sqrt(1.0 + R[2, 2] - R[0, 0] - R[1, 1]) * 2.0
-        q = np.array([(R[1, 0] - R[0, 1]) / s, (R[0, 2] + R[2, 0]) / s, (R[1, 2] + R[2, 1]) / s, 0.25 * s])
+        s = math.sqrt(1.0 + r22 - r00 - r11) * 2.0
+        q = [(r10 - r01) / s, (r02 + r20) / s, (r12 + r21) / s, 0.25 * s]
     q = quat_normalize(q)
     return -q if q[0] < 0.0 else q
 
 
 def quat_from_axis_angle(axis, angle: float) -> np.ndarray:
     axis = _as_f64(axis, (3,))
-    n = float(np.linalg.norm(axis))
-    if n < 1e-12:
-        raise ValueError("axis must be nonzero")
-    half = 0.5 * float(angle)
+    n = vector_norm(axis)
+    if not 1e-12 <= n < math.inf:  # NaN fails both comparisons
+        raise ValueError("axis must be nonzero and finite")
+    angle = float(angle)
+    if not math.isfinite(angle):
+        raise ValueError("angle must be finite")
+    half = 0.5 * angle
     return np.concatenate([[np.cos(half)], np.sin(half) * axis / n])
 
 
@@ -103,7 +120,7 @@ def quat_to_rotvec(q) -> np.ndarray:
     q = _as_f64(q, (4,))
     if q[0] < 0.0:
         q = -q
-    s = float(np.linalg.norm(q[1:]))
+    s = vector_norm(q[1:])
     if s < 1e-12:
         return 2.0 * q[1:]  # first-order for tiny rotations
     angle = 2.0 * np.arctan2(s, q[0])
@@ -159,7 +176,7 @@ class Pose:
     def __post_init__(self):
         p = _as_f64(self.position, (3,)).copy()
         q = quat_normalize(self.orientation)
-        if not np.all(np.isfinite(p)):
+        if not all(map(math.isfinite, p.tolist())):
             raise ValueError("pose position must be finite")
         p.flags.writeable = False
         q.flags.writeable = False

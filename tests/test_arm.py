@@ -1,5 +1,7 @@
 import importlib
+import sys
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,11 @@ from insertsim.arm import (
     ik,
     jacobian,
 )
+from insertsim.arm.model import DOF
 from insertsim.geom import Pose, quat_to_rotvec, quat_multiply, quat_conjugate
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "trialbench"))
+import workloads  # noqa: E402
 
 # the modules, not the functions of the same names that insertsim.arm exports
 ik_module = importlib.import_module("insertsim.arm.ik")
@@ -38,6 +44,22 @@ def random_configs(model, n, seed=0):
 
 def distance(a: JointConfig, b: JointConfig) -> float:
     return float(np.linalg.norm(a.angles - b.angles))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def configs_to_the_limits(model, seed=0):
+    """1000 draws over the full joint ranges, 250 with every joint at one of
+    its limits and 250 with each joint at a limit or drawn between them."""
+    rng = np.random.default_rng(seed)
+    lo, hi = model.joint_limits.T
+    uniform = rng.uniform(lo, hi, size=(1250, DOF))
+    at_limit = np.where(rng.random((500, DOF)) < 0.5, lo, hi)
+    mixed = np.where(rng.random((250, DOF)) < 0.5, at_limit[250:], uniform[1000:])
+    return [JointConfig(q) for q in np.vstack([uniform[:1000], at_limit[:250], mixed])]
 
 
 # -- forward kinematics --------------------------------------------------------
@@ -89,9 +111,49 @@ def test_jacobian_matches_central_differences():
         assert np.linalg.norm(J - J_fd) / max(np.linalg.norm(J), 1.0) < 1e-6
 
 
+def reference_frames(model, q):
+    """The per-row loop _frames replaced: one 4 x 4 np.array per link, built
+    from numpy scalars, chained with `@`."""
+    T = np.eye(4)
+    frames = [T]
+    for (a, d, alpha, offset), qi in zip(model.dh_parameters, q.angles):
+        theta = offset + qi
+        ct, st = np.cos(theta), np.sin(theta)
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        T = T @ np.array(
+            [
+                [ct, -st, 0.0, a],
+                [st * ca, ct * ca, -sa, -d * sa],
+                [st * sa, ct * sa, ca, d * ca],
+                [0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        frames.append(T)
+    return frames
+
+
+def test_frames_match_the_per_row_reference_bit_for_bit():
+    model = panda()
+    for q in configs_to_the_limits(model):
+        frames = model_module._frames(model, q)
+        assert frames.shape == (DOF + 1, 4, 4)
+        assert same_bits(frames, np.stack(reference_frames(model, q)))
+
+
+def test_vector_cos_and_sin_match_the_scalar_calls_bit_for_bit():
+    """_frames takes the cosines and sines of all joints in one call each;
+    the per-row loop took them one numpy scalar at a time."""
+    model = panda()
+    offset, alpha = model.dh_parameters[:, 3], model.dh_parameters[:, 2]
+    for angles in [alpha] + [offset + q.angles for q in configs_to_the_limits(model)]:
+        angles = np.ascontiguousarray(angles)
+        assert same_bits(np.cos(angles), [np.cos(t) for t in angles])
+        assert same_bits(np.sin(angles), [np.sin(t) for t in angles])
+
+
 def reference_jacobian(model, q):
     """One column per joint, each with its own np.cross."""
-    frames = model_module._frames(model, q)
+    frames = reference_frames(model, q)
     p_ee = frames[-1][:3, 3]
     J = np.zeros((6, 7))
     for i in range(7):
@@ -104,8 +166,49 @@ def reference_jacobian(model, q):
 
 def test_jacobian_matches_the_per_column_reference_bit_for_bit():
     model = panda()
-    for q in random_configs(model, 100, seed=10):
-        np.testing.assert_array_equal(jacobian(model, q), reference_jacobian(model, q))
+    for q in configs_to_the_limits(model, seed=10):
+        assert same_bits(jacobian(model, q), reference_jacobian(model, q))
+
+
+def open_loop_insertions(monkeypatch, seed, trials):
+    """(final pose, joint path) of execute_insertion in `open_loop` benchmark trials."""
+    runs = []
+    execute = workloads.insertion.execute_insertion
+
+    def recording(*args, **kwargs):
+        runs.append(execute(*args, **kwargs))
+        return runs[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(workloads.insertion, "execute_insertion", recording)
+        bench = workloads.Bench(workloads.WORKLOADS["open_loop"], seed)
+        for trial in trials:
+            bench.run_trial(trial)
+    return runs
+
+
+def test_open_loop_insertions_match_the_reference_kernels_bit_for_bit(monkeypatch):
+    """Whole open-loop insertions, run once on the production kernels and once
+    on the per-row _frames and per-column jacobian, end on the same bits."""
+    production = open_loop_insertions(monkeypatch, 901, (0, 1))
+    calls = {"frames": 0, "jacobian": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(model_module, "_frames", counted("frames", reference_frames))
+    monkeypatch.setattr(ik_module, "jacobian", counted("jacobian", reference_jacobian))
+    reference = open_loop_insertions(monkeypatch, 901, (0, 1))
+    assert calls["frames"] > calls["jacobian"] > 0  # the reference kernels ran
+    assert len(production) == len(reference) == 2
+    for (final, path), (ref_final, ref_path) in zip(production, reference):
+        assert same_bits(final.position, ref_final.position)
+        assert same_bits(final.orientation, ref_final.orientation)
+        assert len(path) == len(ref_path) == workloads.HORIZON - 1
+        assert same_bits([q.angles for q in path], [q.angles for q in ref_path])
 
 
 NAN_AT_2 = JointConfig(np.where(np.arange(7) == 2, np.nan, HOME.angles))
@@ -271,6 +374,21 @@ def test_error_model_calibration_band():
     assert np.sqrt(np.mean(spread**2)) <= 1e-4  # repeatability within 0.1 mm
     offset = np.linalg.norm(tips.mean(axis=0) - reported.position)
     assert 0.5e-3 <= offset <= 3e-3  # accuracy in the collaborative-arm band
+
+
+def test_a_nan_amplitude_leaves_the_noise_state_untouched():
+    """NaN is refused before anything is drawn, so the arm keeps in step with
+    a twin that never saw it; inf (a full redraw) stays legal."""
+    poked, twin = ProprioceptionError.draw(seed=12), ProprioceptionError.draw(seed=12)
+    for err in (poked, twin):
+        err.next_noise()
+        err.next_noise(np.inf)
+    with pytest.raises(ValueError, match="motion_amplitude"):
+        poked.next_noise(np.nan)
+    for _ in range(3):
+        noise = poked.next_noise(0.01)
+        assert np.all(np.isfinite(noise))
+        assert same_bits(noise, twin.next_noise(0.01))
 
 
 def test_execute_motion_reproducible_bit_exact():
