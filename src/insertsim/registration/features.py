@@ -74,7 +74,8 @@ class FeatureCloud:
 
 
 def estimate_normals(cloud: PointCloud) -> PointCloud:
-    """PCA normals over the NORMAL_K nearest neighbors, oriented toward the origin."""
+    """PCA normals over the NORMAL_K nearest neighbors, oriented toward the
+    origin. Kept only for the benchmark's tracer (`harness.PROBES`)."""
     n = len(cloud)
     if n < 3:
         raise ValueError("need at least 3 points to estimate normals")
@@ -136,16 +137,16 @@ def _bin_index(values, lo, hi):
 def compute_features(cloud: PointCloud, radius: float) -> FeatureCloud:
     """FPFH-style descriptors over the given radius.
 
-    Points with fewer than 5 neighbors inside the radius cannot be described.
-    Such stragglers are dropped until none is left (dropping one can leave
-    its neighbors short), but if more than 10% of the cloud is dropped in all
-    the radius is wrong for this cloud and a DegenerateFeatureError is raised
-    instead.
+    The cloud must carry normals. Points with fewer than 5 neighbors inside
+    the radius cannot be described. Such stragglers are dropped until none
+    is left (dropping one can leave its neighbors short), but if more than
+    10% of the cloud is dropped in all the radius is wrong for this cloud
+    and a DegenerateFeatureError is raised instead.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be positive and finite")
     if not cloud.has_normals:
-        cloud = estimate_normals(cloud)
+        raise ValueError("compute_features needs a cloud with normals")
     n = len(cloud)
     # every neighbour pair in both directions, sorted by (source, target):
     # the order in which the blend below accumulates

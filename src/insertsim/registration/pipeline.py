@@ -1,18 +1,17 @@
 """Full pose estimation: prepare both clouds, then one pass of RANSAC ->
 orientation gate -> ICP -> orientation gate -> fitness check.
 
-A cloud that carries its scanner raster and the raster's shape is
-registered on its outline, and the thresholds left None in the params are
-derived from the scan's pitch (`RegistrationParams.resolved`); a cloud
-without one takes outlier removal, the voxel grid and the whole-cloud
-defaults. On a raster rho_icp is the pitch gate ds^2 + dl^2, which the true
-pose passes, so a scan that registers does so in this one pass. The
-orientation gate is checked on the RANSAC hypothesis (cheap rejection of
-flipped or degenerate-symmetry matches) and again on the refined pose, so
-every result this function returns satisfies the gate. A failure raises
-RegistrationFailedError: with `best` None when no refined pose passed the
-gate or ICP diverged, and with the refined result when only its fitness is
-above rho_icp, so the caller can decide to rescan and retry.
+Both clouds are scanner clouds, which carry their raster and the raster's
+shape. Each is registered on its outline, and the thresholds left None in
+the params are derived from the scan's pitch (`RegistrationParams.resolved`).
+rho_icp is the pitch gate ds^2 + dl^2, which the true pose passes, so a scan
+that registers does so in this one pass. The orientation gate is checked
+on the RANSAC hypothesis (cheap rejection of flipped or degenerate-symmetry
+matches) and again on the refined pose, so every result this function
+returns satisfies the gate. A failure raises RegistrationFailedError: with
+`best` None when no refined pose passed the gate or ICP diverged, and with
+the refined result when only its fitness is above rho_icp, so the caller
+can decide to rescan and retry.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from insertsim.geom import PointCloud, quat_distance
+from insertsim.geom import PointCloud
 from insertsim.registration.features import FeatureCloud, compute_features
 from insertsim.registration.icp import icp_refine
 from insertsim.registration.params import (
@@ -30,28 +29,24 @@ from insertsim.registration.params import (
     RegistrationParams,
     RegistrationResult,
 )
-from insertsim.registration.preprocess import outline, preprocess, raster_pitch
+from insertsim.registration.preprocess import outline, raster_pitch
 from insertsim.registration.ransac import ransac_register
 
 
 def _prepare(cloud: PointCloud, params: RegistrationParams):
     """The cloud's FeatureCloud, and `params` resolved for the cloud."""
     if cloud.raster_shape is None:
-        params = params.resolved(None)
-        return compute_features(preprocess(cloud, params), params.feature_radius), params
+        raise ValueError("registration takes scanner clouds: this cloud has no raster shape")
     params = params.resolved(raster_pitch(cloud))
     return compute_features(outline(cloud), params.feature_radius), params
 
 
 def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> FeatureCloud:
-    """Condition and describe a cloud once; reusable across estimate_pose calls.
-
-    A cloud with a raster shape is reduced to its outline, with in-plane
-    normals from the raster, and described at a radius derived from its own
-    pitch; any other cloud goes through outlier removal and the voxel grid.
-    FPFH runs here, once per cloud. The returned FeatureCloud builds its
-    KD-trees on first use and keeps them, so no later estimate_pose call
-    against the same prepared cloud rebuilds one.
+    """Condition and describe a scanner cloud once, for any number of
+    estimate_pose calls: its outline, with in-plane normals from the raster,
+    described by FPFH at a radius derived from its own pitch. The returned
+    FeatureCloud builds its KD-trees on first use and keeps them, so no
+    later estimate_pose call against the same prepared cloud rebuilds one.
     """
     return _prepare(cloud, params)[0]
 
@@ -71,7 +66,7 @@ def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
     scan_f, params = _prepare(scan, params)
 
     coarse = ransac_register(scan_f, ref_f, params, _ransac_seed(seed))
-    if quat_distance(coarse.pose.orientation, params.q0) >= params.rho_rot:
+    if not params.in_orientation_gate(coarse.pose.orientation):
         raise RegistrationFailedError(
             "no refined pose passed the orientation gate: the RANSAC pose is outside it", None)
     try:
@@ -79,7 +74,7 @@ def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
                              initial_pose=coarse.pose, scan_tree=scan_f.keypoint_tree)
     except DivergenceError as e:
         raise RegistrationFailedError(f"ICP diverged from the RANSAC pose: {e}", None) from e
-    if quat_distance(refined.pose.orientation, params.q0) >= params.rho_rot:
+    if not params.in_orientation_gate(refined.pose.orientation):
         raise RegistrationFailedError(
             "no refined pose passed the orientation gate: the ICP pose is outside it", None)
     result = RegistrationResult(refined.pose, refined.fitness, coarse.inlier_fraction)

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from insertsim.geom import Pose, quat_from_matrix, quat_distance, quat_to_matrix
+from insertsim.geom import Pose, quat_from_matrix, quat_to_matrix
 from insertsim.registration.features import FeatureCloud
 from insertsim.registration.params import InsufficientCorrespondencesError, RegistrationParams
 from insertsim.registration.rigid import kabsch_transform
@@ -86,7 +86,7 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
     min_edge = 3.0 * threshold
     R_prior = quat_to_matrix(params.q0)
     # prior hypotheses all share R_prior, so they all pass or all fail the gate
-    prior_passes_gate = quat_distance(quat_from_matrix(R_prior), params.q0) < params.rho_rot
+    prior_passes_gate = params.in_orientation_gate(quat_from_matrix(R_prior))
 
     def score(R, t):
         """Inlier count, inlier mask and matched scan keypoints of a hypothesis."""
@@ -116,7 +116,7 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
             if area < 0.05 * float(np.max(e_dst)) ** 2:
                 continue  # near-collinear, Kabsch is unstable
             R, t = kabsch_transform(src, dst)
-            if quat_distance(quat_from_matrix(R), params.q0) >= params.rho_rot:
+            if not params.in_orientation_gate(quat_from_matrix(R)):
                 continue  # already hopeless at the orientation gate
         else:
             # prior-orientation hypothesis from one correspondence
@@ -146,7 +146,7 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
     count = best_count
     if count >= 3:
         R2, t2 = kabsch_transform(ref_pts[inliers], scan_pts[idx[inliers]])
-        if quat_distance(quat_from_matrix(R2), params.q0) < params.rho_rot:
+        if params.in_orientation_gate(quat_from_matrix(R2)):
             refined_count = score(R2, t2)[0]
             if refined_count >= count:  # a tie is adopted too
                 R, t, count = R2, t2, refined_count

@@ -8,14 +8,12 @@ from insertsim.geom import PointCloud, Pose, transform_cloud
 from insertsim.registration import (
     DegenerateFeatureError,
     InsufficientCorrespondencesError,
-    PreprocessingDegenerateError,
     RegistrationParams,
     estimate_pose,
     prepare_cloud,
-    statistical_outlier_removal,
-    voxel_downsample,
 )
-from insertsim.registration.preprocess import outline, preprocess, raster_pitch
+from insertsim.registration.preprocess import outline, raster_pitch, \
+    statistical_outlier_removal, voxel_downsample
 from insertsim.scansim import CalibrationError, HolePlate, Scene, ScenePart, ScannerConfig, \
     linear_sweep, sweep_scan
 
@@ -63,28 +61,28 @@ def test_outlier_removal_matches_brute_force():
 
 
 def test_preprocess_idempotent_on_voxel_centroids():
+    """Outlier removal then the voxel grid, run again on its own output."""
     rng = np.random.default_rng(2)
     # closed surface sampling (sphere) so the outlier filter has no lonely edge
     u = rng.normal(size=(4000, 3))
     pts = 5e-3 * u / np.linalg.norm(u, axis=1, keepdims=True)
-    params = RegistrationParams(voxel_size=5e-4, outlier_mean_k=10, outlier_std_ratio=3.0)
-    once = preprocess(PointCloud(pts), params)
-    twice = preprocess(once, params)
+
+    def condition(cloud):
+        return voxel_downsample(statistical_outlier_removal(cloud, 10, 3.0), 5e-4)
+
+    once = condition(PointCloud(pts))
+    twice = condition(once)
     # every surviving point must coincide with a point of the first pass
     for p in twice.points:
         assert np.min(np.linalg.norm(once.points - p, axis=1)) <= 1e-12
 
 
-def test_preprocess_degenerate_error():
-    cloud = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-    params = RegistrationParams(outlier_mean_k=2, outlier_std_ratio=-10.0)
-    with pytest.raises(PreprocessingDegenerateError):
-        preprocess(cloud, params)
-
-
 def test_preprocess_empty_input_rejected():
-    with pytest.raises(ValueError):
-        preprocess(PointCloud(np.zeros((0, 3))), RegistrationParams())
+    empty = PointCloud(np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="empty"):
+        statistical_outlier_removal(empty, 12, 2.0)
+    with pytest.raises(ValueError, match="empty"):
+        voxel_downsample(empty, 1e-4)
 
 
 def test_voxel_downsample_averages_normals():
@@ -313,15 +311,26 @@ def test_raster_pitch_is_the_scanner_spacing(scanner, pitch):
 
 def test_prepare_cloud_registers_a_scan_on_its_outline(monkeypatch):
     """A scan reaches neither outlier removal nor the voxel grid, and its
-    keypoints are its outline; without its raster shape it takes both."""
+    keypoints are its outline."""
     sor = count_calls(monkeypatch, preprocess_module, "statistical_outlier_removal")
     voxel = count_calls(monkeypatch, preprocess_module, "voxel_downsample")
     cloud = plate_scan("sparse", "yaw+3", CAL)
     prepared = prepare_cloud(cloud, RegistrationParams())
     assert sor == [] and voxel == []
     np.testing.assert_array_equal(prepared.keypoints.points, outline(cloud).points)
-    prepare_cloud(PointCloud(cloud.points, raster=cloud.raster), RegistrationParams())
-    assert len(sor) == len(voxel) == 1
+
+
+def test_registration_rejects_a_cloud_without_a_raster_shape():
+    """Registration takes scanner clouds: a cloud without its raster shape,
+    as scan or as reference, raises and names what it lacks."""
+    scan = plate_scan("sparse", "yaw+3", CAL)
+    for bare in (PointCloud(scan.points, raster=scan.raster), PointCloud(scan.points)):
+        with pytest.raises(ValueError, match="raster shape"):
+            prepare_cloud(bare, RegistrationParams())
+        with pytest.raises(ValueError, match="raster shape"):
+            estimate_pose(bare, scan, RegistrationParams(), seed=0)
+        with pytest.raises(ValueError, match="raster shape"):
+            estimate_pose(scan, bare, RegistrationParams(), seed=0)
 
 
 def test_a_plate_across_the_last_profile_has_no_outline_on_it():
