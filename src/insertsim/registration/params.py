@@ -119,8 +119,8 @@ class DivergenceError(RuntimeError):
 
 
 class RegistrationFailedError(RuntimeError):
-    """estimate_pose's one pass missed the orientation gate or rho_icp. `best`
-    is the refined result if only its fitness missed, and None otherwise."""
+    """estimate_pose's one pass scored no RANSAC hypothesis or missed the gate
+    or rho_icp. `best` is the refined result if only its fitness missed, else None."""
 
     def __init__(self, message: str, best: Optional[RegistrationResult]):
         super().__init__(message)

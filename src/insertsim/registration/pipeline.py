@@ -9,9 +9,9 @@ that registers does so in this one pass. The orientation gate is checked
 on the RANSAC hypothesis (cheap rejection of flipped or degenerate-symmetry
 matches) and again on the refined pose, so every result this function
 returns satisfies the gate. A failure raises RegistrationFailedError: with
-`best` None when no refined pose passed the gate or ICP diverged, and with
-the refined result when only its fitness is above rho_icp, so the caller
-can decide to rescan and retry.
+`best` None when RANSAC scored no hypothesis, no refined pose passed the
+gate or ICP diverged, and with the refined result when only its fitness is
+above rho_icp, so the caller can decide to rescan and retry.
 """
 
 from __future__ import annotations
@@ -29,16 +29,19 @@ from insertsim.registration.params import (
     RegistrationParams,
     RegistrationResult,
 )
-from insertsim.registration.preprocess import outline, raster_pitch
+from insertsim.registration.preprocess import outline, raster_cells, raster_pitch
 from insertsim.registration.ransac import ransac_register
 
 
 def _prepare(cloud: PointCloud, params: RegistrationParams):
     """The cloud's FeatureCloud, and `params` resolved for the cloud."""
-    if cloud.raster_shape is None:
-        raise ValueError("registration takes scanner clouds: this cloud has no raster shape")
-    params = params.resolved(raster_pitch(cloud))
-    return compute_features(outline(cloud), params.feature_radius), params
+    if cloud.raster_shape is None or len(cloud) == 0:
+        raise ValueError("registration takes non-empty scanner clouds, with a raster shape")
+    cells = raster_cells(cloud)
+    params = params.resolved(raster_pitch(cloud, cells))
+    edge = outline(cloud, cells)
+    del cells  # not held through FPFH, which sets a dense trial's peak memory
+    return compute_features(edge, params.feature_radius), params
 
 
 def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> FeatureCloud:
@@ -60,8 +63,6 @@ def _ransac_seed(seed: int) -> int:
 def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
                   seed: int, ref_prepared: Optional[FeatureCloud] = None) -> RegistrationResult:
     """Estimate the pose mapping `ref` into the frame of `scan`."""
-    if len(scan) == 0 or (ref_prepared is None and len(ref) == 0):
-        raise ValueError("clouds must be non-empty")
     ref_f = ref_prepared if ref_prepared is not None else prepare_cloud(ref, params)
     scan_f, params = _prepare(scan, params)
 

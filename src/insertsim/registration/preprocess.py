@@ -10,6 +10,8 @@ in-plane normal from the hit mask alone: the Sobel gradient of the
 occupancy image, mapped into 3-D through the raster's axes. `raster_pitch`
 measures the point spacing along and across profiles, from which the
 registration thresholds are derived (`RegistrationParams.resolved`).
+Both read one cell table over the hits' bounding box padded by one cell and
+clipped to the raster (`raster_cells`): past its edge lie misses or no raster.
 Neither reads the cloud's normals, which a line scanner does not measure.
 The scanner adds no outliers, and outlier removal would drop only outline
 points, so registration runs neither it nor a voxel grid.
@@ -48,39 +50,45 @@ def statistical_outlier_removal(cloud: PointCloud, mean_k: int, std_ratio: float
     return cloud.select(keep)
 
 
-def _cell_index(cloud: PointCloud) -> np.ndarray:
-    """(profiles, columns) table of the point in each raster cell, -1 for a miss."""
-    index = np.full(cloud.raster_shape, -1, dtype=np.intp)
-    index[tuple(cloud.raster.T)] = np.arange(len(cloud))
-    return index
+def raster_cells(cloud: PointCloud) -> tuple:
+    """(table, profile, column): the point in each cell of the hits' window
+    (module docstring), -1 for a miss, and each point's cell in the window."""
+    raster = cloud.raster.T  # one row per axis: reducing (N, 2) along axis 0 is slow
+    lo = [max(r.min() - 1, 0) for r in raster]
+    hi = [min(r.max() + 2, n) for r, n in zip(raster, cloud.raster_shape)]
+    profile, column = raster[0] - lo[0], raster[1] - lo[1]
+    table = np.full((hi[0] - lo[0], hi[1] - lo[1]), -1, dtype=np.intp)
+    table[profile, column] = np.arange(len(cloud))
+    return table, profile, column
 
 
-def raster_pitch(cloud: PointCloud) -> tuple:
+def raster_pitch(cloud: PointCloud, cells: tuple | None = None) -> tuple:
     """(ds, dl): the median distance between the points of neighbouring hit
     cells along a profile (adjacent columns) and across profiles (adjacent
-    profiles) of a cloud with a raster shape."""
-    index = _cell_index(cloud)
+    profiles) of a cloud with a raster shape, from its `raster_cells`."""
+    table = (raster_cells(cloud) if cells is None else cells)[0]
+    coords = np.array(cloud.points.T)  # x, y and z as contiguous rows
     pitch = []
-    for a, b, across in ((index[:, :-1], index[:, 1:], "columns"),
-                         (index[:-1], index[1:], "profiles")):
+    for a, b, across in ((table[:, :-1], table[:, 1:], "columns"),
+                         (table[:-1], table[1:], "profiles")):
         both = (a >= 0) & (b >= 0)
         if not both.any():
             raise DegenerateFeatureError(f"no two neighbouring raster cells across {across} "
                                          f"both hit, so the scan's pitch is unknown")
-        step = cloud.points[b[both]] - cloud.points[a[both]]
-        pitch.append(float(np.median(column_norm(*step.T))))
+        a, b = a[both], b[both]
+        pitch.append(float(np.median(column_norm(*(c[b] - c[a] for c in coords)))))
     return tuple(pitch)
 
 
-def outline(cloud: PointCloud) -> PointCloud:
+def outline(cloud: PointCloud, cells: tuple | None = None) -> PointCloud:
     """Outline points of a cloud with a raster shape, with unit in-plane
     normals pointing out of the hit region (module docstring). An outline
     cell whose Sobel gradient vanishes has no normal and is dropped."""
-    hit = _cell_index(cloud) >= 0
+    table, profile, column = raster_cells(cloud) if cells is None else cells
+    hit = table >= 0
     edge = hit & ~binary_erosion(hit, structure=np.ones((3, 3), dtype=bool), border_value=1)
     edge[[0, -1], :] = False
     edge[:, [0, -1]] = False
-    profile, column = cloud.raster.T
     on = np.flatnonzero(edge[profile, column])
     # the Sobel gradient of the occupancy image, at the outline cells only
     p, c = profile[on], column[on]
@@ -91,7 +99,7 @@ def outline(cloud: PointCloud) -> PointCloud:
     on, grad = on[described], grad[described]
     # raster axes: least squares of the points on (1, profile, column); the
     # occupancy gradient over the raster's plane is pinv(axes)^T (d/dp, d/dc)
-    design = np.column_stack([np.ones(len(cloud)), profile, column]).astype(np.float64)
+    design = np.column_stack([np.ones(len(cloud)), cloud.raster]).astype(np.float64)
     axes = np.linalg.lstsq(design, cloud.points, rcond=None)[0][1:].T  # (3, 2)
     normals = -(grad @ np.linalg.pinv(axes))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)

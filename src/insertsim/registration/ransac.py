@@ -17,11 +17,13 @@ before counting, so a flipped basin can never shadow the true one. The
 returned transform maps the reference cloud into the scan frame.
 
 Each call draws its hypotheses from the descriptor correspondences and the
-sampling pool of `correspondence_candidates`. A hypothesis scores the number
-of moved reference keypoints within the inlier threshold of some scan
-keypoint, from one query of the scan's keypoint KD-tree; the winner's
-matches from that query are the correspondences its polish is solved on.
-The KD-trees come from the FeatureClouds, which build each one once.
+sampling pool of `correspondence_candidates`. A run often stops early, so a
+keypoint's descriptor kNN is queried on first read: a KD-tree answers each
+point on its own, as one batched query of all keypoints would. A hypothesis
+scores the number of moved reference keypoints within the inlier threshold
+of some scan keypoint, from one query of the scan's keypoint KD-tree; the
+winner's matches from that query are the correspondences its polish is
+solved on. The KD-trees come from the FeatureClouds, which build each one once.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ import numpy as np
 
 from insertsim.geom import Pose, quat_from_matrix, quat_to_matrix
 from insertsim.registration.features import FeatureCloud
-from insertsim.registration.params import InsufficientCorrespondencesError, RegistrationParams
+from insertsim.registration.params import InsufficientCorrespondencesError, \
+    RegistrationFailedError, RegistrationParams
 from insertsim.registration.rigid import kabsch_transform
 
 _EDGE_SIMILARITY = 0.9  # min/max edge-length ratio accepted by the prerejector
@@ -53,21 +56,22 @@ def _edge_lengths(pts: np.ndarray) -> np.ndarray:
 
 
 def correspondence_candidates(scan: FeatureCloud, ref: FeatureCloud):
-    """Descriptor kNN (scan -> reference) and the distinctive-keypoint pool:
-    (n_scan, k) reference keypoint indices, and the scan keypoints that
-    triple hypotheses sample from."""
+    """Descriptor kNN (scan -> reference), (n_scan, k) reference keypoint
+    indices of which only the pool's rows are queried (the rest hold -1 until
+    read), and the distinctive-keypoint pool that triple hypotheses sample."""
     if len(scan) < 3 or len(ref) < 3:
         raise InsufficientCorrespondencesError(
             f"need >= 3 keypoints on both sides, got {len(scan)} / {len(ref)}"
         )
-    _, knn = ref.descriptor_tree.query(scan.descriptors, k=min(_DESC_KNN, len(ref)))
     # sample the most distinctive keypoints: on plane-dominant scans the bulk
     # descriptors all look alike and their correspondences are noise
     n_scan = len(scan)
     deviation = np.linalg.norm(scan.descriptors - scan.descriptors.mean(axis=0), axis=1)
     pool_size = min(n_scan, max(40, n_scan // 10))
     pool = np.argsort(deviation, kind="stable")[-pool_size:]
-    return np.asarray(knn, dtype=np.int64), pool
+    knn = np.full((n_scan, min(_DESC_KNN, len(ref))), -1, dtype=np.int64)
+    knn[pool] = ref.descriptor_tree.query(scan.descriptors[pool], k=knn.shape[1])[1]
+    return knn, pool
 
 
 def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationParams,
@@ -122,6 +126,8 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
             # prior-orientation hypothesis from one correspondence
             s = int(rng.integers(0, n_scan))
             if it % 4 == 1:
+                if knn[s, 0] < 0:  # first read of a row outside the pool
+                    knn[s] = ref.descriptor_tree.query(scan.descriptors[s], k=k)[1]
                 r = int(knn[s, rng.integers(0, k)])
             else:
                 r = int(rng.integers(0, n_ref))
@@ -138,8 +144,8 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
                 break
 
     if best is None:
-        # nothing scored (all samples prerejected); report a null alignment
-        return RansacResult(Pose.identity(), 0.0)
+        raise RegistrationFailedError("RANSAC scored no hypothesis: each one was rejected "
+                                      "before scoring", None)
 
     # polish the winner on its inlier correspondences
     R, t, inliers, idx = best

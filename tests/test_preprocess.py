@@ -309,6 +309,59 @@ def test_raster_pitch_is_the_scanner_spacing(scanner, pitch):
     np.testing.assert_allclose(raster_pitch(plate_scan(scanner, "yaw+3", CAL)), pitch, rtol=0.02)
 
 
+def pitch_oracle(cloud: PointCloud) -> tuple:
+    """(ds, dl) by a loop over every cell of the full raster: the median
+    distance between the points of hit cells next to each other along a
+    profile, and across profiles."""
+    rows, cols = cloud.raster_shape
+    at = {cell: i for i, cell in enumerate(map(tuple, cloud.raster.tolist()))}
+    pitch = []
+    for dp, dc in ((0, 1), (1, 0)):
+        steps = [cloud.points[at[p + dp, c + dc]] - cloud.points[at[p, c]]
+                 for p in range(rows - dp) for c in range(cols - dc)
+                 if (p, c) in at and (p + dp, c + dc) in at]
+        pitch.append(float(np.median(np.linalg.norm(steps, axis=1))))
+    return tuple(pitch)
+
+
+NARROW = ScannerConfig(points_per_profile=64, lateral_span=64 * 40e-6, lateral_resolution=40e-6)
+
+
+def narrow_scan(x: float, y: float, profiles: int) -> PointCloud:
+    """A 64-column, 2.56 mm wide sweep of the plate from (x, y), 100 um a profile."""
+    start = Pose.from_axis_angle([x, y, 0.03], [1, 0, 0], np.pi)
+    return sweep_scan(Scene([ScenePart("plate", PLATE, PLATE_POSES["yaw+3"])]),
+                      linear_sweep(start, [0, 1, 0], 100e-6, profiles), NARROW, CAL, seed=3)
+
+
+# each scan's hits touch the raster's border where it says: (first profile,
+# last profile, first column, last column)
+WINDOW_SCANS = {
+    "inside": (lambda: plate_scan("sparse", "yaw+3", CAL), (False, False, False, False)),
+    "last profile": (lambda: plate_scan("sparse", "tilted", CAL, profiles=50),
+                     (False, True, False, False)),
+    "first profile": (lambda: narrow_scan(-1.5e-3, -2e-3, 60), (True, False, True, True)),
+    "first column": (lambda: narrow_scan(3e-3, -3.5e-3, 70), (False, False, True, False)),
+    "last column": (lambda: narrow_scan(-3e-3, -3.5e-3, 70), (False, False, False, True)),
+    "fills the raster": (lambda: narrow_scan(-1.5e-3, -2e-3, 20), (True, True, True, True)),
+}
+
+
+@pytest.mark.parametrize("name", WINDOW_SCANS)
+def test_conditioning_on_the_hits_window_matches_the_full_raster(name):
+    """Pitch and outline read a cell table over the hits' bounding window
+    only; loops over the whole raster give the same pitch bits and the same
+    outline, wherever the hits meet the raster's border."""
+    scan, touches = WINDOW_SCANS[name]
+    cloud = scan()
+    rows, cols = cloud.raster_shape
+    profile, column = cloud.raster.T
+    assert (profile.min() == 0, profile.max() == rows - 1,
+            column.min() == 0, column.max() == cols - 1) == touches
+    assert raster_pitch(cloud) == pitch_oracle(cloud)
+    assert set(map(tuple, outline(cloud).raster.tolist())) == outline_oracle(cloud)
+
+
 def test_prepare_cloud_registers_a_scan_on_its_outline(monkeypatch):
     """A scan reaches neither outlier removal nor the voxel grid, and its
     keypoints are its outline."""

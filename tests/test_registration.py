@@ -537,6 +537,58 @@ def test_ransac_insufficient_keypoints():
         ransac_register(fc, fc, small_params(), seed=0)
 
 
+class QueryLog:
+    """A KD-tree stand-in that keeps the points of every query."""
+
+    def __init__(self, tree: cKDTree):
+        self.tree, self.queries = tree, []
+
+    def query(self, x, k):
+        self.queries.append(np.array(x, ndmin=2))
+        return self.tree.query(x, k=k)
+
+
+def test_ransac_queries_a_descriptor_row_when_it_first_reads_it(monkeypatch):
+    """Before the loop only the pool's rows of the descriptor kNN are queried,
+    in one batch; RANSAC queries any other row once, when it first reads it;
+    and every row it reads is that row of one batched query of all scan
+    keypoints."""
+    ref = prepare_cloud(sparse_scan(), RegistrationParams())
+    log = QueryLog(ref.descriptor_tree)
+    ref.__dict__["descriptor_tree"] = log
+    tables = []
+    candidates = ransac_module.correspondence_candidates
+
+    def recording(scan_f, ref_f):
+        knn, pool = candidates(scan_f, ref_f)
+        tables.append((scan_f, knn.copy(), knn, pool, len(log.queries)))
+        return knn, pool
+
+    monkeypatch.setattr(ransac_module, "correspondence_candidates", recording)
+    scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
+    estimate_pose(scan, ref.keypoints, RegistrationParams(), seed=3, ref_prepared=ref)
+    (scan_f, before, after, pool, queries_before_loop), = tables
+    batched = log.tree.query(scan_f.descriptors, k=min(5, len(ref)))[1]
+    assert queries_before_loop == 1
+    np.testing.assert_array_equal(log.queries[0], scan_f.descriptors[pool])
+    np.testing.assert_array_equal(before[pool], batched[pool])
+    assert np.all(np.delete(before, pool, axis=0) == -1)
+    read = np.flatnonzero(after[:, 0] >= 0)
+    drawn = np.setdiff1d(read, pool)
+    assert len(drawn) > 0 and len(log.queries) == 1 + len(drawn)
+    np.testing.assert_array_equal(after[read], batched[read])
+
+
+def test_a_ransac_run_that_scores_nothing_fails_without_a_pose():
+    """One iteration draws one feature triple, which is rejected before it is
+    scored: RANSAC has no hypothesis, so the registration fails saying so
+    instead of starting ICP from the identity."""
+    scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
+    with pytest.raises(RegistrationFailedError, match="RANSAC scored no hypothesis") as err:
+        estimate_pose(scan, sparse_scan(), RegistrationParams(ransac_iterations=1), seed=3)
+    assert err.value.best is None
+
+
 # -- ICP ----------------------------------------------------------------------
 
 def test_icp_identical_clouds():
