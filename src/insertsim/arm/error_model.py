@@ -88,7 +88,7 @@ def execute_motion(model: ArmModel, err: ProprioceptionError, commanded: JointCo
     if previous is not None:
         amplitude = float(np.linalg.norm(commanded.angles - previous.angles))
     actual_q = commanded.angles + err.joint_bias + err.next_noise(amplitude)
-    reported = fk(model, commanded)
+    reported = fk(model, commanded, check_limits=False)
     actual = fk(model, JointConfig(actual_q), check_limits=False)
     return reported, actual
 

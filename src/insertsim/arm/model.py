@@ -1,8 +1,17 @@
-"""Kinematics of the Panda arm in the modified DH convention."""
+"""Kinematics of the Panda arm in the modified DH convention.
+
+A `JointConfig` holds the DH chain it was last evaluated under: `_frames`
+chains a (model, configuration) pair once and returns the held, read-only
+frames to every later `fk` or `jacobian` call on the same configuration
+object under the same model object. The held chain cannot go stale, because
+`JointConfig.angles` is a read-only copy and every array of an `ArmModel` is
+read-only; a configuration evaluated under another model object is chained
+again for that model.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,12 +42,17 @@ PANDA_LIMITS = (
 )
 DOF = 7  # joints of the chain
 
+_EYE4 = np.eye(4)
+_EYE4.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class JointConfig:
     """Joint angles in radians."""
 
     angles: np.ndarray
+    # (model, frames) of the last _frames call on this configuration
+    _held: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.angles, dtype=np.float64).copy()
@@ -58,6 +72,8 @@ class ArmModel:
 
     dh_parameters: np.ndarray  # (7, 4)
     joint_limits: np.ndarray   # (7, 2) min < max
+    # (7, 4, 4) link transforms with every theta-independent entry filled in
+    _link_template: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dh = np.array(self.dh_parameters, dtype=np.float64)
@@ -70,6 +86,17 @@ class ArmModel:
         lim.flags.writeable = False
         object.__setattr__(self, "dh_parameters", dh)
         object.__setattr__(self, "joint_limits", lim)
+        a, d, alpha, _ = dh.T
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        links = np.zeros((DOF, 4, 4))
+        links[:, 0, 3] = a
+        links[:, 1, 2] = -sa
+        links[:, 1, 3] = -d * sa
+        links[:, 2, 2] = ca
+        links[:, 2, 3] = d * ca
+        links[:, 3, 3] = 1.0
+        links.flags.writeable = False
+        object.__setattr__(self, "_link_template", links)
 
     @classmethod
     def panda(cls) -> "ArmModel":
@@ -90,30 +117,42 @@ class ArmModel:
 
 
 def _frames(model: ArmModel, q: JointConfig) -> np.ndarray:
-    """Cumulative frames T_0..T_7 from the base, as one (8, 4, 4) array; each
-    row's link transform is RotX(alpha) TransX(a) RotZ(theta) TransZ(d).
+    """Cumulative frames T_0..T_7 from the base, as one read-only (8, 4, 4)
+    array: the chain held on `q` if `q` was last chained under `model`
+    itself, otherwise a new one, which `q` then holds."""
+    held = q._held
+    if held is not None and held[0] is model:
+        return held[1]
+    frames = _chain(model, q.angles)
+    frames.flags.writeable = False
+    object.__setattr__(q, "_held", (model, frames))
+    return frames
 
-    The cosines and sines of all seven joints come from one numpy call each,
-    which rounds as the per-joint scalar calls do, and the links are chained
-    by the same seven 4 x 4 products, in the same order, as a loop over
-    per-row matrices, so every bit is that loop's (the tests
-    `test_vector_cos_and_sin_match_the_scalar_calls_bit_for_bit` and
-    `test_frames_match_the_per_row_reference_bit_for_bit` check both).
+
+def _chain(model: ArmModel, angles: np.ndarray) -> np.ndarray:
+    """Chain the links of `model` at `angles`; each row's link transform is
+    RotX(alpha) TransX(a) RotZ(theta) TransZ(d).
+
+    The theta-independent entries come from the model's link template, whose
+    values are the products a loop over per-row matrices forms. The cosines
+    and sines of all seven joints come from one numpy call each, which rounds
+    as the per-joint scalar calls do, and the links are chained by the same
+    seven 4 x 4 products, in the same order, as that loop, so every bit is
+    the loop's (the tests `test_vector_cos_and_sin_match_the_scalar_calls_bit_for_bit`
+    and `test_frames_match_the_per_row_reference_bit_for_bit` check both).
     """
-    a, d, alpha, offset = np.ascontiguousarray(model.dh_parameters.T)
-    theta = offset + q.angles
+    links = model._link_template.copy()
+    theta = model.dh_parameters[:, 3] + angles
     ct, st = np.cos(theta), np.sin(theta)
-    ca, sa = np.cos(alpha), np.sin(alpha)
-    zero = np.zeros(DOF)
-    # one column per matrix entry, transposed to one row per link
-    links = np.array([
-        ct, -st, zero, a,
-        st * ca, ct * ca, -sa, -d * sa,
-        st * sa, ct * sa, ca, d * ca,
-        zero, zero, zero, np.ones(DOF),
-    ]).T.reshape(DOF, 4, 4)
+    ca, sa = links[:, 2, 2], -links[:, 1, 2]  # the template holds -sin(alpha); negation is exact
+    links[:, 0, 0] = ct
+    links[:, 0, 1] = -st
+    links[:, 1, 0] = st * ca
+    links[:, 1, 1] = ct * ca
+    links[:, 2, 0] = st * sa
+    links[:, 2, 1] = ct * sa
     frames = np.empty((DOF + 1, 4, 4))
-    frames[0] = np.eye(4)
+    frames[0] = _EYE4
     for prev, link, out in zip(frames, links, frames[1:]):
         np.matmul(prev, link, out=out)
     return frames

@@ -211,6 +211,65 @@ def test_open_loop_insertions_match_the_reference_kernels_bit_for_bit(monkeypatc
         assert same_bits([q.angles for q in path], [q.angles for q in ref_path])
 
 
+def test_open_loop_trials_chain_no_configuration_twice(monkeypatch):
+    """Within one trial, each (model, joint angles) pair is chained once: fk,
+    jacobian, the reported pose and the next solve's start read the chain
+    their configuration holds."""
+    chained = []
+    chain = model_module._chain
+
+    def recording(model, angles):
+        chained.append((model, angles.tobytes()))
+        return chain(model, angles)
+
+    monkeypatch.setattr(model_module, "_chain", recording)
+    bench = workloads.Bench(workloads.WORKLOADS["open_loop"], 901)
+    for trial in range(10):
+        chained.clear()
+        bench.run_trial(trial)
+        keys = [(id(model), angles) for model, angles in chained]
+        assert len(chained) > 0
+        assert len(set(keys)) == len(keys), f"trial {trial} chains a configuration twice"
+
+
+def test_a_held_chain_is_the_chain_of_its_own_model():
+    dh = np.array(model_module.PANDA_DH)
+    dh[3, 1] += 1e-3  # one DH row perturbed
+    panda_model, other = panda(), ArmModel(dh, model_module.PANDA_LIMITS)
+    for q in random_configs(panda_model, 20, seed=11):
+        for model in (panda_model, other, panda_model, other):
+            pose = fk(model, q)
+            fresh = fk(model, JointConfig(q.angles))
+            assert same_bits(pose.position, fresh.position)
+            assert same_bits(pose.orientation, fresh.orientation)
+            assert same_bits(jacobian(model, q), jacobian(model, JointConfig(q.angles)))
+        assert not same_bits(fk(other, q).position, fk(panda_model, q).position)
+
+
+def test_held_frames_are_read_only():
+    model = panda()
+    frames = model_module._frames(model, HOME)
+    assert model_module._frames(model, HOME) is frames
+    with pytest.raises(ValueError):
+        frames[-1, 0, 3] = 0.0
+    with pytest.raises(ValueError):
+        model._link_template[0, 0, 3] = 1.0
+
+
+def test_mutating_a_source_array_leaves_fk_unchanged():
+    angles = HOME.angles.copy()
+    dh = np.array(model_module.PANDA_DH)
+    model = ArmModel(dh, model_module.PANDA_LIMITS)
+    q = JointConfig(angles)
+    angles += 0.1
+    dh[:, 1] += 0.1
+    expected = fk(panda(), JointConfig(HOME.angles))
+    for _ in range(2):  # chained, then held
+        pose = fk(model, q)
+        assert same_bits(pose.position, expected.position)
+        assert same_bits(pose.orientation, expected.orientation)
+
+
 NAN_AT_2 = JointConfig(np.where(np.arange(7) == 2, np.nan, HOME.angles))
 NAN_JOINT_ENTRY_POINTS = {
     "check_limits": lambda model: model.check_limits(NAN_AT_2),
@@ -326,7 +385,7 @@ def test_ik_judges_the_last_evaluated_pose(monkeypatch):
     model = panda()
     target = fk(model, HOME)
 
-    ik(model, target, bias_config=HOME, start=HOME)
+    assert ik(model, target, bias_config=HOME, start=HOME) is HOME
     assert calls == {"fk": 1, "jacobian": 0}  # already on target: judged as found
 
     calls.update(fk=0, jacobian=0)
