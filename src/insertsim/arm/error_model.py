@@ -44,11 +44,11 @@ class ProprioceptionError:
         self._initialized = False
 
     @classmethod
-    def draw(cls, seed: int, repeat_noise_std: float = DEFAULT_REPEAT_STD) -> "ProprioceptionError":
+    def draw(cls, seed: int) -> "ProprioceptionError":
         bias_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xB1A5]))
-        return cls(bias_rng.normal(scale=BIAS_STD, size=7), repeat_noise_std, seed)
+        return cls(bias_rng.normal(scale=BIAS_STD, size=7), DEFAULT_REPEAT_STD, seed)
 
-    def next_noise(self, motion_amplitude: float = None) -> np.ndarray:
+    def next_noise(self, motion_amplitude: float | None) -> np.ndarray:
         """Advance the repeatability state for one commanded motion.
 
         `motion_amplitude` is the joint-space travel (rad); None (or inf)

@@ -78,10 +78,11 @@ class ArmModel:
     def __post_init__(self):
         dh = np.array(self.dh_parameters, dtype=np.float64)
         lim = np.array(self.joint_limits, dtype=np.float64)
-        if dh.shape != (DOF, 4):
-            raise ValueError("dh_parameters must be (7, 4): a, d, alpha, theta_offset")
-        if lim.shape != (DOF, 2) or np.any(lim[:, 0] >= lim[:, 1]):
-            raise ValueError("joint_limits must be (7, 2) with min < max")
+        # written so that NaN and inf fail each check
+        if dh.shape != (DOF, 4) or not np.all(np.isfinite(dh)):
+            raise ValueError("dh_parameters must be (7, 4) finite: a, d, alpha, theta_offset")
+        if lim.shape != (DOF, 2) or not np.all(np.isfinite(lim) & (lim[:, :1] < lim[:, 1:])):
+            raise ValueError("joint_limits must be (7, 2) finite with min < max")
         dh.flags.writeable = False
         lim.flags.writeable = False
         object.__setattr__(self, "dh_parameters", dh)

@@ -31,42 +31,14 @@ class DegenerateApproachError(ValueError):
     """Tip ray is parallel to the hole plane."""
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Time-indexed pose sequence; timestamps strictly increasing, seconds."""
-
-    waypoints: tuple
-    timestamps: np.ndarray
-
-    def __post_init__(self):
-        wps = tuple(self.waypoints)
-        ts = np.asarray(self.timestamps, dtype=np.float64)
-        if len(wps) < 2:
-            raise ValueError("trajectory needs at least 2 waypoints")
-        if ts.shape != (len(wps),) or not np.all(np.diff(ts) > 0):
-            raise ValueError("timestamps must be strictly increasing, one per waypoint")
-        object.__setattr__(self, "waypoints", wps)
-        object.__setattr__(self, "timestamps", ts)
-
-    def __len__(self) -> int:
-        return len(self.waypoints)
-
-    def offsets(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-step increments (dx in base frame, dq as a left rotation)."""
-        out = []
-        for prev, cur in zip(self.waypoints[:-1], self.waypoints[1:]):
-            dx = cur.position - prev.position
-            dq = quat_normalize(quat_multiply(cur.orientation, quat_conjugate(prev.orientation)))
-            out.append((dx, dq))
-        return out
-
-
 def plan_relative_trajectory(p_obj: Pose, p_target: Pose, horizon: int,
-                             duration: float) -> Trajectory:
-    """Cubic ease-in/out position spline plus slerp orientation.
+                             duration: float) -> tuple:
+    """Waypoints of a cubic ease-in/out position spline plus slerp orientation.
 
     Endpoints equal `p_obj` and `p_target` exactly; intermediate samples use
     the smoothstep 3t^2 - 2t^3, which has zero velocity at both ends.
+    `duration` is unused, since nothing simulates time; it is still checked,
+    and kept only because the benchmark passes it positionally.
     """
     if not isinstance(horizon, (int, np.integer)) or isinstance(horizon, bool) or horizon < 2:
         raise ValueError("horizon must be an integer >= 2")
@@ -81,27 +53,31 @@ def plan_relative_trajectory(p_obj: Pose, p_target: Pose, horizon: int,
         quat = quat_slerp(p_obj.orientation, p_target.orientation, float(s[k]))
         waypoints.append(Pose(pos, quat))
     waypoints.append(p_target)
-    return Trajectory(tuple(waypoints), duration * tau)
+    return tuple(waypoints)
 
 
-def execute_insertion(arm: ArmInstance, traj: Trajectory,
+def execute_insertion(arm: ArmInstance, waypoints: tuple,
                       ic_bias: JointConfig) -> tuple[Pose, list[JointConfig]]:
-    """Track the trajectory as offsets from the arm's current believed pose.
+    """Track the waypoints as offsets from the arm's current believed pose.
 
-    A virtual carried target accumulates the offsets exactly, so per-waypoint
-    IK tolerance does not compound across the horizon. Returns the ground
-    truth final pose and the commanded joint path.
+    Each step's offset is the increment between consecutive waypoints: dx in
+    the base frame and dq as a left rotation. A virtual carried target
+    accumulates the offsets exactly, so per-waypoint IK tolerance does not
+    compound across the horizon. Returns the ground truth final pose and the
+    commanded joint path.
     """
     carried = arm.reported
     path = []
-    for k, (dx, dq) in enumerate(traj.offsets()):
+    for k, (prev, cur) in enumerate(zip(waypoints[:-1], waypoints[1:])):
+        dx = cur.position - prev.position
+        dq = quat_normalize(quat_multiply(cur.orientation, quat_conjugate(prev.orientation)))
         carried = Pose(carried.position + dx, quat_multiply(dq, carried.orientation))
         try:
             q_cmd = ik(arm.model, carried, bias_config=ic_bias, start=arm.commanded)
         except (UnreachableTargetError, LimitViolationError) as e:
             # each takes one message; the type stays so callers can match on it,
             # and any other error propagates as raised
-            raise type(e)(f"waypoint {k + 1}/{len(traj) - 1}: {e}") from e
+            raise type(e)(f"waypoint {k + 1}/{len(waypoints) - 1}: {e}") from e
         arm.move_to(q_cmd)
         path.append(q_cmd)
     return arm.actual, path

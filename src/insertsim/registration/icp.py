@@ -7,7 +7,7 @@ update on those matches by Kabsch.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -23,34 +23,28 @@ _ROT_CONVERGE = 1e-8   # rad, incremental rotation
 class IcpResult(NamedTuple):
     fitness: float            # mean squared correspondence distance at convergence
     pose: Pose                # total ref -> scan transform (incremental ∘ initial)
-    fitness_history: tuple    # post-update objective per iteration, non-increasing
     iterations: int
 
 
 def icp_refine(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
-               initial_pose: Optional[Pose] = None, scan_tree: Optional[cKDTree] = None) -> IcpResult:
+               initial_pose: Pose, scan_tree: cKDTree) -> IcpResult:
     """Refine the pose of `ref` in the scan frame, starting from `initial_pose`.
 
-    The moving cloud is `ref` placed by `initial_pose` (identity when not
-    given); correspondences are nearest scan points within
-    `icp_max_correspondence_dist`. The returned pose composes the
+    The moving cloud is `ref` placed by `initial_pose`; correspondences are
+    nearest scan points within `icp_max_correspondence_dist`, found in
+    `scan_tree`, a cKDTree over `scan.points`. The returned pose composes the
     incremental refinement with `initial_pose`, i.e. it maps the reference
-    frame into the scan frame. `scan_tree`, a cKDTree over `scan.points`,
-    is built here when not given.
+    frame into the scan frame.
     """
     if len(scan) == 0 or len(ref) == 0:
         raise ValueError("clouds must be non-empty")
-    if initial_pose is None:
-        initial_pose = Pose.identity()
-    tree = scan_tree if scan_tree is not None else cKDTree(scan.points)
     moving = initial_pose.transform_points(ref.points)
     cutoff = params.icp_max_correspondence_dist
     R_total = np.eye(3)
     t_total = np.zeros(3)
-    history = []
     iterations = 0
     for _ in range(params.icp_max_iterations):
-        d, idx = tree.query(moving, distance_upper_bound=cutoff)
+        d, idx = scan_tree.query(moving, distance_upper_bound=cutoff)
         matched = np.isfinite(d)
         if not np.any(matched):
             raise DivergenceError("no correspondences within the cutoff distance")
@@ -60,18 +54,15 @@ def icp_refine(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
         R_total = R @ R_total
         t_total = R @ t_total + t
         iterations += 1
-        # objective after the update, against the correspondences just used
-        resid = moving[matched] - targets
-        history.append(float(np.mean(np.einsum("ij,ij->i", resid, resid))))
         angle = np.arccos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))
         if np.linalg.norm(t) < _POS_CONVERGE and angle < _ROT_CONVERGE:
             break
 
-    d, _ = tree.query(moving, distance_upper_bound=cutoff)
+    d, _ = scan_tree.query(moving, distance_upper_bound=cutoff)
     matched = np.isfinite(d)
     if not np.any(matched):
         raise DivergenceError("no correspondences within the cutoff distance")
     fitness = float(np.mean(d[matched] ** 2))
     incremental = Pose(t_total, quat_from_matrix(R_total))
-    return IcpResult(fitness, pose_compose(incremental, initial_pose), tuple(history), iterations)
+    return IcpResult(fitness, pose_compose(incremental, initial_pose), iterations)
 

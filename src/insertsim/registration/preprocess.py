@@ -62,11 +62,11 @@ def raster_cells(cloud: PointCloud) -> tuple:
     return table, profile, column
 
 
-def raster_pitch(cloud: PointCloud, cells: tuple | None = None) -> tuple:
+def raster_pitch(cloud: PointCloud, cells: tuple) -> tuple:
     """(ds, dl): the median distance between the points of neighbouring hit
     cells along a profile (adjacent columns) and across profiles (adjacent
     profiles) of a cloud with a raster shape, from its `raster_cells`."""
-    table = (raster_cells(cloud) if cells is None else cells)[0]
+    table = cells[0]
     coords = np.array(cloud.points.T)  # x, y and z as contiguous rows
     pitch = []
     for a, b, across in ((table[:, :-1], table[:, 1:], "columns"),
@@ -80,11 +80,11 @@ def raster_pitch(cloud: PointCloud, cells: tuple | None = None) -> tuple:
     return tuple(pitch)
 
 
-def outline(cloud: PointCloud, cells: tuple | None = None) -> PointCloud:
+def outline(cloud: PointCloud, cells: tuple) -> PointCloud:
     """Outline points of a cloud with a raster shape, with unit in-plane
     normals pointing out of the hit region (module docstring). An outline
     cell whose Sobel gradient vanishes has no normal and is dropped."""
-    table, profile, column = raster_cells(cloud) if cells is None else cells
+    table, profile, column = cells
     hit = table >= 0
     edge = hit & ~binary_erosion(hit, structure=np.ones((3, 3), dtype=bool), border_value=1)
     edge[[0, -1], :] = False

@@ -33,7 +33,7 @@ frame error that relative trajectories are meant to cancel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +46,10 @@ _WINDOW_PAD = 1e-9  # relative padding of a part's sensor-frame extent
 
 @dataclass(frozen=True)
 class ScannerConfig:
+    """Detector of `points_per_profile` columns at `lateral_resolution`
+    spacing; the field of view is their product, centred on the laser line."""
+
     points_per_profile: int = 2048
-    lateral_span: float = 2048 * 12e-6
     depth_noise_std: float = 1.5e-6
     lateral_resolution: float = 12e-6
 
@@ -55,28 +57,22 @@ class ScannerConfig:
         n = self.points_per_profile
         if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
             raise ValueError("points_per_profile must be an integer >= 2")
-        for name in ("lateral_span", "lateral_resolution"):
-            if not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        if not 0 < self.lateral_resolution < np.inf:
+            raise ValueError("lateral_resolution must be positive and finite")
         if not 0 <= self.depth_noise_std < np.inf:
             raise ValueError("depth_noise_std must be >= 0 and finite")
 
     def lateral_positions(self) -> np.ndarray:
-        """Detector column x-positions, quantized to resolution-grid cell centers."""
+        """Detector column x-positions: column k at (k + 0.5 - n/2) * resolution."""
         n = self.points_per_profile
-        nominal = (np.arange(n) + 0.5 - n / 2.0) * (self.lateral_span / n)
-        cell = np.floor(nominal / self.lateral_resolution)
-        snapped = (cell + 0.5) * self.lateral_resolution
-        keep = np.ones(n, dtype=bool)
-        keep[1:] = np.diff(snapped) > 0  # drop duplicates if the grid is coarser
-        return snapped[keep]
+        return (np.arange(n) + 0.5 - n / 2.0) * self.lateral_resolution
 
 
 @dataclass(frozen=True)
 class CalibrationError:
     """Rigid error between the assumed and true sensor mounting."""
 
-    mount_offset: Pose = field(default_factory=Pose.identity)
+    mount_offset: Pose
 
     @classmethod
     def none(cls) -> "CalibrationError":

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import insertsim.insertion as insertion_module
+from insertsim.arm import model as model_module
 from insertsim.arm import ArmInstance, ArmModel, JointConfig, ProprioceptionError
 from insertsim.arm.ik import UnreachableTargetError
 from insertsim.geom import Pose, quat_conjugate, quat_distance, quat_multiply, quat_normalize
@@ -9,7 +10,6 @@ from insertsim.insertion import (
     DegenerateApproachError,
     InsertedObject,
     InsertionTarget,
-    Trajectory,
     check_insertion,
     execute_insertion,
     plan_relative_trajectory,
@@ -28,19 +28,18 @@ def random_pose(rng):
 
 def test_degenerate_correction_all_waypoints_identical():
     p = Pose(np.array([0.1, 0.2, 0.3]), quat_normalize(np.array([0.9, 0.1, 0.2, 0.1])))
-    traj = plan_relative_trajectory(p, p, horizon=20, duration=1.0)
-    for wp in traj.waypoints:
+    waypoints = plan_relative_trajectory(p, p, horizon=20, duration=1.0)
+    assert len(waypoints) == 20
+    for wp in waypoints:
         np.testing.assert_array_equal(wp.position, p.position)
-    for dx, dq in traj.offsets():
-        np.testing.assert_array_equal(dx, np.zeros(3))
-        assert quat_distance(dq, IDENTITY_Q) < 1e-12
+        assert quat_distance(wp.orientation, p.orientation) < 1e-12
 
 
 def test_pure_translation_monotone_and_bounded_steps():
     start = Pose(np.zeros(3), IDENTITY_Q)
     end = Pose(np.array([0.0, 0.0, 300e-6]), IDENTITY_Q)
-    traj = plan_relative_trajectory(start, end, horizon=50, duration=2.0)
-    z = np.array([wp.position[2] for wp in traj.waypoints])
+    waypoints = plan_relative_trajectory(start, end, horizon=50, duration=2.0)
+    z = np.array([wp.position[2] for wp in waypoints])
     assert np.all(np.diff(z) >= 0)
     assert z[0] == 0.0 and z[-1] == 300e-6
     assert np.max(np.diff(z)) < 2 * (300e-6 / 49)
@@ -50,28 +49,36 @@ def test_endpoint_exactness_random_pairs():
     rng = np.random.default_rng(1)
     for _ in range(1000):
         a, b = random_pose(rng), random_pose(rng)
-        traj = plan_relative_trajectory(a, b, horizon=7, duration=0.5)
-        assert np.max(np.abs(traj.waypoints[0].position - a.position)) <= 1e-15
-        assert np.max(np.abs(traj.waypoints[-1].position - b.position)) <= 1e-15
-        assert np.max(np.abs(traj.waypoints[0].orientation - a.orientation)) <= 1e-12
-        assert np.max(np.abs(traj.waypoints[-1].orientation - b.orientation)) <= 1e-12
+        waypoints = plan_relative_trajectory(a, b, horizon=7, duration=0.5)
+        assert np.max(np.abs(waypoints[0].position - a.position)) <= 1e-15
+        assert np.max(np.abs(waypoints[-1].position - b.position)) <= 1e-15
+        assert np.max(np.abs(waypoints[0].orientation - a.orientation)) <= 1e-12
+        assert np.max(np.abs(waypoints[-1].orientation - b.orientation)) <= 1e-12
 
 
-def test_offsets_compose_to_total_correction():
+def test_offsets_compose_to_total_correction(monkeypatch):
+    """The last target that execute_insertion hands to IK is the arm's
+    believed pose moved by the whole planned correction."""
+    carried = []
+
+    def recording_ik(model, target, bias_config, start):
+        carried.append(target)
+        return HOME
+
+    monkeypatch.setattr(insertion_module, "ik", recording_ik)
+    arm = ArmInstance(ArmModel.panda(), ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
     rng = np.random.default_rng(2)
-    for _ in range(200):
+    for _ in range(50):
         a, b = random_pose(rng), random_pose(rng)
-        traj = plan_relative_trajectory(a, b, horizon=50, duration=2.0)
-        first, last = traj.waypoints[0], traj.waypoints[-1]
-        dx_total = last.position - first.position
-        dq_total = quat_normalize(quat_multiply(last.orientation, quat_conjugate(first.orientation)))
-        dx = np.zeros(3)
-        dq = IDENTITY_Q
-        for step_dx, step_dq in traj.offsets():
-            dx = dx + step_dx
-            dq = quat_multiply(step_dq, dq)
-        np.testing.assert_allclose(dx, dx_total, atol=1e-12)
-        dq = quat_normalize(dq)
+        waypoints = plan_relative_trajectory(a, b, horizon=50, duration=2.0)
+        here = arm.reported
+        carried.clear()
+        execute_insertion(arm, waypoints, ic_bias=HOME)
+        assert len(carried) == 49
+        dq_total = quat_normalize(quat_multiply(b.orientation, quat_conjugate(a.orientation)))
+        np.testing.assert_allclose(carried[-1].position, here.position + b.position - a.position,
+                                   atol=1e-12)
+        dq = quat_normalize(quat_multiply(carried[-1].orientation, quat_conjugate(here.orientation)))
         # component distance; geodesic distance hits the arccos precision floor
         assert min(np.max(np.abs(dq - dq_total)), np.max(np.abs(dq + dq_total))) < 1e-12
 
@@ -79,18 +86,10 @@ def test_offsets_compose_to_total_correction():
 def test_spline_second_differences_have_no_spikes():
     rng = np.random.default_rng(3)
     a, b = random_pose(rng), random_pose(rng)
-    traj = plan_relative_trajectory(a, b, horizon=80, duration=2.0)
-    pos = np.array([wp.position for wp in traj.waypoints])
+    waypoints = plan_relative_trajectory(a, b, horizon=80, duration=2.0)
+    pos = np.array([wp.position for wp in waypoints])
     second = np.linalg.norm(np.diff(pos, n=2, axis=0), axis=1)
     assert np.max(second) <= 10 * np.median(second)
-
-
-def test_trajectory_validation():
-    p = Pose.identity()
-    with pytest.raises(ValueError):
-        Trajectory((p,), np.array([0.0]))
-    with pytest.raises(ValueError):
-        Trajectory((p, p), np.array([0.0, 0.0]))
 
 
 # -- execution through the arm ---------------------------------------------------
@@ -100,8 +99,8 @@ def test_zero_offset_trajectory_keeps_pose():
     arm = ArmInstance(model, ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
     start_actual = arm.actual
     here = arm.reported
-    traj = plan_relative_trajectory(here, here, horizon=10, duration=1.0)
-    final, path = execute_insertion(arm, traj, ic_bias=HOME)
+    waypoints = plan_relative_trajectory(here, here, horizon=10, duration=1.0)
+    final, path = execute_insertion(arm, waypoints, ic_bias=HOME)
     assert len(path) == 9
     assert np.linalg.norm(final.position - start_actual.position) < 1e-7
 
@@ -121,9 +120,9 @@ def test_execute_insertion_propagates_other_errors_unchanged(monkeypatch):
 
     monkeypatch.setattr(insertion_module, "ik", failing_ik)
     arm = ArmInstance(ArmModel.panda(), ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
-    traj = plan_relative_trajectory(arm.reported, arm.reported, horizon=5, duration=1.0)
+    waypoints = plan_relative_trajectory(arm.reported, arm.reported, horizon=5, duration=1.0)
     with pytest.raises(TwoArgumentError) as err:
-        execute_insertion(arm, traj, ic_bias=HOME)
+        execute_insertion(arm, waypoints, ic_bias=HOME)
     assert err.value is raised
     assert (err.value.joint, err.value.residual) == (3, 1e-4)
 
@@ -139,10 +138,15 @@ def test_unreachable_waypoint_is_named(monkeypatch):
 
     monkeypatch.setattr(insertion_module, "ik", ik_failing_at_third)
     arm = ArmInstance(ArmModel.panda(), ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
-    traj = plan_relative_trajectory(arm.reported, arm.reported, horizon=5, duration=1.0)
+    waypoints = plan_relative_trajectory(arm.reported, arm.reported, horizon=5, duration=1.0)
     with pytest.raises(UnreachableTargetError, match=r"waypoint 3/4: no convergence") as err:
-        execute_insertion(arm, traj, ic_bias=HOME)
+        execute_insertion(arm, waypoints, ic_bias=HOME)
     assert isinstance(err.value.__cause__, UnreachableTargetError)
+
+
+def bias_only(seed: int) -> ProprioceptionError:
+    """The arm error drawn for `seed`, without repeatability noise."""
+    return ProprioceptionError(ProprioceptionError.draw(seed).joint_bias, 0.0, seed)
 
 
 def test_small_relative_correction_accrues_little_bias_error():
@@ -151,12 +155,12 @@ def test_small_relative_correction_accrues_little_bias_error():
     model = ArmModel.panda()
     hits = 0
     for seed in range(100):
-        err = ProprioceptionError.draw(seed=seed, repeat_noise_std=0.0)
+        err = bias_only(seed)
         arm = ArmInstance(model, err, HOME)
         intended = Pose(arm.actual.position + np.array([0, 0, 1e-3]), arm.actual.orientation)
         target_rep = Pose(arm.reported.position + np.array([0, 0, 1e-3]), arm.reported.orientation)
-        traj = plan_relative_trajectory(arm.reported, target_rep, horizon=25, duration=1.0)
-        final, _ = execute_insertion(arm, traj, ic_bias=HOME)
+        waypoints = plan_relative_trajectory(arm.reported, target_rep, horizon=25, duration=1.0)
+        final, _ = execute_insertion(arm, waypoints, ic_bias=HOME)
         if np.linalg.norm(final.position - intended.position) < 50e-6:
             hits += 1
     assert hits >= 95
@@ -168,16 +172,16 @@ def test_large_absolute_move_is_worse_than_relative():
     from insertsim.arm import ik
     worse = 0
     for seed in range(100):
-        err = ProprioceptionError.draw(seed=seed, repeat_noise_std=0.0)
+        err = bias_only(seed)
 
         arm = ArmInstance(model, err, HOME)
         intended = Pose(arm.actual.position + np.array([0, 0, 1e-3]), arm.actual.orientation)
         target_rep = Pose(arm.reported.position + np.array([0, 0, 1e-3]), arm.reported.orientation)
-        traj = plan_relative_trajectory(arm.reported, target_rep, horizon=25, duration=1.0)
-        final_rel, _ = execute_insertion(arm, traj, ic_bias=HOME)
+        waypoints = plan_relative_trajectory(arm.reported, target_rep, horizon=25, duration=1.0)
+        final_rel, _ = execute_insertion(arm, waypoints, ic_bias=HOME)
         err_rel = np.linalg.norm(final_rel.position - intended.position)
 
-        err2 = ProprioceptionError.draw(seed=seed, repeat_noise_std=0.0)
+        err2 = bias_only(seed)
         arm2 = ArmInstance(model, err2, far_start)
         q_abs = ik(model, target_rep, bias_config=far_start, start=far_start)
         _, final_abs = arm2.move_to(q_abs)
@@ -267,6 +271,13 @@ def test_check_invariant_under_rigid_transforms():
         assert margin == pytest.approx(margin0, abs=1e-12)
 
 
+def panda_with(table: str, row: int, col: int, value: float) -> ArmModel:
+    """The Panda model with one entry of its DH table or joint limits set to `value`."""
+    tables = {"dh": np.array(model_module.PANDA_DH), "limits": np.array(model_module.PANDA_LIMITS)}
+    tables[table][row, col] = value
+    return ArmModel(tables["dh"], tables["limits"])
+
+
 NON_FINITE = {  # name -> construction that must raise ValueError
     "target_axis_and_semi_axis_nan": lambda: InsertionTarget(
         **{**NEEDLE, "hole_axis": np.array([np.nan, 0.0, 0.0]), "hole_semi_axes": (1e-4, np.nan)}),
@@ -282,6 +293,10 @@ NON_FINITE = {  # name -> construction that must raise ValueError
     "proprioception_noise_nan": lambda: ProprioceptionError(np.zeros(7), np.nan, 1),
     "proprioception_noise_inf": lambda: ProprioceptionError(np.zeros(7), np.inf, 1),
     "proprioception_bias_nan": lambda: ProprioceptionError(np.full(7, np.nan), 0.0, 1),
+    "arm_limit_nan": lambda: panda_with("limits", 2, 1, np.nan),
+    "arm_limit_inf": lambda: panda_with("limits", 0, 0, -np.inf),
+    "arm_dh_nan": lambda: panda_with("dh", 3, 0, np.nan),
+    "arm_dh_inf": lambda: panda_with("dh", 6, 1, np.inf),
 }
 
 

@@ -1,20 +1,16 @@
 """Every module under src/ is imported by program code.
 
-A module counts as reached when some module in src/ or trialbench/ that is
-neither a test nor a package `__init__` imports it: by `import`, by
-`from ... import`, through a name that a package `__init__` re-exports from
-it, or by passing its dotted name as a string literal to
-`importlib.import_module`. Package `__init__` modules are not checked, and
-their own imports reach nothing: a module that only its package exports has
-no caller.
+A module counts as reached when some program module that is not a package
+`__init__` imports it: by `import`, by `from ... import`, through a name
+that a package `__init__` re-exports from it, or by passing its dotted name
+as a string literal to `importlib.import_module`. Package `__init__`
+modules are not checked, and their own imports reach nothing: a module that
+only its package exports has no caller. The program is src/ plus
+trialbench/ without its tests (tests/conftest.py).
 """
 
 import ast
 from pathlib import Path
-
-ROOT = Path(__file__).resolve().parent.parent
-SOURCES = {p.relative_to(ROOT).as_posix(): p.read_text()
-           for d in ("src", "trialbench") for p in sorted((ROOT / d).rglob("*.py"))}
 
 
 def module_of(path: str) -> tuple:
@@ -67,8 +63,9 @@ def reached_module(module: str, name, exports: dict, known: set) -> str:
 
 
 def unreached_modules(sources: dict) -> list:
-    """Modules under src/, package `__init__`s aside, that no program module
-    imports. `sources` maps repo-relative paths to source text."""
+    """Modules under src/, package `__init__`s aside, that no other module of
+    `sources` imports. `sources` maps repo-relative paths of the program's
+    modules to their source text."""
     parsed = {path: (*module_of(path), ast.parse(text)) for path, text in sources.items()}
     known = {name for path, (name, _, _) in parsed.items() if path.startswith("src/")}
     exports = {}
@@ -81,7 +78,7 @@ def unreached_modules(sources: dict) -> list:
                         (alias.asname or alias.name, (base, alias.name)) for alias in node.names)
     reached = set()
     for path, (name, is_package, tree) in parsed.items():
-        if not is_package and not Path(path).name.startswith("test_"):
+        if not is_package:
             reached |= {reached_module(module, imported, exports, known)
                         for module, imported in imports(name, is_package, tree)} - {name}
     modules = {name for path, (name, is_package, _) in parsed.items()
@@ -89,11 +86,11 @@ def unreached_modules(sources: dict) -> list:
     return sorted(modules - reached)
 
 
-def test_every_module_has_a_caller():
-    assert unreached_modules(SOURCES) == []
+def test_every_module_has_a_caller(program_sources):
+    assert unreached_modules(program_sources) == []
 
 
-def test_the_scan_reports_a_module_without_a_caller():
+def test_the_scan_reports_a_module_without_a_caller(program_of):
     sources = {
         "src/pkg/__init__.py": "from pkg.a import A\nfrom pkg import c\nfrom . import d\n",
         "src/pkg/a.py": "from .e import f\nA = f\n",
@@ -110,4 +107,4 @@ def test_the_scan_reports_a_module_without_a_caller():
                               "    return importlib.import_module('pkg.b')\n"),
         "trialbench/test_run.py": "import pkg.d\n",
     }
-    assert unreached_modules(sources) == ["pkg.c", "pkg.d"]
+    assert unreached_modules(program_of(sources)) == ["pkg.c", "pkg.d"]

@@ -1,7 +1,9 @@
-"""Every defaulted parameter of a function under src/ is passed by some call.
+"""Every defaulted parameter of a function under src/ is passed by the program.
 
-A parameter with a default that no call in src/, tests/ or trialbench/ ever
-passes only ever takes that one value: it is a constant, not an option.
+A parameter with a default that no call in the program ever passes only
+ever takes that one value in use: it is a constant, not an option. The
+program is src/ plus trialbench/ without its tests (tests/conftest.py), so a
+parameter that only tests pass does not count as passed.
 
 Calls are matched to callables by name: a function by its name, called
 bare or as a module attribute; a class's `__init__` by the class name, the
@@ -13,13 +15,6 @@ spreads `*args` or `**kwargs`, which may carry anything.
 """
 
 import ast
-from pathlib import Path
-
-import pytest
-
-ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(p for d in ("src", "tests", "trialbench") for p in (ROOT / d).rglob("*.py"))
-DEFINING_MODULES = sorted((ROOT / "src").rglob("*.py"))
 
 
 def defaulted_parameters(tree: ast.Module) -> list:
@@ -81,18 +76,16 @@ def unpassed_parameters(source: str, called: dict) -> list:
     return unpassed
 
 
-@pytest.fixture(scope="module")
-def called_anywhere() -> dict:
+def called_in(sources: dict) -> dict:
     merged = {}
-    for path in SOURCES:
-        for name, sites in calls(ast.parse(path.read_text())).items():
+    for text in sources.values():
+        for name, sites in calls(ast.parse(text)).items():
             merged.setdefault(name, []).extend(sites)
     return merged
 
 
-@pytest.mark.parametrize("path", DEFINING_MODULES, ids=lambda p: str(p.relative_to(ROOT)))
-def test_every_defaulted_parameter_is_passed(path, called_anywhere):
-    assert unpassed_parameters(path.read_text(), called_anywhere) == []
+def test_every_defaulted_parameter_is_passed(src_module, program_sources):
+    assert unpassed_parameters(program_sources[src_module], called_in(program_sources)) == []
 
 
 def test_the_scan_reports_an_unpassed_parameter():
@@ -123,3 +116,19 @@ def test_the_scan_reports_an_unpassed_parameter():
     assert unpassed_parameters(source, calls(tree)) == [
         "f(c) (line 1)", "f(d) (line 1)", "K(y) (line 4)", "m(q) (line 6)",
         "make(r) (line 9)"]
+
+
+def test_the_scan_counts_program_callers_only(program_of):
+    sources = {
+        "src/pkg/a.py": ("class Arm:\n"
+                         "    @classmethod\n"
+                         "    def draw(cls, seed, noise=0.1):\n"
+                         "        return cls()\n"
+                         "def plan(a, b, steps=10):\n"
+                         "    pass\n"),
+        "trialbench/run.py": "def run(a, b):\n    Arm.draw(1)\n    plan(a, b, 25)\n",
+        "trialbench/test_run.py": "def test_draw():\n    Arm.draw(1, noise=0.0)\n",
+        "tests/test_a.py": "def test_quiet():\n    Arm.draw(2, 0.0)\n",
+    }
+    assert unpassed_parameters(sources["src/pkg/a.py"], called_in(program_of(sources))) == [
+        "draw(noise) (line 3)"]

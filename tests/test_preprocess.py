@@ -12,10 +12,18 @@ from insertsim.registration import (
     estimate_pose,
     prepare_cloud,
 )
-from insertsim.registration.preprocess import outline, raster_pitch, \
+from insertsim.registration.preprocess import outline, raster_cells, raster_pitch, \
     statistical_outlier_removal, voxel_downsample
 from insertsim.scansim import CalibrationError, HolePlate, Scene, ScenePart, ScannerConfig, \
     linear_sweep, sweep_scan
+
+
+def outline_of(cloud: PointCloud) -> PointCloud:
+    return outline(cloud, raster_cells(cloud))
+
+
+def pitch_of(cloud: PointCloud) -> tuple:
+    return raster_pitch(cloud, raster_cells(cloud))
 
 
 def test_single_voxel_collapses_to_centroid():
@@ -260,7 +268,7 @@ def outline_oracle(cloud: PointCloud) -> set:
 def test_outline_is_the_hit_cells_next_to_a_miss(pose):
     cloud = plate_scan("sparse", pose, CAL)
     expected = outline_oracle(cloud)
-    edge = outline(cloud)
+    edge = outline_of(cloud)
     cells = list(map(tuple, edge.raster.tolist()))
     # only cells whose Sobel gradient vanishes (none on a plate) are left out
     assert len(cells) == len(set(cells)) == len(expected) > 300
@@ -277,7 +285,7 @@ def test_outline_drops_cells_without_a_gradient():
     cells = np.array([[1, 2], [2, 1], [2, 2], [2, 3], [3, 2]])
     cloud = PointCloud(np.column_stack([cells[:, 1] * 1e-5, cells[:, 0] * 2e-5, np.zeros(5)]),
                        raster=cells, raster_shape=(5, 5))
-    edge = outline(cloud)
+    edge = outline_of(cloud)
     np.testing.assert_array_equal(edge.raster, cells[[0, 1, 3, 4]])
     np.testing.assert_allclose(edge.normals, [[0, -1, 0], [-1, 0, 0], [1, 0, 0], [0, 1, 0]],
                                atol=1e-12)
@@ -288,7 +296,7 @@ def test_outline_normals_point_out_of_the_plate_in_its_plane():
     outward axis; on a tilted plate every normal lies in the plate's plane,
     to within the ~0.01 rad by which the hits on its side face, ~3% of the
     points, turn the fitted raster axes."""
-    edge = outline(plate_scan("dense", "level", CalibrationError.none()))
+    edge = outline_of(plate_scan("dense", "level", CalibrationError.none()))
     x, y = edge.points[:, 0], edge.points[:, 1]
     for axis, coord, other in ((0, x, y), (1, y, x)):
         side = (np.abs(coord) > 2.9e-3) & (np.abs(other) < 2.8e-3)
@@ -297,7 +305,7 @@ def test_outline_normals_point_out_of_the_plate_in_its_plane():
         outward[:, axis] = np.sign(coord[side])
         assert np.min(np.einsum("ij,ij->i", edge.normals[side], outward)) > np.cos(0.05)
     tilted = PLATE_POSES["tilted"]
-    edge = outline(plate_scan("sparse", "tilted", CalibrationError.none()))
+    edge = outline_of(plate_scan("sparse", "tilted", CalibrationError.none()))
     assert np.max(np.abs(edge.normals @ tilted.rotate_vector([0.0, 0.0, 1.0]))) < 0.02
 
 
@@ -306,7 +314,7 @@ def test_outline_normals_point_out_of_the_plate_in_its_plane():
 def test_raster_pitch_is_the_scanner_spacing(scanner, pitch):
     """Median spacing along and across profiles; depth noise lengthens the
     along-profile step a little."""
-    np.testing.assert_allclose(raster_pitch(plate_scan(scanner, "yaw+3", CAL)), pitch, rtol=0.02)
+    np.testing.assert_allclose(pitch_of(plate_scan(scanner, "yaw+3", CAL)), pitch, rtol=0.02)
 
 
 def pitch_oracle(cloud: PointCloud) -> tuple:
@@ -324,7 +332,7 @@ def pitch_oracle(cloud: PointCloud) -> tuple:
     return tuple(pitch)
 
 
-NARROW = ScannerConfig(points_per_profile=64, lateral_span=64 * 40e-6, lateral_resolution=40e-6)
+NARROW = ScannerConfig(points_per_profile=64, lateral_resolution=40e-6)
 
 
 def narrow_scan(x: float, y: float, profiles: int) -> PointCloud:
@@ -358,8 +366,8 @@ def test_conditioning_on_the_hits_window_matches_the_full_raster(name):
     profile, column = cloud.raster.T
     assert (profile.min() == 0, profile.max() == rows - 1,
             column.min() == 0, column.max() == cols - 1) == touches
-    assert raster_pitch(cloud) == pitch_oracle(cloud)
-    assert set(map(tuple, outline(cloud).raster.tolist())) == outline_oracle(cloud)
+    assert pitch_of(cloud) == pitch_oracle(cloud)
+    assert set(map(tuple, outline_of(cloud).raster.tolist())) == outline_oracle(cloud)
 
 
 def test_prepare_cloud_registers_a_scan_on_its_outline(monkeypatch):
@@ -370,7 +378,7 @@ def test_prepare_cloud_registers_a_scan_on_its_outline(monkeypatch):
     cloud = plate_scan("sparse", "yaw+3", CAL)
     prepared = prepare_cloud(cloud, RegistrationParams())
     assert sor == [] and voxel == []
-    np.testing.assert_array_equal(prepared.keypoints.points, outline(cloud).points)
+    np.testing.assert_array_equal(prepared.keypoints.points, outline_of(cloud).points)
 
 
 def test_registration_rejects_a_cloud_without_a_raster_shape():
@@ -392,7 +400,7 @@ def test_a_plate_across_the_last_profile_has_no_outline_on_it():
     cloud = plate_scan("sparse", "yaw+3", CAL, profiles=50)
     last = cloud.raster_shape[0] - 1
     assert np.count_nonzero(cloud.raster[:, 0] == last) > 100
-    edge = outline(cloud)
+    edge = outline_of(cloud)
     assert np.max(edge.raster[:, 0]) == last - 1
     assert edge.raster_shape == cloud.raster_shape
 
@@ -400,12 +408,12 @@ def test_a_plate_across_the_last_profile_has_no_outline_on_it():
 def test_outline_poor_rasters_raise_typed_errors():
     """A plate that fills the raster has no outline, and a single profile
     has no pitch across profiles: both fail with the errors a trial counts."""
-    cfg = ScannerConfig(points_per_profile=64, lateral_span=64 * 40e-6, lateral_resolution=40e-6)
+    cfg = ScannerConfig(points_per_profile=64, lateral_resolution=40e-6)
     start = Pose.from_axis_angle([-1.5e-3, -2e-3, 0.03], [1, 0, 0], np.pi)
     cloud = sweep_scan(Scene([ScenePart("plate", PLATE, Pose.identity())]),
                        linear_sweep(start, [0, 1, 0], 100e-6, 20), cfg,
                        CalibrationError.none(), seed=1)
-    assert len(cloud) == 20 * 64 and len(outline(cloud)) == 0
+    assert len(cloud) == 20 * 64 and len(outline_of(cloud)) == 0
     with pytest.raises(InsufficientCorrespondencesError):
         estimate_pose(cloud, cloud, RegistrationParams(), seed=0)
     one_profile = cloud.select(cloud.raster[:, 0] == 3)

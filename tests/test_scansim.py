@@ -25,19 +25,28 @@ def plane_scene(top_z: float = 0.0) -> Scene:
 
 
 def small_cfg(**kw) -> ScannerConfig:
-    defaults = dict(points_per_profile=64, lateral_span=64 * 12e-6)
+    defaults = dict(points_per_profile=64)
     defaults.update(kw)
     return ScannerConfig(**defaults)
 
 
+def snapped_columns(n: int, span: float, resolution: float) -> np.ndarray:
+    """Columns spread evenly over `span`, snapped to the centres of a
+    `resolution` grid, duplicates dropped: the rule the benchmark's scans
+    were first made with, when every scanner spanned 2048 * 12 um."""
+    snapped = (np.floor((np.arange(n) + 0.5 - n / 2.0) * (span / n) / resolution) + 0.5) * resolution
+    return snapped[np.r_[True, np.diff(snapped) > 0]]
+
+
 def test_lateral_positions_default_grid():
-    # the default grid keeps every column; a coarser grid drops the duplicates
-    for cfg, count, spacing in ((ScannerConfig(), 2048, 12e-6),
-                                (ScannerConfig(lateral_resolution=48e-6), 512, 48e-6)):
-        x = cfg.lateral_positions()
-        assert len(x) == count
-        assert np.all(np.diff(x) > 0)
-        np.testing.assert_allclose(np.diff(x), spacing, atol=1e-16)
+    # the benchmark's dense and sparse scanners and its test scanner: n columns
+    # centred on the laser line, bit-equal to the snapped rule over 2048 * 12 um
+    for n, resolution in ((2048, 12e-6), (512, 48e-6), (256, 96e-6)):
+        x = ScannerConfig(points_per_profile=n, lateral_resolution=resolution).lateral_positions()
+        assert x.tobytes() == snapped_columns(n, 2048 * 12e-6, resolution).tobytes()
+        assert x.tobytes() == (-x[::-1]).tobytes()
+        np.testing.assert_allclose(np.diff(x), resolution, rtol=1e-9)
+        assert x[-1] - x[0] == pytest.approx((n - 1) * resolution, rel=1e-12)
 
 
 def test_flat_plate_zero_noise_constant_depth():
@@ -133,7 +142,7 @@ def wobbling_sweep(count: int) -> list[Pose]:
 
 
 def wide_cfg(**kw) -> ScannerConfig:
-    return small_cfg(points_per_profile=256, lateral_span=256 * 12e-6, **kw)
+    return small_cfg(points_per_profile=256, **kw)
 
 
 FAR_BOX = Scene([ScenePart("far", Box((0.01, 0.01, 0.01)), Pose(np.array([5.0, 5.0, 5.0]), np.array([1.0, 0, 0, 0])))])
@@ -283,7 +292,7 @@ def test_scene_rejects_duplicate_ids():
 def test_hole_plate_rays_through_hole_miss_top_face():
     plate = HolePlate((0.005, 0.005), 0.001, (150e-6, 175e-6))
     scene = Scene([ScenePart("plate", plate, Pose(np.array([0.0, 0.0, -0.0005]), np.array([1.0, 0, 0, 0])))])
-    cfg = small_cfg(points_per_profile=256, lateral_span=256 * 12e-6, depth_noise_std=0.0)
+    cfg = small_cfg(points_per_profile=256, depth_noise_std=0.0)
     traj = linear_sweep(DOWN, [0, 1, 0], 25e-6, 16)  # 400 um band across the hole
     start = Pose(DOWN.position - np.array([0.0, 2e-4, 0.0]), DOWN.orientation)
     traj = linear_sweep(start, [0, 1, 0], 25e-6, 16)
@@ -326,8 +335,6 @@ def test_hole_plate_rejects_a_hole_reaching_a_side(center):
 INVALID_PARTS = {  # name -> construction that must raise ValueError
     "scanner_noise_nan": lambda: ScannerConfig(depth_noise_std=np.nan),
     "scanner_noise_inf": lambda: ScannerConfig(depth_noise_std=np.inf),
-    "scanner_span_nan": lambda: ScannerConfig(lateral_span=np.nan),
-    "scanner_span_inf": lambda: ScannerConfig(lateral_span=np.inf),
     "scanner_resolution_nan": lambda: ScannerConfig(lateral_resolution=np.nan),
     "scanner_resolution_inf": lambda: ScannerConfig(lateral_resolution=np.inf),
     "scanner_points_fractional": lambda: ScannerConfig(points_per_profile=64.5),
