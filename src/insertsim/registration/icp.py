@@ -13,9 +13,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from insertsim.geom import PointCloud, Pose, pose_compose, quat_from_matrix
-from insertsim.registration.params import DivergenceError, RegistrationParams
+from insertsim.registration.params import DivergenceError
 from insertsim.registration.rigid import kabsch_transform
 
+MAX_ITERATIONS = 60
 _POS_CONVERGE = 1e-9   # m, incremental translation
 _ROT_CONVERGE = 1e-8   # rad, incremental rotation
 
@@ -26,24 +27,24 @@ class IcpResult(NamedTuple):
     iterations: int
 
 
-def icp_refine(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
+def icp_refine(scan: PointCloud, ref: PointCloud, cutoff: float,
                initial_pose: Pose, scan_tree: cKDTree) -> IcpResult:
     """Refine the pose of `ref` in the scan frame, starting from `initial_pose`.
 
     The moving cloud is `ref` placed by `initial_pose`; correspondences are
-    nearest scan points within `icp_max_correspondence_dist`, found in
-    `scan_tree`, a cKDTree over `scan.points`. The returned pose composes the
-    incremental refinement with `initial_pose`, i.e. it maps the reference
-    frame into the scan frame.
+    nearest scan points within `cutoff` (m), found in `scan_tree`, a cKDTree
+    over `scan.points`. The returned pose composes the incremental refinement
+    with `initial_pose`, i.e. it maps the reference frame into the scan frame.
     """
     if len(scan) == 0 or len(ref) == 0:
         raise ValueError("clouds must be non-empty")
+    if not 0 < cutoff < np.inf:
+        raise ValueError("cutoff must be positive and finite")
     moving = initial_pose.transform_points(ref.points)
-    cutoff = params.icp_max_correspondence_dist
     R_total = np.eye(3)
     t_total = np.zeros(3)
     iterations = 0
-    for _ in range(params.icp_max_iterations):
+    for _ in range(MAX_ITERATIONS):
         d, idx = scan_tree.query(moving, distance_upper_bound=cutoff)
         matched = np.isfinite(d)
         if not np.any(matched):

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,66 +15,21 @@ def _identity_quat() -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegistrationParams:
-    """Tuning knobs for coarse RANSAC and ICP refinement on a scanner cloud.
+    """The orientation prior of a registration: hypotheses and results must
+    lie within `rho_rot` radians of `q0`. Every distance threshold is a
+    property of the scan and is derived from its pitch (`pipeline`)."""
 
-    `rho_icp` is a mean-squared-distance threshold in m^2; `rho_rot` gates
-    hypothesis orientations against `q0` in radians. None of the thresholds
-    are prescribed by theory; they are scene-scale engineering choices.
-
-    The four fields that default to None are derived when left None, and a
-    value a caller passes is used as given. `resolved(pitch)` fills them
-    from the (ds, dl) pitch of the cloud's raster, the median point spacing
-    along profiles and across them (`preprocess.raster_pitch`); with
-    d = max(ds, dl):
-
-      - `rho_icp`: ds^2 + dl^2, 12x the mean squared offset from its cell's
-        centre of a point placed uniformly in a ds x dl cell;
-      - `ransac_inlier_threshold`: 4 d;
-      - `icp_max_correspondence_dist`: 12 d;
-      - `feature_radius`: 500 um + d.
-
-    `ransac_register` and `icp_refine` read their fields as given, so they
-    take resolved params.
-    """
-
-    rho_icp: Optional[float] = None
     rho_rot: float = np.pi / 4
     q0: np.ndarray = field(default_factory=_identity_quat)
-    ransac_iterations: int = 2000
-    ransac_inlier_threshold: Optional[float] = None
-    icp_max_iterations: int = 60
-    icp_max_correspondence_dist: Optional[float] = None
-    feature_radius: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "q0", quat_normalize(self.q0))
-        for name in _DERIVED:
-            value = getattr(self, name)
-            if value is not None and not 0 < value < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
         if not 0 < self.rho_rot <= np.pi:
             raise ValueError("rho_rot must be in (0, pi]")
-        for name in ("ransac_iterations", "icp_max_iterations"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1")
-
-    def resolved(self, pitch: tuple) -> "RegistrationParams":
-        """These params with every None field derived (class docstring) for
-        a raster of the given (ds, dl) pitch."""
-        ds, dl = pitch
-        d = max(ds, dl)
-        derived = (ds * ds + dl * dl, 4.0 * d, 12.0 * d, 5e-4 + d)
-        return replace(self, **{name: value for name, value in zip(_DERIVED, derived)
-                                if getattr(self, name) is None})
 
     def in_orientation_gate(self, q) -> bool:
         """Whether orientation `q` lies within rho_rot of q0."""
         return quat_distance(q, self.q0) < self.rho_rot
-
-
-_DERIVED = ("rho_icp", "ransac_inlier_threshold", "icp_max_correspondence_dist",
-            "feature_radius")
 
 
 @dataclass(frozen=True)
@@ -122,6 +76,6 @@ class RegistrationFailedError(RuntimeError):
     """estimate_pose's one pass scored no RANSAC hypothesis or missed the gate
     or rho_icp. `best` is the refined result if only its fitness missed, else None."""
 
-    def __init__(self, message: str, best: Optional[RegistrationResult]):
+    def __init__(self, message: str, best: RegistrationResult | None):
         super().__init__(message)
         self.best = best

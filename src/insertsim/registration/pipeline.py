@@ -2,21 +2,27 @@
 orientation gate -> ICP -> orientation gate -> fitness check.
 
 Both clouds are scanner clouds, which carry their raster and the raster's
-shape. Each is registered on its outline, and the thresholds left None in
-the params are derived from the scan's pitch (`RegistrationParams.resolved`).
-rho_icp is the pitch gate ds^2 + dl^2, which the true pose passes, so a scan
-that registers does so in this one pass. The orientation gate is checked
-on the RANSAC hypothesis (cheap rejection of flipped or degenerate-symmetry
-matches) and again on the refined pose, so every result this function
-returns satisfies the gate. A failure raises RegistrationFailedError: with
-`best` None when RANSAC scored no hypothesis, no refined pose passed the
-gate or ICP diverged, and with the refined result when only its fitness is
-above rho_icp, so the caller can decide to rescan and retry.
+shape. Each is registered on its outline. Every distance threshold is
+derived from the scan's (ds, dl) pitch, the median point spacing along
+profiles and across them (`preprocess.raster_pitch`); with d = max(ds, dl):
+
+  - rho_icp, the fitness gate: ds^2 + dl^2, 12x the mean squared offset from
+    its cell's centre of a point placed uniformly in a ds x dl cell;
+  - RANSAC's inlier threshold: 4 d;
+  - ICP's correspondence cutoff: 12 d;
+  - the FPFH radius: 500 um + d, each cloud's from its own pitch.
+
+The true pose passes rho_icp, so a scan that registers does so in this one
+pass. The orientation gate (`RegistrationParams`) is checked on the RANSAC
+hypothesis (cheap rejection of flipped or degenerate-symmetry matches) and
+again on the refined pose, so every result this function returns satisfies
+the gate. A failure raises RegistrationFailedError: with `best` None when
+RANSAC scored no hypothesis, no refined pose passed the gate or ICP
+diverged, and with the refined result when only its fitness is above
+rho_icp, so the caller can decide to rescan and retry.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -33,15 +39,15 @@ from insertsim.registration.preprocess import outline, raster_cells, raster_pitc
 from insertsim.registration.ransac import ransac_register
 
 
-def _prepare(cloud: PointCloud, params: RegistrationParams):
-    """The cloud's FeatureCloud, and `params` resolved for the cloud."""
+def _prepare(cloud: PointCloud):
+    """The cloud's FeatureCloud, and the (ds, dl) pitch of its raster."""
     if cloud.raster_shape is None or len(cloud) == 0:
         raise ValueError("registration takes non-empty scanner clouds, with a raster shape")
     cells = raster_cells(cloud)
-    params = params.resolved(raster_pitch(cloud, cells))
+    pitch = raster_pitch(cloud, cells)
     edge = outline(cloud, cells)
     del cells  # not held through FPFH, which sets a dense trial's peak memory
-    return compute_features(edge, params.feature_radius), params
+    return compute_features(edge, 5e-4 + max(pitch)), pitch
 
 
 def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> FeatureCloud:
@@ -50,8 +56,10 @@ def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> FeatureCloud
     described by FPFH at a radius derived from its own pitch. The returned
     FeatureCloud builds its KD-trees on first use and keeps them, so no
     later estimate_pose call against the same prepared cloud rebuilds one.
+    `params` is unused: every threshold comes from the pitch. It is kept only
+    because the benchmark passes it positionally.
     """
-    return _prepare(cloud, params)[0]
+    return _prepare(cloud)[0]
 
 
 def _ransac_seed(seed: int) -> int:
@@ -61,17 +69,21 @@ def _ransac_seed(seed: int) -> int:
 
 
 def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
-                  seed: int, ref_prepared: Optional[FeatureCloud] = None) -> RegistrationResult:
-    """Estimate the pose mapping `ref` into the frame of `scan`."""
-    ref_f = ref_prepared if ref_prepared is not None else prepare_cloud(ref, params)
-    scan_f, params = _prepare(scan, params)
+                  seed: int, ref_prepared: FeatureCloud) -> RegistrationResult:
+    """Estimate the pose mapping the reference into the frame of `scan`.
 
-    coarse = ransac_register(scan_f, ref_f, params, _ransac_seed(seed))
+    The reference is `ref_prepared`, from `prepare_cloud`. `ref`, the cloud
+    it was prepared from, is unused; it is kept only because the benchmark
+    passes it positionally."""
+    scan_f, (ds, dl) = _prepare(scan)
+    d = max(ds, dl)
+
+    coarse = ransac_register(scan_f, ref_prepared, params, 4.0 * d, _ransac_seed(seed))
     if not params.in_orientation_gate(coarse.pose.orientation):
         raise RegistrationFailedError(
             "no refined pose passed the orientation gate: the RANSAC pose is outside it", None)
     try:
-        refined = icp_refine(scan_f.keypoints, ref_f.keypoints, params,
+        refined = icp_refine(scan_f.keypoints, ref_prepared.keypoints, 12.0 * d,
                              initial_pose=coarse.pose, scan_tree=scan_f.keypoint_tree)
     except DivergenceError as e:
         raise RegistrationFailedError(f"ICP diverged from the RANSAC pose: {e}", None) from e
@@ -79,7 +91,8 @@ def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
         raise RegistrationFailedError(
             "no refined pose passed the orientation gate: the ICP pose is outside it", None)
     result = RegistrationResult(refined.pose, refined.fitness, coarse.inlier_fraction)
-    if refined.fitness <= params.rho_icp:
+    rho_icp = ds * ds + dl * dl
+    if refined.fitness <= rho_icp:
         return result
     raise RegistrationFailedError(
-        f"fitness {refined.fitness:.3e} above rho_icp {params.rho_icp:.3e}", result)
+        f"fitness {refined.fitness:.3e} above rho_icp {rho_icp:.3e}", result)

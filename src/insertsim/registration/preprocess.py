@@ -8,8 +8,8 @@ with a miss among their 8 neighbours (cells on the raster's border are
 never outline: what lies past them was not scanned) and gives each an
 in-plane normal from the hit mask alone: the Sobel gradient of the
 occupancy image, mapped into 3-D through the raster's axes. `raster_pitch`
-measures the point spacing along and across profiles, from which the
-registration thresholds are derived (`RegistrationParams.resolved`).
+measures the point spacing along and across profiles, from which
+`pipeline` derives every registration threshold.
 Both read one cell table over the hits' bounding box padded by one cell and
 clipped to the raster (`raster_cells`): past its edge lie misses or no raster.
 Neither reads the cloud's normals, which a line scanner does not measure.

@@ -38,6 +38,7 @@ from insertsim.registration.params import InsufficientCorrespondencesError, \
     RegistrationFailedError, RegistrationParams
 from insertsim.registration.rigid import kabsch_transform
 
+ITERATIONS = 2000       # hypotheses per run, at most
 _EDGE_SIMILARITY = 0.9  # min/max edge-length ratio accepted by the prerejector
 _DESC_KNN = 5           # correspondence candidates per scan keypoint
 
@@ -75,9 +76,12 @@ def correspondence_candidates(scan: FeatureCloud, ref: FeatureCloud):
 
 
 def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationParams,
-                    seed: int) -> RansacResult:
-    """Best gated hypothesis of one seeded RANSAC run, polished on its inliers."""
-    threshold = params.ransac_inlier_threshold
+                    threshold: float, seed: int) -> RansacResult:
+    """Best hypothesis of one seeded RANSAC run within the orientation gate of
+    `params`, polished on its inliers: the reference keypoints it moves to
+    within `threshold` (m) of a scan keypoint."""
+    if not 0 < threshold < np.inf:
+        raise ValueError("threshold must be positive and finite")
     knn, pool = correspondence_candidates(scan, ref)
     k = knn.shape[1]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xAC]))
@@ -100,7 +104,7 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
 
     best_count = -1
     best = None
-    for it in range(params.ransac_iterations):
+    for it in range(ITERATIONS):
         if it % 2 == 0:
             # feature-triple hypothesis
             sample = pool[rng.choice(len(pool), size=3, replace=False)]

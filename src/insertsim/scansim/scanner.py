@@ -128,15 +128,14 @@ def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
         m, w, x = len(assumed), c1 - c0, lateral[c0:c1]
         # bit-equal to the matrix product, which rounds a sensor row (x, 0, 0) once in any order
         origins = x[None, :, None] * R[:, None, :, 0] + t[:, None, :]
-        hits = scene.cast(origins.reshape(-1, 3), np.repeat(R[:, :, 2], w, axis=0))
-        depth = hits.t
+        depth = scene.cast(origins.reshape(-1, 3), np.repeat(R[:, :, 2], w, axis=0))
+        keep = np.isfinite(depth)
         if cfg.depth_noise_std > 0.0:
             depth = depth + np.concatenate([
                 np.random.default_rng(np.random.SeedSequence([int(seed), k]))
                 .normal(scale=cfg.depth_noise_std, size=c1)[c0:]
                 for k in range(lo, lo + m)
             ])
-        keep = hits.hit
         samples = np.zeros((m, w, 3))
         samples[:, :, 0] = x
         # misses (depth inf) are dropped below; zero keeps inf * 0 out of the product

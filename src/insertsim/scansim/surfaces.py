@@ -1,7 +1,8 @@
 """Scene geometry for the virtual scanner: analytic parts.
 
 Every surface implements `ray_intersect(origins, dirs)` in its local frame and
-returns, per ray, the smallest positive hit parameter. A Scene places
+returns, per ray, the smallest positive hit parameter, inf where the ray
+misses: an (N,) array. A Scene places
 surfaces with poses and casts world-frame rays against all parts, keeping
 the nearest hit. No surface normal is computed: a line scanner measures
 depth only.
@@ -16,7 +17,7 @@ inside the bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,12 +26,7 @@ from insertsim.geom import Pose
 _T_MIN = 1e-9  # reject hits closer than this to the ray origin
 
 
-class RayHits(NamedTuple):
-    t: np.ndarray    # (N,) hit parameter, inf where miss
-    hit: np.ndarray  # (N,) bool
-
-
-def _box_faces(o: np.ndarray, d: np.ndarray, h: np.ndarray, open_z=None) -> RayHits:
+def _box_faces(o: np.ndarray, d: np.ndarray, h: np.ndarray, open_z=None) -> np.ndarray:
     """Nearest hit on the six faces of the box |x_i| <= h_i (slab test).
 
     `open_z`, given the (x, y) coordinates of the hits on a ±z face, marks the
@@ -50,7 +46,7 @@ def _box_faces(o: np.ndarray, d: np.ndarray, h: np.ndarray, open_z=None) -> RayH
                 inside &= ~open_z(pa, pb)
             valid = movable & (t > _T_MIN) & inside & (t < best_t)
             best_t = np.where(valid, t, best_t)
-    return RayHits(best_t, np.isfinite(best_t))
+    return best_t
 
 
 class Box:
@@ -65,7 +61,7 @@ class Box:
     def bounds(self) -> np.ndarray:
         return np.stack([-self.half_extents, self.half_extents])
 
-    def ray_intersect(self, origins, dirs) -> RayHits:
+    def ray_intersect(self, origins, dirs) -> np.ndarray:
         o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
         d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
         return _box_faces(o, d, self.half_extents)
@@ -80,7 +76,7 @@ class HolePlate:
     as the insertion target is the ellipse center on the +z face.
     """
 
-    def __init__(self, half_extents_xy, thickness: float, hole_semi_axes, hole_center=(0.0, 0.0)):
+    def __init__(self, half_extents_xy, thickness: float, hole_semi_axes, hole_center):
         self.hx, self.hy = (float(v) for v in half_extents_xy)
         self.half_thickness = float(thickness) / 2.0
         self.a, self.b = (float(v) for v in hole_semi_axes)
@@ -109,11 +105,11 @@ class HolePlate:
         v = (y - self.cy) / self.b
         return u * u + v * v < 1.0
 
-    def ray_intersect(self, origins, dirs) -> RayHits:
+    def ray_intersect(self, origins, dirs) -> np.ndarray:
         o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
         d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
         best_t = _box_faces(o, d, np.array([self.hx, self.hy, self.half_thickness]),
-                            open_z=self._in_hole).t
+                            open_z=self._in_hole)
 
         # hole wall: ((x-cx)/a)^2 + ((y-cy)/b)^2 = 1, |z| <= half_thickness
         px = o[:, 0] - self.cx
@@ -131,7 +127,7 @@ class HolePlate:
             valid = quad & (t > _T_MIN) & (np.abs(z) <= self.half_thickness) & (t < best_t)
             best_t = np.where(valid, t, best_t)
 
-        return RayHits(best_t, np.isfinite(best_t))
+        return best_t
 
 
 @dataclass(frozen=True)
@@ -153,13 +149,13 @@ class Scene:
             raise ValueError("part ids must be unique")
         self.parts = parts
 
-    def cast(self, origins, dirs) -> RayHits:
-        """Nearest hit over all parts."""
+    def cast(self, origins, dirs) -> np.ndarray:
+        """Hit parameter of the nearest hit over all parts, inf where a ray misses them all."""
         origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
         dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
         best_t = np.full(len(origins), np.inf)
         for part in self.parts:
             R = part.pose.rotation_matrix()
-            hits = part.surface.ray_intersect((origins - part.pose.position) @ R, dirs @ R)
-            best_t = np.minimum(best_t, hits.t)
-        return RayHits(best_t, np.isfinite(best_t))
+            best_t = np.minimum(best_t, part.surface.ray_intersect(
+                (origins - part.pose.position) @ R, dirs @ R))
+        return best_t

@@ -1,9 +1,12 @@
-"""Every defaulted parameter of a function under src/ is passed by the program.
+"""Every defaulted parameter of a function under src/ is passed by some call
+of the program, and its default is taken by another.
 
 A parameter with a default that no call in the program ever passes only
-ever takes that one value in use: it is a constant, not an option. The
-program is src/ plus trialbench/ without its tests (tests/conftest.py), so a
-parameter that only tests pass does not count as passed.
+ever takes that one value in use: it is a constant, not an option. A
+default that every call overrides is never used: the parameter needs no
+default, and the branch it selects has no caller. The program is src/ plus
+trialbench/ without its tests (tests/conftest.py), so a parameter that only
+tests pass, or a default that only tests take, does not count.
 
 Calls are matched to callables by name: a function by its name, called
 bare or as a module attribute; a class's `__init__` by the class name, the
@@ -11,7 +14,8 @@ same two ways; a method only by an attribute call (`obj.name(...)`), so a
 module-level function of the same name cannot answer for it. A call passes
 a parameter when it names it as a keyword, reaches its position with
 positional arguments (a method's `self` or `cls` is bound by the call), or
-spreads `*args` or `**kwargs`, which may carry anything.
+spreads `*args` or `**kwargs`, which may carry anything; a call that
+spreads may also leave it out, so it may take the default too.
 """
 
 import ast
@@ -46,8 +50,8 @@ def defaulted_parameters(tree: ast.Module) -> list:
 
 
 def calls(tree: ast.Module) -> dict:
-    """Called name -> list of (attribute call, positional count, keyword
-    names, spreads) per call."""
+    """Called name -> list of (attribute call, positional count before any
+    `*` spread, keyword names, spreads) per call."""
     out = {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -57,23 +61,26 @@ def calls(tree: ast.Module) -> dict:
         name = func.attr if attribute else getattr(func, "id", None)
         if name is None:
             continue
-        spreads = any(isinstance(a, ast.Starred) for a in node.args) or \
-            any(k.arg is None for k in node.keywords)
+        starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+        spreads = bool(starred) or any(k.arg is None for k in node.keywords)
         out.setdefault(name, []).append(
-            (attribute, len(node.args), {k.arg for k in node.keywords if k.arg}, spreads))
+            (attribute, (starred or [len(node.args)])[0], {k.arg for k in node.keywords if k.arg},
+             spreads))
     return out
 
 
-def unpassed_parameters(source: str, called: dict) -> list:
-    unpassed = []
+def idle_defaults(source: str, called: dict) -> list:
+    """Defaulted parameters that no call passes, and those that every call passes."""
+    idle = []
     for name, method, param, position, line in defaulted_parameters(ast.parse(source)):
-        passed = any(
-            (attribute or not method)
-            and (spreads or param in keywords or (position is not None and count > position))
-            for attribute, count, keywords, spreads in called.get(name, ()))
-        if not passed:
-            unpassed.append(f"{name}({param}) (line {line})")
-    return unpassed
+        sites = [(spreads, param in keywords or (position is not None and count > position))
+                 for attribute, count, keywords, spreads in called.get(name, ())
+                 if attribute or not method]
+        if not any(spreads or passed for spreads, passed in sites):
+            idle.append(f"{name}({param}) (line {line})")
+        elif all(passed for _, passed in sites):
+            idle.append(f"{name}({param}) (line {line}): every call passes it")
+    return idle
 
 
 def called_in(sources: dict) -> dict:
@@ -85,7 +92,7 @@ def called_in(sources: dict) -> dict:
 
 
 def test_every_defaulted_parameter_is_passed(src_module, program_sources):
-    assert unpassed_parameters(program_sources[src_module], called_in(program_sources)) == []
+    assert idle_defaults(program_sources[src_module], called_in(program_sources)) == []
 
 
 def test_the_scan_reports_an_unpassed_parameter():
@@ -107,15 +114,40 @@ def test_the_scan_reports_an_unpassed_parameter():
               "def make(v=0):\n"
               "    pass\n"
               "f(0, 1, e=5)\n"
+              "f(0)\n"
               "K.s(1)\n"
+              "K.s()\n"
               "K(0).m(1)\n"
               "K.make()\n"
               "g(**{})\n"
-              "make(1)\n")
+              "make(1)\n"
+              "make()\n")
     tree = ast.parse(source)
-    assert unpassed_parameters(source, calls(tree)) == [
+    assert idle_defaults(source, calls(tree)) == [
         "f(c) (line 1)", "f(d) (line 1)", "K(y) (line 4)", "m(q) (line 6)",
         "make(r) (line 9)"]
+
+
+def test_the_scan_reports_a_default_every_call_passes():
+    """A call that spreads may leave the parameter out, so it may take the default."""
+    source = ("def f(a, b=1, c=2, d=3, e=4):\n"
+              "    pass\n"
+              "class K:\n"
+              "    def __init__(self, x=0):\n"
+              "        pass\n"
+              "    def m(self, y=0):\n"
+              "        pass\n"
+              "def m(y=0):\n"
+              "    pass\n"
+              "f(0, 1, c=2)\n"
+              "f(0, 5, *rest)\n"
+              "f(0, 2, c=3, d=4)\n"
+              "K(1).m(y=2)\n"
+              "m()\n"
+              "m(y=1)\n")
+    assert idle_defaults(source, calls(ast.parse(source))) == [
+        "f(b) (line 1): every call passes it", "K(x) (line 4): every call passes it",
+        "m(y) (line 6): every call passes it"]
 
 
 def test_the_scan_counts_program_callers_only(program_of):
@@ -128,7 +160,7 @@ def test_the_scan_counts_program_callers_only(program_of):
                          "    pass\n"),
         "trialbench/run.py": "def run(a, b):\n    Arm.draw(1)\n    plan(a, b, 25)\n",
         "trialbench/test_run.py": "def test_draw():\n    Arm.draw(1, noise=0.0)\n",
-        "tests/test_a.py": "def test_quiet():\n    Arm.draw(2, 0.0)\n",
+        "tests/test_a.py": "def test_quiet():\n    Arm.draw(2, 0.0)\n    plan(0, 1)\n",
     }
-    assert unpassed_parameters(sources["src/pkg/a.py"], called_in(program_of(sources))) == [
-        "draw(noise) (line 3)"]
+    assert idle_defaults(sources["src/pkg/a.py"], called_in(program_of(sources))) == [
+        "draw(noise) (line 3)", "plan(steps) (line 5): every call passes it"]

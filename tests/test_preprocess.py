@@ -64,6 +64,8 @@ def test_outlier_removal_matches_brute_force():
 
     out = statistical_outlier_removal(cloud, mean_k=k, std_ratio=1.0)
     assert len(out) == int(expected_keep.sum())
+    np.testing.assert_array_equal(
+        statistical_outlier_removal(cloud, mean_k=np.int64(k), std_ratio=1.0).points, out.points)
     # the far point is gone
     assert np.max(np.linalg.norm(out.points, axis=1)) < 1e-2
 
@@ -383,15 +385,16 @@ def test_prepare_cloud_registers_a_scan_on_its_outline(monkeypatch):
 
 def test_registration_rejects_a_cloud_without_a_raster_shape():
     """Registration takes scanner clouds: a cloud without its raster shape,
-    as scan or as reference, raises and names what it lacks."""
+    as reference (prepared by prepare_cloud) or as scan, raises and names
+    what it lacks."""
     scan = plate_scan("sparse", "yaw+3", CAL)
+    params = RegistrationParams()
+    ref = prepare_cloud(scan, params)
     for bare in (PointCloud(scan.points, raster=scan.raster), PointCloud(scan.points)):
         with pytest.raises(ValueError, match="raster shape"):
-            prepare_cloud(bare, RegistrationParams())
+            prepare_cloud(bare, params)
         with pytest.raises(ValueError, match="raster shape"):
-            estimate_pose(bare, scan, RegistrationParams(), seed=0)
-        with pytest.raises(ValueError, match="raster shape"):
-            estimate_pose(scan, bare, RegistrationParams(), seed=0)
+            estimate_pose(bare, scan, params, 0, ref)
 
 
 def test_a_plate_across_the_last_profile_has_no_outline_on_it():
@@ -414,10 +417,11 @@ def test_outline_poor_rasters_raise_typed_errors():
                        linear_sweep(start, [0, 1, 0], 100e-6, 20), cfg,
                        CalibrationError.none(), seed=1)
     assert len(cloud) == 20 * 64 and len(outline_of(cloud)) == 0
+    params = RegistrationParams()
     with pytest.raises(InsufficientCorrespondencesError):
-        estimate_pose(cloud, cloud, RegistrationParams(), seed=0)
+        estimate_pose(cloud, cloud, params, 0, prepare_cloud(cloud, params))
     one_profile = cloud.select(cloud.raster[:, 0] == 3)
     with pytest.raises(DegenerateFeatureError, match="pitch"):
-        estimate_pose(one_profile, one_profile, RegistrationParams(), seed=0)
+        prepare_cloud(one_profile, params)
 
 

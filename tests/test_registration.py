@@ -27,7 +27,8 @@ from insertsim.registration import pipeline as pipeline_module
 from insertsim.registration import preprocess as preprocess_module
 from insertsim.registration import ransac as ransac_module
 from insertsim.registration.features import estimate_normals
-from insertsim.registration.preprocess import statistical_outlier_removal, voxel_downsample
+from insertsim.registration.preprocess import raster_cells, raster_pitch, \
+    statistical_outlier_removal, voxel_downsample
 from insertsim.scansim import CalibrationError, HolePlate, Scene, ScenePart, ScannerConfig, \
     linear_sweep, sweep_scan
 
@@ -100,65 +101,98 @@ def sparse_scan(pose: Pose = None) -> PointCloud:
                       CalibrationError.none())
 
 
-def small_params(**kw) -> RegistrationParams:
-    defaults = dict(
-        ransac_iterations=600,
-        ransac_inlier_threshold=2e-4,
-        icp_max_iterations=60,
-        icp_max_correspondence_dist=1.5e-3,
-        feature_radius=6e-4,
-    )
-    defaults.update(kw)
-    return RegistrationParams(**defaults)
+def register(scan: PointCloud, ref: PointCloud, params: RegistrationParams = RegistrationParams(),
+             seed: int = 0):
+    """estimate_pose of `scan` against `ref`, prepared as the benchmark prepares its reference."""
+    return estimate_pose(scan, ref, params, seed, prepare_cloud(ref, params))
+
+
+# RANSAC's inlier threshold and ICP's cutoff on the terrain and lattice clouds
+RANSAC_THRESHOLD = 2e-4
+ICP_CUTOFF = 1.5e-3
 
 
 # -- parameters ------------------------------------------------------------------
 
 FOUR_POINTS = PointCloud(np.vstack([np.zeros(3), np.eye(3)]))
-KEPT_FUNCTION_ARGUMENTS = {
-    "voxel_size": lambda v: voxel_downsample(FOUR_POINTS, v),
-    "outlier_mean_k": lambda v: statistical_outlier_removal(FOUR_POINTS, v, 2.0),
-    "outlier_std_ratio": lambda v: statistical_outlier_removal(FOUR_POINTS, 2, v),
+FOUR_FEATURES = FeatureCloud(FOUR_POINTS, np.zeros((4, 33)))
+# the setting a test id names -> a call that passes it the value, and the
+# argument its error names
+ARGUMENT_CHECKS = {
+    "voxel_size": (lambda v: voxel_downsample(FOUR_POINTS, v), "voxel_size"),
+    "outlier_mean_k": (lambda v: statistical_outlier_removal(FOUR_POINTS, v, 2.0), "mean_k"),
+    "outlier_std_ratio": (lambda v: statistical_outlier_removal(FOUR_POINTS, 2, v), "std_ratio"),
+    "rho_rot": (lambda v: RegistrationParams(rho_rot=v), "rho_rot"),
+    "ransac_inlier_threshold": (
+        lambda v: ransac_register(FOUR_FEATURES, FOUR_FEATURES, RegistrationParams(), v, 0),
+        "threshold"),
+    "icp_max_correspondence_dist": (
+        lambda v: icp_refine(FOUR_POINTS, FOUR_POINTS, v, Pose.identity(),
+                             cKDTree(FOUR_POINTS.points)),
+        "cutoff"),
+    "feature_radius": (lambda v: compute_features(FOUR_POINTS, v), "radius"),
 }
 
 
 @pytest.mark.parametrize("field, value", [
     ("voxel_size", np.nan), ("voxel_size", np.inf), ("voxel_size", 0.0), ("voxel_size", -1e-4),
-    ("rho_icp", np.nan), ("rho_icp", np.inf),
     ("ransac_inlier_threshold", np.nan), ("ransac_inlier_threshold", np.inf),
+    ("ransac_inlier_threshold", 0.0), ("ransac_inlier_threshold", -1.0),
     ("feature_radius", np.nan), ("feature_radius", np.inf),
     ("feature_radius", -1.0), ("feature_radius", 0.0),
     ("outlier_std_ratio", np.nan), ("icp_max_correspondence_dist", np.nan),
+    ("icp_max_correspondence_dist", np.inf), ("icp_max_correspondence_dist", 0.0),
+    ("icp_max_correspondence_dist", -1.0),
     ("rho_rot", np.nan),
-    ("outlier_mean_k", np.nan), ("outlier_mean_k", 0), ("ransac_iterations", 2.5),
-    ("ransac_iterations", 3.0), ("icp_max_iterations", True), ("outlier_mean_k", "12"),
+    ("outlier_mean_k", np.nan), ("outlier_mean_k", 0), ("outlier_mean_k", "12"),
     ("outlier_mean_k", True),
 ])
 def test_params_reject_nan_and_non_finite(field, value):
-    """RegistrationParams checks its fields; the three whole-cloud fields it
-    no longer has are arguments of the functions kept for the benchmark's
-    tracer, which check them themselves."""
-    check = KEPT_FUNCTION_ARGUMENTS.get(field, lambda v: RegistrationParams(**{field: v}))
-    with pytest.raises(ValueError, match=field.removeprefix("outlier_")):
+    """RegistrationParams checks its orientation prior; every other setting
+    is an argument of the function that reads it, which checks it itself:
+    RANSAC's inlier threshold, ICP's cutoff and the FPFH radius that the
+    pipeline derives from the scan's pitch, and the arguments of the
+    functions kept for the benchmark's tracer."""
+    check, argument = ARGUMENT_CHECKS[field]
+    with pytest.raises(ValueError, match=argument):
         check(value)
 
 
-def test_params_derive_the_fields_left_none():
-    """From the raster's pitch; a value the caller passes is kept."""
-    ds, dl = 12e-6, 25e-6
-    fields = ("rho_icp", "ransac_inlier_threshold", "icp_max_correspondence_dist",
-              "feature_radius")
-    raster = RegistrationParams().resolved((ds, dl))
-    assert [getattr(raster, f) for f in fields] == [ds * ds + dl * dl, 4 * dl, 12 * dl, 5e-4 + dl]
-    given = small_params(rho_icp=1e-12)
-    assert [getattr(given.resolved((ds, dl)), f) for f in fields] == [1e-12, 2e-4, 1.5e-3, 6e-4]
+def test_estimate_pose_derives_its_thresholds_from_the_scan_pitch(monkeypatch):
+    """With (ds, dl) the raster pitch of a cloud and d = max(ds, dl): FPFH
+    describes each cloud at 500 um + d of its own pitch, and from the scan's
+    pitch RANSAC counts inliers within 4 d, ICP matches within 12 d and the
+    fitness gate is ds^2 + dl^2: a fitness at it passes, one above it fails."""
+    radii, thresholds, cutoffs, fitness = [], [], [], []
 
+    def recording_features(cloud, radius):
+        radii.append(radius)
+        return compute_features(cloud, radius)
 
-def test_params_accept_numpy_integers():
-    params = RegistrationParams(ransac_iterations=np.int64(8), icp_max_iterations=np.int32(3))
-    assert params.ransac_iterations == 8 and params.icp_max_iterations == 3
-    kept = statistical_outlier_removal(FOUR_POINTS, np.int64(2), 2.0)
-    np.testing.assert_array_equal(kept.points, statistical_outlier_removal(FOUR_POINTS, 2, 2.0).points)
+    def recording_ransac(scan, ref, params, threshold, seed):
+        thresholds.append(threshold)
+        return ransac_register(scan, ref, params, threshold, seed)
+
+    def icp_at_fitness(scan, ref, cutoff, initial_pose, scan_tree):
+        cutoffs.append(cutoff)
+        return icp_refine(scan, ref, cutoff, initial_pose, scan_tree)._replace(fitness=fitness[-1])
+
+    monkeypatch.setattr(pipeline_module, "compute_features", recording_features)
+    monkeypatch.setattr(pipeline_module, "ransac_register", recording_ransac)
+    monkeypatch.setattr(pipeline_module, "icp_refine", icp_at_fitness)
+    ref_cloud = sparse_scan()
+    scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
+    ds, dl = raster_pitch(scan, raster_cells(scan))
+    d = max(ds, dl)
+    ref = prepare_cloud(ref_cloud, RegistrationParams())
+    fitness.append(ds * ds + dl * dl)
+    assert estimate_pose(scan, ref_cloud, RegistrationParams(), 3, ref).fitness == fitness[-1]
+    fitness.append(np.nextafter(fitness[-1], np.inf))
+    with pytest.raises(RegistrationFailedError, match="above rho_icp"):
+        estimate_pose(scan, ref_cloud, RegistrationParams(), 3, ref)
+    assert radii == [5e-4 + max(raster_pitch(ref_cloud, raster_cells(ref_cloud))), 5e-4 + d,
+                     5e-4 + d]
+    assert thresholds == [4.0 * d] * 2 and cutoffs == [12.0 * d] * 2
 
 
 def test_orientation_gate_is_strictly_inside_rho_rot():
@@ -450,7 +484,7 @@ def test_estimate_pose_indexes_each_cloud_once(monkeypatch):
         monkeypatch.setattr(module, "cKDTree", counting_tree, raising=False)
     ref = sparse_scan()
     scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
-    estimate_pose(scan, ref, RegistrationParams(), seed=3)
+    register(scan, ref, seed=3)
     assert len(builds) == 4
 
 
@@ -464,15 +498,15 @@ def test_icp_matches_against_the_scan_keypoint_tree(monkeypatch):
         ransac_calls.append((scan, ref, result))
         return result
 
-    def recording_icp(scan, ref, params, initial_pose, scan_tree):
+    def recording_icp(scan, ref, cutoff, initial_pose, scan_tree):
         icp_calls.append((ref, initial_pose, scan_tree))
-        return icp_refine(scan, ref, params, initial_pose=initial_pose, scan_tree=scan_tree)
+        return icp_refine(scan, ref, cutoff, initial_pose=initial_pose, scan_tree=scan_tree)
 
     monkeypatch.setattr(pipeline_module, "ransac_register", recording_ransac)
     monkeypatch.setattr(pipeline_module, "icp_refine", recording_icp)
     ref = sparse_scan()
     scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
-    estimate_pose(scan, ref, RegistrationParams(), seed=3)
+    register(scan, ref, seed=3)
     assert len(ransac_calls) == len(icp_calls) == 1
     (scan_f, ref_f, coarse), (icp_ref, initial_pose, tree) = ransac_calls[0], icp_calls[0]
     assert tree is scan_f.keypoint_tree
@@ -481,15 +515,17 @@ def test_icp_matches_against_the_scan_keypoint_tree(monkeypatch):
 
 
 def test_prepare_cloud_returns_the_feature_cloud():
+    """A prepared reference serves any number of registrations, each as if
+    it were freshly prepared."""
     ref = sparse_scan()
     params = RegistrationParams()
     prepared = prepare_cloud(ref, params)
     assert isinstance(prepared, FeatureCloud)
     assert prepared.fine is prepared.keypoints
     scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
-    direct = estimate_pose(scan, ref, params, seed=3)
+    first = estimate_pose(scan, prepared.fine, params, seed=3, ref_prepared=prepared)
     reused = estimate_pose(scan, prepared.fine, params, seed=3, ref_prepared=prepared)
-    assert reused.to_json_dict() == direct.to_json_dict()
+    assert reused.to_json_dict() == first.to_json_dict() == register(scan, ref, seed=3).to_json_dict()
 
 
 # -- RANSAC -------------------------------------------------------------------
@@ -497,7 +533,7 @@ def test_prepare_cloud_returns_the_feature_cloud():
 def test_ransac_identity_on_identical_clouds():
     cloud = terrain_cloud()
     fc = compute_features(cloud, radius=6e-4)
-    result = ransac_register(fc, fc, small_params(), seed=0)
+    result = ransac_register(fc, fc, RegistrationParams(), RANSAC_THRESHOLD, seed=0)
     assert result.inlier_fraction >= 0.99
     assert np.linalg.norm(result.pose.position) < 1e-6
     assert quat_distance(result.pose.orientation, IDENTITY_Q) < 1e-4
@@ -507,22 +543,21 @@ def test_ransac_recovers_known_transform():
     ref = terrain_cloud()
     true = Pose.from_axis_angle(np.array([4e-4, -2e-4, 3e-4]), [0.1, 0.2, 1.0], np.deg2rad(8))
     scan = transform_cloud(ref, true)
-    params = small_params()
     scan_fc = compute_features(scan, radius=6e-4)
     ref_fc = compute_features(ref, radius=6e-4)
-    result = ransac_register(scan_fc, ref_fc, params, seed=1)
-    assert np.linalg.norm(result.pose.position - true.position) < 2 * params.ransac_inlier_threshold
+    result = ransac_register(scan_fc, ref_fc, RegistrationParams(), RANSAC_THRESHOLD, seed=1)
+    assert np.linalg.norm(result.pose.position - true.position) < 2 * RANSAC_THRESHOLD
     assert quat_distance(result.pose.orientation, true.orientation) < 0.05
 
 
 def test_ransac_negative_control_unrelated_geometry():
     plate = terrain_cloud()
     ball = sphere_cloud()
-    params = small_params()
     result = ransac_register(
         compute_features(ball, radius=6e-4),
         compute_features(plate, radius=6e-4),
-        params,
+        RegistrationParams(),
+        RANSAC_THRESHOLD,
         seed=2,
     )
     assert result.inlier_fraction < 0.3
@@ -533,7 +568,7 @@ def test_ransac_insufficient_keypoints():
                       np.tile([0.0, 0.0, 1.0], (2, 1)))
     fc = FeatureCloud(tiny, np.zeros((2, 33)))
     with pytest.raises(InsufficientCorrespondencesError):
-        ransac_register(fc, fc, small_params(), seed=0)
+        ransac_register(fc, fc, RegistrationParams(), RANSAC_THRESHOLD, seed=0)
 
 
 class QueryLog:
@@ -578,13 +613,14 @@ def test_ransac_queries_a_descriptor_row_when_it_first_reads_it(monkeypatch):
     np.testing.assert_array_equal(after[read], batched[read])
 
 
-def test_a_ransac_run_that_scores_nothing_fails_without_a_pose():
+def test_a_ransac_run_that_scores_nothing_fails_without_a_pose(monkeypatch):
     """One iteration draws one feature triple, which is rejected before it is
     scored: RANSAC has no hypothesis, so the registration fails saying so
     instead of starting ICP from the identity."""
+    monkeypatch.setattr(ransac_module, "ITERATIONS", 1)
     scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
     with pytest.raises(RegistrationFailedError, match="RANSAC scored no hypothesis") as err:
-        estimate_pose(scan, sparse_scan(), RegistrationParams(ransac_iterations=1), seed=3)
+        register(scan, sparse_scan(), seed=3)
     assert err.value.best is None
 
 
@@ -592,7 +628,7 @@ def test_a_ransac_run_that_scores_nothing_fails_without_a_pose():
 
 def refine(scan: PointCloud, ref: PointCloud, initial_pose: Pose = Pose.identity()):
     """icp_refine of `ref` onto `scan` from `initial_pose`, with a tree over the scan."""
-    return icp_refine(scan, ref, small_params(), initial_pose, cKDTree(scan.points))
+    return icp_refine(scan, ref, ICP_CUTOFF, initial_pose, cKDTree(scan.points))
 
 
 def test_icp_identical_clouds():
@@ -620,7 +656,7 @@ def test_icp_stops_at_the_iteration_cap_on_a_sliding_plate():
     jittered[:, :2] += np.random.default_rng(0).uniform(-12.5e-6, 12.5e-6, size=(len(plate), 2))
     start = Pose.from_axis_angle(np.array([3e-4, -1.5e-4, 0.0]), [0, 0, 1], 0.02)
     result = refine(plate, PointCloud(jittered), start)
-    assert result.iterations == small_params().icp_max_iterations == 60
+    assert result.iterations == icp_module.MAX_ITERATIONS == 60
 
 
 def test_icp_divergence_error():
@@ -651,7 +687,7 @@ def test_a_scan_registers_onto_itself_exactly():
     stops after 5 iterations 1.5 um and 24.6 mrad off, at a fitness of
     2.2e-9 m^2 that passes the pitch gate."""
     cloud = sparse_scan()
-    result = estimate_pose(cloud, cloud, RegistrationParams(), seed=0)
+    result = register(cloud, cloud, seed=0)
     assert result.fitness <= 1e-12
     assert np.linalg.norm(result.pose.position) < 1e-6
 
@@ -660,7 +696,7 @@ def test_estimate_pose_recovers_perturbation_with_noise():
     """The scanner's depth noise is the noise; rho_icp is the pitch gate."""
     true = Pose.from_axis_angle(np.array([3e-4, 1e-4, -2e-4]), [0, 0, 1], np.deg2rad(5))
     params = RegistrationParams(q0=true.orientation)
-    result = estimate_pose(sparse_scan(true), sparse_scan(), params, seed=4)
+    result = register(sparse_scan(true), sparse_scan(), params, seed=4)
     assert np.linalg.norm(result.pose.position - true.position) < 30e-6
     assert quat_distance(result.pose.orientation, true.orientation) < np.deg2rad(0.5)
 
@@ -670,7 +706,7 @@ def test_estimate_pose_gate_negative_control():
     q0 = Pose.from_axis_angle(np.zeros(3), [1, 0, 0], np.pi / 2).orientation
     params = RegistrationParams(q0=q0, rho_rot=np.deg2rad(10))
     with pytest.raises(RegistrationFailedError) as err:
-        estimate_pose(ref, ref, params, seed=5)
+        register(ref, ref, params, seed=5)
     # no pose was kept, so there is no fitness to report
     assert err.value.best is None
     assert "no refined pose passed the orientation gate" in str(err.value)
@@ -685,7 +721,7 @@ def test_estimate_pose_reports_a_diverged_icp(monkeypatch):
     monkeypatch.setattr(pipeline_module, "icp_refine", diverging_icp)
     ref = sparse_scan()
     with pytest.raises(RegistrationFailedError, match="ICP diverged") as err:
-        estimate_pose(ref, ref, RegistrationParams(), seed=0)
+        register(ref, ref, seed=0)
     assert err.value.best is None
     assert isinstance(err.value.__cause__, DivergenceError)
 
@@ -710,8 +746,8 @@ def test_estimate_pose_deterministic():
     ref = sparse_scan()
     scan = sparse_scan(Pose.from_axis_angle(np.array([2e-4, 0, 0]), [0, 0, 1], 0.05))
     params = RegistrationParams()
-    a = estimate_pose(scan, ref, params, seed=9)
-    b = estimate_pose(scan, ref, params, seed=9)
+    a = register(scan, ref, params, seed=9)
+    b = register(scan, ref, params, seed=9)
     np.testing.assert_array_equal(a.pose.position, b.pose.position)
     np.testing.assert_array_equal(a.pose.orientation, b.pose.orientation)
     assert a.fitness == b.fitness
@@ -795,14 +831,14 @@ def test_estimate_pose_reads_no_scan_normals():
     assert scan.normals is None and ref.normals is None
     with_normals = [estimate_normals(c) for c in (scan, ref)]
     assert all(c.has_normals and c.raster_shape is not None for c in with_normals)
-    assert estimate_pose(*with_normals, RegistrationParams(), seed=4).to_json_dict() == \
-        estimate_pose(scan, ref, RegistrationParams(), seed=4).to_json_dict()
+    assert register(*with_normals, seed=4).to_json_dict() == \
+        register(scan, ref, seed=4).to_json_dict()
 
 
 def test_registration_result_json_round_trip():
     import json
     scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
-    result = estimate_pose(scan, sparse_scan(), RegistrationParams(), seed=0)
+    result = register(scan, sparse_scan(), seed=0)
     payload = json.dumps(result.to_json_dict())
     back = json.loads(payload)
     assert set(back) == {"position", "orientation_wxyz", "fitness", "ransac_inlier_fraction"}
