@@ -7,7 +7,7 @@ at different insertion configurations, so reaching the same commanded pose
 from a rotated configuration lands somewhere else.
 
 Repeatability is a stationary Gaussian joint-space state with marginal std
-`repeat_noise_std` that decorrelates with commanded motion amplitude: a large
+REPEAT_STD that decorrelates with commanded motion amplitude: a large
 motion redraws it almost fully, while micro-motions (the low-amplitude
 corrective waypoints) mostly preserve the current mechanical state. That is
 the hysteresis-like behavior that makes measure-then-correct effective even
@@ -24,7 +24,7 @@ from insertsim.geom import Pose
 from insertsim.arm.model import ArmModel, JointConfig, fk
 
 BIAS_STD = 8e-4             # rad, std of the drawn joint biases
-DEFAULT_REPEAT_STD = 5e-5   # rad, stationary std per joint
+REPEAT_STD = 5e-5           # rad, stationary std per joint; zero gives a perfectly repeatable arm
 DECORRELATION_SCALE = 0.2   # rad of joint travel for ~1/e state renewal
 BASE_DECORRELATION = 2e-4   # rad, renewal floor per motion (settling, thermal)
 
@@ -32,13 +32,10 @@ BASE_DECORRELATION = 2e-4   # rad, renewal floor per motion (settling, thermal)
 class ProprioceptionError:
     """Holds the per-arm bias and the seeded repeatability noise state."""
 
-    def __init__(self, joint_bias, repeat_noise_std: float, seed: int):
+    def __init__(self, joint_bias, seed: int):
         self.joint_bias = np.asarray(joint_bias, dtype=np.float64).copy()
         if self.joint_bias.shape != (7,) or not np.all(np.isfinite(self.joint_bias)):
             raise ValueError("joint_bias must have 7 finite entries")
-        if not 0 <= repeat_noise_std < np.inf:
-            raise ValueError("repeat_noise_std must be >= 0 and finite")
-        self.repeat_noise_std = float(repeat_noise_std)
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4015E]))
         self._state = np.zeros(7)
         self._initialized = False
@@ -46,7 +43,7 @@ class ProprioceptionError:
     @classmethod
     def draw(cls, seed: int) -> "ProprioceptionError":
         bias_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xB1A5]))
-        return cls(bias_rng.normal(scale=BIAS_STD, size=7), DEFAULT_REPEAT_STD, seed)
+        return cls(bias_rng.normal(scale=BIAS_STD, size=7), seed)
 
     def next_noise(self, motion_amplitude: float | None) -> np.ndarray:
         """Advance the repeatability state for one commanded motion.
@@ -55,18 +52,16 @@ class ProprioceptionError:
         means a large, fully decorrelating motion. NaN is refused before
         anything is drawn, so the state and the generator stay as they were.
         The marginal distribution of the returned state is
-        N(0, repeat_noise_std^2) per joint regardless of the motion history.
+        N(0, REPEAT_STD^2) per joint regardless of the motion history.
         """
         if motion_amplitude is not None and math.isnan(motion_amplitude):
             raise ValueError("motion_amplitude must not be NaN")
-        if self.repeat_noise_std == 0.0:
-            return np.zeros(7)
         if motion_amplitude is None:
             rho = 0.0
         else:
             travel = abs(float(motion_amplitude)) + BASE_DECORRELATION
             rho = float(np.exp(-travel / DECORRELATION_SCALE))
-        fresh = self._noise_rng.normal(scale=self.repeat_noise_std, size=7)
+        fresh = self._noise_rng.normal(scale=REPEAT_STD, size=7)
         if not self._initialized:
             self._state = fresh
             self._initialized = True

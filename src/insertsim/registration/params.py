@@ -2,34 +2,35 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from insertsim.geom import Pose, quat_distance, quat_normalize
+from insertsim.geom import Pose, quat_distance
+
+# Each reference is scanned in the frame of the part it matches, so the
+# relative rotation to expect is the identity; hypotheses and results must
+# lie within RHO_ROT of it (a flipped match of a near-symmetric part does not).
+RHO_ROT = np.pi / 4
+_IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
+_IDENTITY.flags.writeable = False
 
 
-def _identity_quat() -> np.ndarray:
-    return np.array([1.0, 0.0, 0.0, 0.0])
+def in_orientation_gate(q) -> bool:
+    """Whether orientation `q` lies within RHO_ROT of the identity."""
+    return quat_distance(q, _IDENTITY) < RHO_ROT
 
 
-@dataclass(frozen=True)
 class RegistrationParams:
-    """The orientation prior of a registration: hypotheses and results must
-    lie within `rho_rot` radians of `q0`. Every distance threshold is a
-    property of the scan and is derived from its pitch (`pipeline`)."""
+    """The orientation prior as attributes: `rho_rot` (RHO_ROT) about the
+    read-only identity `q0`. Nothing is settable: the prior is fixed by how
+    references are scanned, and every distance threshold is derived from the
+    scan's pitch (`pipeline`). The class stays only because the benchmark
+    builds one, passes it to `prepare_cloud` and `estimate_pose`, and reads
+    both attributes."""
 
-    rho_rot: float = np.pi / 4
-    q0: np.ndarray = field(default_factory=_identity_quat)
-
-    def __post_init__(self):
-        object.__setattr__(self, "q0", quat_normalize(self.q0))
-        if not 0 < self.rho_rot <= np.pi:
-            raise ValueError("rho_rot must be in (0, pi]")
-
-    def in_orientation_gate(self, q) -> bool:
-        """Whether orientation `q` lies within rho_rot of q0."""
-        return quat_distance(q, self.q0) < self.rho_rot
+    rho_rot = RHO_ROT
+    q0 = _IDENTITY
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
 """Full pose estimation: prepare both clouds, then one pass of RANSAC ->
-orientation gate -> ICP -> orientation gate -> fitness check.
+ICP -> orientation gate -> fitness check.
 
 Both clouds are scanner clouds, which carry their raster and the raster's
 shape. Each is registered on its outline. Every distance threshold is
@@ -13,13 +13,15 @@ profiles and across them (`preprocess.raster_pitch`); with d = max(ds, dl):
   - the FPFH radius: 500 um + d, each cloud's from its own pitch.
 
 The true pose passes rho_icp, so a scan that registers does so in this one
-pass. The orientation gate (`RegistrationParams`) is checked on the RANSAC
-hypothesis (cheap rejection of flipped or degenerate-symmetry matches) and
-again on the refined pose, so every result this function returns satisfies
-the gate. A failure raises RegistrationFailedError: with `best` None when
-RANSAC scored no hypothesis, no refined pose passed the gate or ICP
-diverged, and with the refined result when only its fitness is above
-rho_icp, so the caller can decide to rescan and retry.
+pass. The orientation gate (`in_orientation_gate`: within RHO_ROT of the
+identity) is checked once per stage: RANSAC gates every hypothesis it scores
+and its polish (cheap rejection of flipped or degenerate-symmetry matches),
+so its pose lies in the gate, and this function gates the refined pose, so
+every result it returns lies in the gate too. A failure raises
+RegistrationFailedError: with `best` None when RANSAC scored no hypothesis,
+no refined pose passed the gate or ICP diverged, and with the refined result
+when only its fitness is above rho_icp, so the caller can decide to rescan
+and retry.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from insertsim.registration.params import (
     RegistrationFailedError,
     RegistrationParams,
     RegistrationResult,
+    in_orientation_gate,
 )
 from insertsim.registration.preprocess import outline, raster_cells, raster_pitch
 from insertsim.registration.ransac import ransac_register
@@ -73,21 +76,19 @@ def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
     """Estimate the pose mapping the reference into the frame of `scan`.
 
     The reference is `ref_prepared`, from `prepare_cloud`. `ref`, the cloud
-    it was prepared from, is unused; it is kept only because the benchmark
-    passes it positionally."""
+    it was prepared from, and `params`, whose orientation prior is fixed
+    (RHO_ROT about the identity), are unused; both are kept only because the
+    benchmark passes them positionally."""
     scan_f, (ds, dl) = _prepare(scan)
     d = max(ds, dl)
 
-    coarse = ransac_register(scan_f, ref_prepared, params, 4.0 * d, _ransac_seed(seed))
-    if not params.in_orientation_gate(coarse.pose.orientation):
-        raise RegistrationFailedError(
-            "no refined pose passed the orientation gate: the RANSAC pose is outside it", None)
+    coarse = ransac_register(scan_f, ref_prepared, 4.0 * d, _ransac_seed(seed))
     try:
         refined = icp_refine(scan_f.keypoints, ref_prepared.keypoints, 12.0 * d,
                              initial_pose=coarse.pose, scan_tree=scan_f.keypoint_tree)
     except DivergenceError as e:
         raise RegistrationFailedError(f"ICP diverged from the RANSAC pose: {e}", None) from e
-    if not params.in_orientation_gate(refined.pose.orientation):
+    if not in_orientation_gate(refined.pose.orientation):
         raise RegistrationFailedError(
             "no refined pose passed the orientation gate: the ICP pose is outside it", None)
     result = RegistrationResult(refined.pose, refined.fitness, coarse.inlier_fraction)

@@ -6,15 +6,17 @@ Two hypothesis sources feed one inlier-count competition:
     neighbors in the reference, solved by Kabsch (the classic prerejective
     flavor). Samples whose triangle edge lengths disagree between the clouds
     are rejected before the costly inlier count.
-  - prior-orientation hypotheses: rotation fixed to q0, translation from a
-    single sampled correspondence. On small near-symmetric parts (a plate
-    with a hole barely off center) descriptors often prefer the flipped
-    match, which the orientation gate must then reject; these hypotheses
-    keep gate-compatible candidates in the stream regardless.
+  - prior-orientation hypotheses: rotation fixed to the identity, the
+    orientation the gate is centred on, translation from a single sampled
+    correspondence. On small near-symmetric parts (a plate with a hole
+    barely off center) descriptors often prefer the flipped match, which the
+    orientation gate must then reject; these hypotheses keep gate-compatible
+    candidates in the stream regardless.
 
-Hypotheses whose orientation already violates the rho_rot gate are skipped
-before counting, so a flipped basin can never shadow the true one. The
-returned transform maps the reference cloud into the scan frame.
+Triple hypotheses and the polish whose orientation violates the gate
+(`in_orientation_gate`) are dropped before counting, so a flipped
+basin can never shadow the true one and the returned pose lies in the gate.
+The returned transform maps the reference cloud into the scan frame.
 
 Each call draws its hypotheses from the descriptor correspondences and the
 sampling pool of `correspondence_candidates`. A run often stops early, so a
@@ -32,15 +34,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from insertsim.geom import Pose, quat_from_matrix, quat_to_matrix
+from insertsim.geom import Pose, quat_from_matrix
 from insertsim.registration.features import FeatureCloud
 from insertsim.registration.params import InsufficientCorrespondencesError, \
-    RegistrationFailedError, RegistrationParams
+    RegistrationFailedError, in_orientation_gate
 from insertsim.registration.rigid import kabsch_transform
 
 ITERATIONS = 2000       # hypotheses per run, at most
 _EDGE_SIMILARITY = 0.9  # min/max edge-length ratio accepted by the prerejector
 _DESC_KNN = 5           # correspondence candidates per scan keypoint
+R_PRIOR = np.eye(3)     # rotation of every prior-orientation hypothesis
+R_PRIOR.flags.writeable = False
 
 
 class RansacResult(NamedTuple):
@@ -75,10 +79,10 @@ def correspondence_candidates(scan: FeatureCloud, ref: FeatureCloud):
     return knn, pool
 
 
-def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationParams,
-                    threshold: float, seed: int) -> RansacResult:
-    """Best hypothesis of one seeded RANSAC run within the orientation gate of
-    `params`, polished on its inliers: the reference keypoints it moves to
+def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
+                    seed: int) -> RansacResult:
+    """Best hypothesis of one seeded RANSAC run within the orientation gate,
+    polished on its inliers: the reference keypoints it moves to
     within `threshold` (m) of a scan keypoint."""
     if not 0 < threshold < np.inf:
         raise ValueError("threshold must be positive and finite")
@@ -92,9 +96,6 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
 
     scan_tree = scan.keypoint_tree
     min_edge = 3.0 * threshold
-    R_prior = quat_to_matrix(params.q0)
-    # prior hypotheses all share R_prior, so they all pass or all fail the gate
-    prior_passes_gate = params.in_orientation_gate(quat_from_matrix(R_prior))
 
     def score(R, t):
         """Inlier count, inlier mask and matched scan keypoints of a hypothesis."""
@@ -124,7 +125,7 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
             if area < 0.05 * float(np.max(e_dst)) ** 2:
                 continue  # near-collinear, Kabsch is unstable
             R, t = kabsch_transform(src, dst)
-            if not params.in_orientation_gate(quat_from_matrix(R)):
+            if not in_orientation_gate(quat_from_matrix(R)):
                 continue  # already hopeless at the orientation gate
         else:
             # prior-orientation hypothesis from one correspondence
@@ -135,9 +136,7 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
                 r = int(knn[s, rng.integers(0, k)])
             else:
                 r = int(rng.integers(0, n_ref))
-            if not prior_passes_gate:
-                continue
-            R = R_prior
+            R = R_PRIOR
             t = scan_pts[s] - R @ ref_pts[r]
 
         count, inliers, idx = score(R, t)
@@ -156,7 +155,7 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, params: RegistrationP
     count = best_count
     if count >= 3:
         R2, t2 = kabsch_transform(ref_pts[inliers], scan_pts[idx[inliers]])
-        if params.in_orientation_gate(quat_from_matrix(R2)):
+        if in_orientation_gate(quat_from_matrix(R2)):
             refined_count = score(R2, t2)[0]
             if refined_count >= count:  # a tie is adopted too
                 R, t, count = R2, t2, refined_count

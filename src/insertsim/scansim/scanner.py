@@ -17,10 +17,10 @@ sensor-x extent of the bounds' corners, over the poses whose laser plane
 that extent over the chunk and the parts, padded by `_WINDOW_PAD` times the
 coordinates' magnitude, far above their rounding.
 
-Depth noise is drawn per profile k from `SeedSequence([seed, k])`, so the
-cloud does not depend on the chunking. A profile draws `normal(size=c1)` and
-keeps `[c0:]`: the stream is a prefix, so column c gets the same noise
-whatever the window.
+Depth noise, N(0, DEPTH_NOISE_STD^2) per sample, is drawn per profile k from
+`SeedSequence([seed, k])`, so the cloud does not depend on the chunking. A
+profile draws `normal(size=c1)` and keeps `[c0:]`: the stream is a prefix,
+so column c gets the same noise whatever the window.
 
 Calibration error model: the assumed sensor poses are the trajectory as given;
 the physical sensor actually sits at `mount_offset` composed on the base side
@@ -42,6 +42,7 @@ from insertsim.scansim.surfaces import Scene
 
 _CHUNK_RAYS = 32768
 _WINDOW_PAD = 1e-9  # relative padding of a part's sensor-frame extent
+DEPTH_NOISE_STD = 1.5e-6  # m, the scanner's depth noise; zero gives the exact surface
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,6 @@ class ScannerConfig:
     spacing; the field of view is their product, centred on the laser line."""
 
     points_per_profile: int = 2048
-    depth_noise_std: float = 1.5e-6
     lateral_resolution: float = 12e-6
 
     def __post_init__(self):
@@ -59,8 +59,6 @@ class ScannerConfig:
             raise ValueError("points_per_profile must be an integer >= 2")
         if not 0 < self.lateral_resolution < np.inf:
             raise ValueError("lateral_resolution must be positive and finite")
-        if not 0 <= self.depth_noise_std < np.inf:
-            raise ValueError("depth_noise_std must be >= 0 and finite")
 
     def lateral_positions(self) -> np.ndarray:
         """Detector column x-positions: column k at (k + 0.5 - n/2) * resolution."""
@@ -130,12 +128,11 @@ def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
         origins = x[None, :, None] * R[:, None, :, 0] + t[:, None, :]
         depth = scene.cast(origins.reshape(-1, 3), np.repeat(R[:, :, 2], w, axis=0))
         keep = np.isfinite(depth)
-        if cfg.depth_noise_std > 0.0:
-            depth = depth + np.concatenate([
-                np.random.default_rng(np.random.SeedSequence([int(seed), k]))
-                .normal(scale=cfg.depth_noise_std, size=c1)[c0:]
-                for k in range(lo, lo + m)
-            ])
+        depth = depth + np.concatenate([
+            np.random.default_rng(np.random.SeedSequence([int(seed), k]))
+            .normal(scale=DEPTH_NOISE_STD, size=c1)[c0:]
+            for k in range(lo, lo + m)
+        ])
         samples = np.zeros((m, w, 3))
         samples[:, :, 0] = x
         # misses (depth inf) are dropped below; zero keeps inf * 0 out of the product
@@ -148,4 +145,4 @@ def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
             np.tile(np.arange(c0, c1, dtype=np.int64), m),
         ])[keep])
 
-    return PointCloud(np.vstack(pts), None, np.vstack(cells), (len(trajectory), n))
+    return PointCloud(np.vstack(pts), raster=np.vstack(cells), raster_shape=(len(trajectory), n))

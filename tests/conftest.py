@@ -1,5 +1,5 @@
 """Sources that the reach guards read (test_modules_reached, test_fields_read,
-test_params_passed).
+test_params_passed), and noise-free scanners and arms.
 
 The program is src/ plus trialbench/ without its `test_*.py`: a module,
 field or parameter that only tests reach has no caller.
@@ -8,6 +8,9 @@ field or parameter that only tests reach has no caller.
 from pathlib import Path
 
 import pytest
+
+from insertsim.arm import error_model
+from insertsim.scansim import scanner
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC_MODULES = sorted(p.relative_to(ROOT).as_posix() for p in (ROOT / "src").rglob("*.py"))
@@ -36,3 +39,15 @@ def pytest_generate_tests(metafunc):
     """A test taking `src_module` runs once per module under src/, by its repo-relative path."""
     if "src_module" in metafunc.fixturenames:
         metafunc.parametrize("src_module", SRC_MODULES)
+
+
+@pytest.fixture
+def noise_free_scans(monkeypatch):
+    """Scanner clouds without depth noise: each sample lies on the surface."""
+    monkeypatch.setattr(scanner, "DEPTH_NOISE_STD", 0.0)
+
+
+@pytest.fixture
+def noise_free_arm(monkeypatch):
+    """Arms without repeatability noise: only their joint bias moves them."""
+    monkeypatch.setattr(error_model, "REPEAT_STD", 0.0)

@@ -275,8 +275,7 @@ NAN_JOINT_ENTRY_POINTS = {
     "check_limits": lambda model: model.check_limits(NAN_AT_2),
     "fk": lambda model: fk(model, NAN_AT_2),
     "ik_start": lambda model: ik(model, fk(model, HOME), bias_config=HOME, start=NAN_AT_2),
-    "execute_motion": lambda model: execute_motion(model, ProprioceptionError(np.zeros(7), 0.0, 0),
-                                                   NAN_AT_2),
+    "execute_motion": lambda model: execute_motion(model, ProprioceptionError(np.zeros(7), 0), NAN_AT_2),
 }
 
 
@@ -403,16 +402,16 @@ def test_ik_judges_the_last_evaluated_pose(monkeypatch):
 
 # -- proprioception error model -------------------------------------------------
 
-def test_zero_error_reported_equals_actual():
+def test_zero_error_reported_equals_actual(noise_free_arm):
     model = panda()
-    reported, actual = execute_motion(model, ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
+    reported, actual = execute_motion(model, ProprioceptionError(np.zeros(7), 0), HOME)
     np.testing.assert_array_equal(reported.position, actual.position)
     np.testing.assert_array_equal(reported.orientation, actual.orientation)
 
 
-def test_constant_bias_perfect_repeatability():
+def test_constant_bias_perfect_repeatability(noise_free_arm):
     model = panda()
-    err = ProprioceptionError(np.full(7, 8e-4), repeat_noise_std=0.0, seed=1)
+    err = ProprioceptionError(np.full(7, 8e-4), seed=1)
     _, a1 = execute_motion(model, err, HOME)
     _, a2 = execute_motion(model, err, HOME)
     np.testing.assert_array_equal(a1.position, a2.position)
@@ -463,7 +462,7 @@ def test_execute_motion_reproducible_bit_exact():
 def test_bias_shifts_mean_not_spread():
     model = panda()
     def spread_of(bias_scale, seed=21):
-        err = ProprioceptionError(np.full(7, bias_scale), repeat_noise_std=5e-5, seed=seed)
+        err = ProprioceptionError(np.full(7, bias_scale), seed=seed)
         tips = np.array([execute_motion(model, err, HOME)[1].position for _ in range(80)])
         return tips.std(axis=0).sum(), tips.mean(axis=0)
 
@@ -473,9 +472,9 @@ def test_bias_shifts_mean_not_spread():
     assert np.linalg.norm(m1 - m0) > 5e-4
 
 
-def test_arm_instance_tracks_state():
+def test_arm_instance_tracks_state(noise_free_arm):
     model = panda()
-    inst = ArmInstance(model, ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
+    inst = ArmInstance(model, ProprioceptionError(np.zeros(7), 0), HOME)
     np.testing.assert_array_equal(inst.reported.position, inst.actual.position)
     q2 = JointConfig(HOME.angles + 0.01)
     inst.move_to(q2)

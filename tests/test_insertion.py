@@ -56,7 +56,7 @@ def test_endpoint_exactness_random_pairs():
         assert np.max(np.abs(waypoints[-1].orientation - b.orientation)) <= 1e-12
 
 
-def test_offsets_compose_to_total_correction(monkeypatch):
+def test_offsets_compose_to_total_correction(monkeypatch, noise_free_arm):
     """The last target that execute_insertion hands to IK is the arm's
     believed pose moved by the whole planned correction."""
     carried = []
@@ -66,7 +66,7 @@ def test_offsets_compose_to_total_correction(monkeypatch):
         return HOME
 
     monkeypatch.setattr(insertion_module, "ik", recording_ik)
-    arm = ArmInstance(ArmModel.panda(), ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
+    arm = ArmInstance(ArmModel.panda(), ProprioceptionError(np.zeros(7), 0), HOME)
     rng = np.random.default_rng(2)
     for _ in range(50):
         a, b = random_pose(rng), random_pose(rng)
@@ -94,9 +94,9 @@ def test_spline_second_differences_have_no_spikes():
 
 # -- execution through the arm ---------------------------------------------------
 
-def test_zero_offset_trajectory_keeps_pose():
+def test_zero_offset_trajectory_keeps_pose(noise_free_arm):
     model = ArmModel.panda()
-    arm = ArmInstance(model, ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
+    arm = ArmInstance(model, ProprioceptionError(np.zeros(7), 0), HOME)
     start_actual = arm.actual
     here = arm.reported
     waypoints = plan_relative_trajectory(here, here, horizon=10, duration=1.0)
@@ -112,14 +112,14 @@ class TwoArgumentError(RuntimeError):
         self.residual = residual
 
 
-def test_execute_insertion_propagates_other_errors_unchanged(monkeypatch):
+def test_execute_insertion_propagates_other_errors_unchanged(monkeypatch, noise_free_arm):
     raised = TwoArgumentError(3, 1e-4)
 
     def failing_ik(*args, **kwargs):
         raise raised
 
     monkeypatch.setattr(insertion_module, "ik", failing_ik)
-    arm = ArmInstance(ArmModel.panda(), ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
+    arm = ArmInstance(ArmModel.panda(), ProprioceptionError(np.zeros(7), 0), HOME)
     waypoints = plan_relative_trajectory(arm.reported, arm.reported, horizon=5, duration=1.0)
     with pytest.raises(TwoArgumentError) as err:
         execute_insertion(arm, waypoints, ic_bias=HOME)
@@ -127,7 +127,7 @@ def test_execute_insertion_propagates_other_errors_unchanged(monkeypatch):
     assert (err.value.joint, err.value.residual) == (3, 1e-4)
 
 
-def test_unreachable_waypoint_is_named(monkeypatch):
+def test_unreachable_waypoint_is_named(monkeypatch, noise_free_arm):
     calls = []
 
     def ik_failing_at_third(*args, **kwargs):
@@ -137,26 +137,20 @@ def test_unreachable_waypoint_is_named(monkeypatch):
         return HOME
 
     monkeypatch.setattr(insertion_module, "ik", ik_failing_at_third)
-    arm = ArmInstance(ArmModel.panda(), ProprioceptionError(np.zeros(7), 0.0, 0), HOME)
+    arm = ArmInstance(ArmModel.panda(), ProprioceptionError(np.zeros(7), 0), HOME)
     waypoints = plan_relative_trajectory(arm.reported, arm.reported, horizon=5, duration=1.0)
     with pytest.raises(UnreachableTargetError, match=r"waypoint 3/4: no convergence") as err:
         execute_insertion(arm, waypoints, ic_bias=HOME)
     assert isinstance(err.value.__cause__, UnreachableTargetError)
 
 
-def bias_only(seed: int) -> ProprioceptionError:
-    """The arm error drawn for `seed`, without repeatability noise."""
-    return ProprioceptionError(ProprioceptionError.draw(seed).joint_bias, 0.0, seed)
-
-
-def test_small_relative_correction_accrues_little_bias_error():
+def test_small_relative_correction_accrues_little_bias_error(noise_free_arm):
     # bias-only model: isolates the low-amplitude-correction claim from
     # repeatability noise, which is drawn fresh on every motion anyway
     model = ArmModel.panda()
     hits = 0
     for seed in range(100):
-        err = bias_only(seed)
-        arm = ArmInstance(model, err, HOME)
+        arm = ArmInstance(model, ProprioceptionError.draw(seed), HOME)
         intended = Pose(arm.actual.position + np.array([0, 0, 1e-3]), arm.actual.orientation)
         target_rep = Pose(arm.reported.position + np.array([0, 0, 1e-3]), arm.reported.orientation)
         waypoints = plan_relative_trajectory(arm.reported, target_rep, horizon=25, duration=1.0)
@@ -166,23 +160,21 @@ def test_small_relative_correction_accrues_little_bias_error():
     assert hits >= 95
 
 
-def test_large_absolute_move_is_worse_than_relative():
+def test_large_absolute_move_is_worse_than_relative(noise_free_arm):
+    """Bias-only arms, as above."""
     model = ArmModel.panda()
     far_start = JointConfig(HOME.angles + np.array([0.6, 0.15, -0.3, 0.2, 0.4, -0.25, 0.3]))
     from insertsim.arm import ik
     worse = 0
     for seed in range(100):
-        err = bias_only(seed)
-
-        arm = ArmInstance(model, err, HOME)
+        arm = ArmInstance(model, ProprioceptionError.draw(seed), HOME)
         intended = Pose(arm.actual.position + np.array([0, 0, 1e-3]), arm.actual.orientation)
         target_rep = Pose(arm.reported.position + np.array([0, 0, 1e-3]), arm.reported.orientation)
         waypoints = plan_relative_trajectory(arm.reported, target_rep, horizon=25, duration=1.0)
         final_rel, _ = execute_insertion(arm, waypoints, ic_bias=HOME)
         err_rel = np.linalg.norm(final_rel.position - intended.position)
 
-        err2 = bias_only(seed)
-        arm2 = ArmInstance(model, err2, far_start)
+        arm2 = ArmInstance(model, ProprioceptionError.draw(seed), far_start)
         q_abs = ik(model, target_rep, bias_config=far_start, start=far_start)
         _, final_abs = arm2.move_to(q_abs)
         err_abs = np.linalg.norm(final_abs.position - intended.position)
@@ -290,9 +282,7 @@ NON_FINITE = {  # name -> construction that must raise ValueError
     "object_radius_nan": lambda: InsertedObject(np.zeros(3), np.array([0.0, 0.0, -1.0]), np.nan),
     "object_radius_inf": lambda: InsertedObject(np.zeros(3), np.array([0.0, 0.0, -1.0]), np.inf),
     "object_position_nan": lambda: InsertedObject(np.array([np.nan, 0.0, 0.0]), np.array([0.0, 0.0, -1.0]), 0.0),
-    "proprioception_noise_nan": lambda: ProprioceptionError(np.zeros(7), np.nan, 1),
-    "proprioception_noise_inf": lambda: ProprioceptionError(np.zeros(7), np.inf, 1),
-    "proprioception_bias_nan": lambda: ProprioceptionError(np.full(7, np.nan), 0.0, 1),
+    "proprioception_bias_nan": lambda: ProprioceptionError(np.full(7, np.nan), 1),
     "arm_limit_nan": lambda: panda_with("limits", 2, 1, np.nan),
     "arm_limit_inf": lambda: panda_with("limits", 0, 0, -np.inf),
     "arm_dh_nan": lambda: panda_with("dh", 3, 0, np.nan),

@@ -8,9 +8,12 @@ default, and the branch it selects has no caller. The program is src/ plus
 trialbench/ without its tests (tests/conftest.py), so a parameter that only
 tests pass, or a default that only tests take, does not count.
 
+A dataclass field with a default that `__init__` takes (`init=True`) is a
+defaulted parameter of its class too, at its place among those fields.
+
 Calls are matched to callables by name: a function by its name, called
-bare or as a module attribute; a class's `__init__` by the class name, the
-same two ways; a method only by an attribute call (`obj.name(...)`), so a
+bare or as a module attribute; a class's `__init__`, written or made by
+`@dataclass`, by the class name, the same two ways; a method only by an attribute call (`obj.name(...)`), so a
 module-level function of the same name cannot answer for it. A call passes
 a parameter when it names it as a keyword, reaches its position with
 positional arguments (a method's `self` or `cls` is bound by the call), or
@@ -21,14 +24,46 @@ spreads may also leave it out, so it may take the default too.
 import ast
 
 
+def _name(expr) -> str | None:
+    """The name an expression like `f`, `m.f`, `f(...)` or `m.f(...)` calls or is."""
+    target = expr.func if isinstance(expr, ast.Call) else expr
+    return target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+
+
+def dataclass_fields(cls: ast.ClassDef) -> list:
+    """(field, position, line) of each field of a dataclass that `__init__`
+    takes and that has a default; position counts the fields `__init__` takes."""
+    if "dataclass" not in map(_name, cls.decorator_list):
+        return []
+    out, position = [], 0
+    for stmt in cls.body:
+        if (not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name)
+                or "ClassVar" in ast.unparse(stmt.annotation)):
+            continue
+        value, init, default = stmt.value, True, stmt.value is not None
+        if isinstance(value, ast.Call) and _name(value) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            init = not (isinstance(keywords.get("init"), ast.Constant)
+                        and keywords["init"].value is False)
+            default = "default" in keywords or "default_factory" in keywords
+        if init:
+            if default:
+                out.append((stmt.target.id, position, stmt.lineno))
+            position += 1
+    return out
+
+
 def defaulted_parameters(tree: ast.Module) -> list:
     """(callable name, is a method, parameter, position or None, line) of
-    each parameter with a default; the callable of an `__init__` is its class."""
+    each parameter with a default; the callable of an `__init__` is its
+    class, and a dataclass's fields are parameters of its `__init__`."""
     out = []
 
     def visit(node, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                out.extend((child.name, False, name, position, line)
+                           for name, position, line in dataclass_fields(child))
                 visit(child, child.name)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 static = any(ast.unparse(d) == "staticmethod" for d in child.decorator_list)
@@ -164,3 +199,30 @@ def test_the_scan_counts_program_callers_only(program_of):
     }
     assert idle_defaults(sources["src/pkg/a.py"], called_in(program_of(sources))) == [
         "draw(noise) (line 3)", "plan(steps) (line 5): every call passes it"]
+
+
+def test_the_scan_reads_dataclass_fields_as_init_parameters():
+    """Fields count in order; ClassVar and `init=False` fields are not
+    parameters, and `field()` has a default only when given one."""
+    source = ("import dataclasses\n"
+              "from dataclasses import dataclass, field\n"
+              "from typing import ClassVar\n"
+              "@dataclass(frozen=True)\n"
+              "class Cfg:\n"
+              "    n: int\n"
+              "    shared: ClassVar[int] = 0\n"
+              "    held: tuple = field(default=None, init=False)\n"
+              "    noise: float = 1e-6\n"
+              "    cells: list = field(default_factory=list)\n"
+              "    bare: int = field(repr=False)\n"
+              "    step: float = field(default=0.1, repr=False)\n"
+              "@dataclasses.dataclass\n"
+              "class Span:\n"
+              "    lo: float = 0.0\n"
+              "class Plain:\n"
+              "    width: int = 3\n"
+              "Cfg(1, 2e-6, [], 4, 0.2)\n"
+              "Cfg(1, bare=4, step=0.3)\n"
+              "Span()\n")
+    assert idle_defaults(source, calls(ast.parse(source))) == [
+        "Cfg(step) (line 12): every call passes it", "Span(lo) (line 15)"]

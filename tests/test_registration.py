@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from insertsim.geom import PointCloud, Pose, pose_compose, quat_distance, quat_from_axis_angle, \
-    transform_cloud
+    quat_to_matrix, transform_cloud
 from insertsim.registration import (
     DegenerateFeatureError,
     DivergenceError,
@@ -27,6 +27,7 @@ from insertsim.registration import pipeline as pipeline_module
 from insertsim.registration import preprocess as preprocess_module
 from insertsim.registration import ransac as ransac_module
 from insertsim.registration.features import estimate_normals
+from insertsim.registration.params import RHO_ROT, in_orientation_gate
 from insertsim.registration.preprocess import raster_cells, raster_pitch, \
     statistical_outlier_removal, voxel_downsample
 from insertsim.scansim import CalibrationError, HolePlate, Scene, ScenePart, ScannerConfig, \
@@ -37,6 +38,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "trialbench"))
 import workloads  # noqa: E402
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
+# estimate_pose and prepare_cloud read nothing of it; the benchmark passes one
+PARAMS = RegistrationParams()
 
 
 def terrain_cloud(nx: int = 31, ny: int = 31, extent: float = 6e-3) -> PointCloud:
@@ -73,10 +76,11 @@ def sphere_cloud(n: int = 900, radius: float = 3e-3) -> PointCloud:
 
 
 def lattice_plate_cloud(pose: Pose | None = None) -> PointCloud:
-    """Noise-free scan of a hole plate: a 25 um lattice full of exact distance ties."""
+    """Scan of a hole plate, noise-free under the `noise_free_scans` fixture:
+    a 25 um lattice full of exact distance ties."""
     plate = HolePlate((1e-3, 1e-3), 1e-3, (2e-4, 2.5e-4), hole_center=(2e-4, 1e-4))
     scene = Scene([ScenePart("plate", plate, Pose.identity() if pose is None else pose)])
-    cfg = ScannerConfig(points_per_profile=96, lateral_resolution=25e-6, depth_noise_std=0.0)
+    cfg = ScannerConfig(points_per_profile=96, lateral_resolution=25e-6)
     start = Pose.from_axis_angle([0.0, -1.2e-3, 0.03], [1, 0, 0], np.pi)
     return sweep_scan(scene, linear_sweep(start, [0, 1, 0], 25e-6, 96), cfg,
                       CalibrationError.none(), seed=0)
@@ -101,10 +105,9 @@ def sparse_scan(pose: Pose = None) -> PointCloud:
                       CalibrationError.none())
 
 
-def register(scan: PointCloud, ref: PointCloud, params: RegistrationParams = RegistrationParams(),
-             seed: int = 0):
+def register(scan: PointCloud, ref: PointCloud, seed: int = 0):
     """estimate_pose of `scan` against `ref`, prepared as the benchmark prepares its reference."""
-    return estimate_pose(scan, ref, params, seed, prepare_cloud(ref, params))
+    return estimate_pose(scan, ref, PARAMS, seed, prepare_cloud(ref, PARAMS))
 
 
 # RANSAC's inlier threshold and ICP's cutoff on the terrain and lattice clouds
@@ -122,10 +125,8 @@ ARGUMENT_CHECKS = {
     "voxel_size": (lambda v: voxel_downsample(FOUR_POINTS, v), "voxel_size"),
     "outlier_mean_k": (lambda v: statistical_outlier_removal(FOUR_POINTS, v, 2.0), "mean_k"),
     "outlier_std_ratio": (lambda v: statistical_outlier_removal(FOUR_POINTS, 2, v), "std_ratio"),
-    "rho_rot": (lambda v: RegistrationParams(rho_rot=v), "rho_rot"),
     "ransac_inlier_threshold": (
-        lambda v: ransac_register(FOUR_FEATURES, FOUR_FEATURES, RegistrationParams(), v, 0),
-        "threshold"),
+        lambda v: ransac_register(FOUR_FEATURES, FOUR_FEATURES, v, 0), "threshold"),
     "icp_max_correspondence_dist": (
         lambda v: icp_refine(FOUR_POINTS, FOUR_POINTS, v, Pose.identity(),
                              cKDTree(FOUR_POINTS.points)),
@@ -143,16 +144,14 @@ ARGUMENT_CHECKS = {
     ("outlier_std_ratio", np.nan), ("icp_max_correspondence_dist", np.nan),
     ("icp_max_correspondence_dist", np.inf), ("icp_max_correspondence_dist", 0.0),
     ("icp_max_correspondence_dist", -1.0),
-    ("rho_rot", np.nan),
     ("outlier_mean_k", np.nan), ("outlier_mean_k", 0), ("outlier_mean_k", "12"),
     ("outlier_mean_k", True),
 ])
 def test_params_reject_nan_and_non_finite(field, value):
-    """RegistrationParams checks its orientation prior; every other setting
-    is an argument of the function that reads it, which checks it itself:
-    RANSAC's inlier threshold, ICP's cutoff and the FPFH radius that the
-    pipeline derives from the scan's pitch, and the arguments of the
-    functions kept for the benchmark's tracer."""
+    """Every setting is an argument of the function that reads it, which
+    checks it itself: RANSAC's inlier threshold, ICP's cutoff and the FPFH
+    radius that the pipeline derives from the scan's pitch, and the
+    arguments of the functions kept for the benchmark's tracer."""
     check, argument = ARGUMENT_CHECKS[field]
     with pytest.raises(ValueError, match=argument):
         check(value)
@@ -169,9 +168,9 @@ def test_estimate_pose_derives_its_thresholds_from_the_scan_pitch(monkeypatch):
         radii.append(radius)
         return compute_features(cloud, radius)
 
-    def recording_ransac(scan, ref, params, threshold, seed):
+    def recording_ransac(scan, ref, threshold, seed):
         thresholds.append(threshold)
-        return ransac_register(scan, ref, params, threshold, seed)
+        return ransac_register(scan, ref, threshold, seed)
 
     def icp_at_fitness(scan, ref, cutoff, initial_pose, scan_tree):
         cutoffs.append(cutoff)
@@ -184,22 +183,29 @@ def test_estimate_pose_derives_its_thresholds_from_the_scan_pitch(monkeypatch):
     scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
     ds, dl = raster_pitch(scan, raster_cells(scan))
     d = max(ds, dl)
-    ref = prepare_cloud(ref_cloud, RegistrationParams())
+    ref = prepare_cloud(ref_cloud, PARAMS)
     fitness.append(ds * ds + dl * dl)
-    assert estimate_pose(scan, ref_cloud, RegistrationParams(), 3, ref).fitness == fitness[-1]
+    assert estimate_pose(scan, ref_cloud, PARAMS, 3, ref).fitness == fitness[-1]
     fitness.append(np.nextafter(fitness[-1], np.inf))
     with pytest.raises(RegistrationFailedError, match="above rho_icp"):
-        estimate_pose(scan, ref_cloud, RegistrationParams(), 3, ref)
+        estimate_pose(scan, ref_cloud, PARAMS, 3, ref)
     assert radii == [5e-4 + max(raster_pitch(ref_cloud, raster_cells(ref_cloud))), 5e-4 + d,
                      5e-4 + d]
     assert thresholds == [4.0 * d] * 2 and cutoffs == [12.0 * d] * 2
 
 
 def test_orientation_gate_is_strictly_inside_rho_rot():
-    params = RegistrationParams(rho_rot=0.1)
-    assert params.in_orientation_gate(quat_from_axis_angle([0, 0, 1], 0.0999))
-    assert not params.in_orientation_gate(quat_from_axis_angle([0, 0, 1], 0.1001))
-    assert not params.in_orientation_gate(quat_from_axis_angle([1, 0, 0], np.pi))
+    """The gate admits rotations of less than pi/4 from the identity; the
+    benchmark's own check, on the attributes of RegistrationParams, agrees."""
+    assert RHO_ROT == np.pi / 4
+    for axis in ([0, 0, 1], [1, -2, 0.5]):
+        inside = quat_from_axis_angle(axis, np.pi / 4 - 1e-9)
+        outside = quat_from_axis_angle(axis, np.pi / 4 + 1e-9)
+        assert in_orientation_gate(inside) and not in_orientation_gate(outside)
+        for q in (inside, outside):
+            assert (quat_distance(q, PARAMS.q0) < PARAMS.rho_rot) == in_orientation_gate(q)
+    assert not in_orientation_gate(quat_from_axis_angle([1, 0, 0], np.pi))
+    assert not PARAMS.q0.flags.writeable
 
 
 # -- features -----------------------------------------------------------------
@@ -361,7 +367,7 @@ def assert_same_voxels(cloud: PointCloud, voxel_size: float):
         assert not out.has_normals
 
 
-def test_features_match_loop_reference_on_lattice_scan():
+def test_features_match_loop_reference_on_lattice_scan(noise_free_scans):
     cloud = with_up_normals(lattice_plate_cloud())
     # sqrt(5) lattice steps: a quarter of the neighbour pairs sit on the radius
     assert_same_features(cloud, radius=np.sqrt(5) * 25e-6)
@@ -412,7 +418,7 @@ def test_features_peel_stragglers_to_a_fixed_point():
                                     np.vstack([cloud.normals, long_line.normals])), radius)
 
 
-def test_pair_features_match_the_row_reference():
+def test_pair_features_match_the_row_reference(noise_free_scans):
     """The column kernel gives the row kernel's values bit for bit, on a plate
     scan with copies below some points: their pairs lie on the normal line
     (no Darboux frame) and carry antiparallel normals."""
@@ -448,7 +454,7 @@ def test_features_without_a_darboux_frame_raise():
             compute_features(cloud, radius=5e-4)
 
 
-def test_voxel_grid_matches_loop_reference_on_lattice_scan():
+def test_voxel_grid_matches_loop_reference_on_lattice_scan(noise_free_scans):
     cloud = with_up_normals(lattice_plate_cloud())
     for voxel_size in (1e-4, 5e-5, 2.5e-5):   # cell edges on lattice rows, and one point per cell
         assert_same_voxels(cloud, voxel_size)
@@ -518,13 +524,12 @@ def test_prepare_cloud_returns_the_feature_cloud():
     """A prepared reference serves any number of registrations, each as if
     it were freshly prepared."""
     ref = sparse_scan()
-    params = RegistrationParams()
-    prepared = prepare_cloud(ref, params)
+    prepared = prepare_cloud(ref, PARAMS)
     assert isinstance(prepared, FeatureCloud)
     assert prepared.fine is prepared.keypoints
     scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
-    first = estimate_pose(scan, prepared.fine, params, seed=3, ref_prepared=prepared)
-    reused = estimate_pose(scan, prepared.fine, params, seed=3, ref_prepared=prepared)
+    first = estimate_pose(scan, prepared.fine, PARAMS, seed=3, ref_prepared=prepared)
+    reused = estimate_pose(scan, prepared.fine, PARAMS, seed=3, ref_prepared=prepared)
     assert reused.to_json_dict() == first.to_json_dict() == register(scan, ref, seed=3).to_json_dict()
 
 
@@ -533,7 +538,7 @@ def test_prepare_cloud_returns_the_feature_cloud():
 def test_ransac_identity_on_identical_clouds():
     cloud = terrain_cloud()
     fc = compute_features(cloud, radius=6e-4)
-    result = ransac_register(fc, fc, RegistrationParams(), RANSAC_THRESHOLD, seed=0)
+    result = ransac_register(fc, fc, RANSAC_THRESHOLD, seed=0)
     assert result.inlier_fraction >= 0.99
     assert np.linalg.norm(result.pose.position) < 1e-6
     assert quat_distance(result.pose.orientation, IDENTITY_Q) < 1e-4
@@ -545,7 +550,7 @@ def test_ransac_recovers_known_transform():
     scan = transform_cloud(ref, true)
     scan_fc = compute_features(scan, radius=6e-4)
     ref_fc = compute_features(ref, radius=6e-4)
-    result = ransac_register(scan_fc, ref_fc, RegistrationParams(), RANSAC_THRESHOLD, seed=1)
+    result = ransac_register(scan_fc, ref_fc, RANSAC_THRESHOLD, seed=1)
     assert np.linalg.norm(result.pose.position - true.position) < 2 * RANSAC_THRESHOLD
     assert quat_distance(result.pose.orientation, true.orientation) < 0.05
 
@@ -556,11 +561,33 @@ def test_ransac_negative_control_unrelated_geometry():
     result = ransac_register(
         compute_features(ball, radius=6e-4),
         compute_features(plate, radius=6e-4),
-        RegistrationParams(),
         RANSAC_THRESHOLD,
         seed=2,
     )
     assert result.inlier_fraction < 0.3
+
+
+def test_ransac_poses_lie_in_the_orientation_gate(monkeypatch):
+    """A terrain turned 50 degrees, outside the gate: RANSAC rejects the
+    triples that find the turn, and its pose, whatever it is, lies in the
+    gate on every seed, so estimate_pose need not check it again."""
+    rejected = []
+
+    def recording_gate(q):
+        inside = in_orientation_gate(q)
+        rejected.append(not inside)
+        return inside
+
+    monkeypatch.setattr(ransac_module, "in_orientation_gate", recording_gate)
+    ref = terrain_cloud()
+    turned = Pose.from_axis_angle(np.array([4e-4, -2e-4, 3e-4]), [0, 0, 1], np.deg2rad(50))
+    scan_fc = compute_features(transform_cloud(ref, turned), radius=6e-4)
+    ref_fc = compute_features(ref, radius=6e-4)
+    for seed in range(5):
+        rejected.clear()
+        result = ransac_register(scan_fc, ref_fc, RANSAC_THRESHOLD, seed)
+        assert sum(rejected) > 50
+        assert quat_distance(result.pose.orientation, IDENTITY_Q) < RHO_ROT
 
 
 def test_ransac_insufficient_keypoints():
@@ -568,7 +595,7 @@ def test_ransac_insufficient_keypoints():
                       np.tile([0.0, 0.0, 1.0], (2, 1)))
     fc = FeatureCloud(tiny, np.zeros((2, 33)))
     with pytest.raises(InsufficientCorrespondencesError):
-        ransac_register(fc, fc, RegistrationParams(), RANSAC_THRESHOLD, seed=0)
+        ransac_register(fc, fc, RANSAC_THRESHOLD, seed=0)
 
 
 class QueryLog:
@@ -587,7 +614,7 @@ def test_ransac_queries_a_descriptor_row_when_it_first_reads_it(monkeypatch):
     in one batch; RANSAC queries any other row once, when it first reads it;
     and every row it reads is that row of one batched query of all scan
     keypoints."""
-    ref = prepare_cloud(sparse_scan(), RegistrationParams())
+    ref = prepare_cloud(sparse_scan(), PARAMS)
     log = QueryLog(ref.descriptor_tree)
     ref.__dict__["descriptor_tree"] = log
     tables = []
@@ -600,7 +627,7 @@ def test_ransac_queries_a_descriptor_row_when_it_first_reads_it(monkeypatch):
 
     monkeypatch.setattr(ransac_module, "correspondence_candidates", recording)
     scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
-    estimate_pose(scan, ref.keypoints, RegistrationParams(), seed=3, ref_prepared=ref)
+    estimate_pose(scan, ref.keypoints, PARAMS, seed=3, ref_prepared=ref)
     (scan_f, before, after, pool, queries_before_loop), = tables
     batched = log.tree.query(scan_f.descriptors, k=min(5, len(ref)))[1]
     assert queries_before_loop == 1
@@ -649,7 +676,7 @@ def test_icp_recovers_small_translation():
     assert result.fitness < 1e-16
 
 
-def test_icp_stops_at_the_iteration_cap_on_a_sliding_plate():
+def test_icp_stops_at_the_iteration_cap_on_a_sliding_plate(noise_free_scans):
     # a jittered copy of a plate scan, started 300 um off, slides for all 60 iterations
     plate = lattice_plate_cloud()
     jittered = plate.points.copy()
@@ -692,24 +719,47 @@ def test_a_scan_registers_onto_itself_exactly():
     assert np.linalg.norm(result.pose.position) < 1e-6
 
 
-def test_estimate_pose_recovers_perturbation_with_noise():
-    """The scanner's depth noise is the noise; rho_icp is the pitch gate."""
-    true = Pose.from_axis_angle(np.array([3e-4, 1e-4, -2e-4]), [0, 0, 1], np.deg2rad(5))
-    params = RegistrationParams(q0=true.orientation)
-    result = register(sparse_scan(true), sparse_scan(), params, seed=4)
-    assert np.linalg.norm(result.pose.position - true.position) < 30e-6
-    assert quat_distance(result.pose.orientation, true.orientation) < np.deg2rad(0.5)
+# a sparse scan of the plate turned by 5 degrees of yaw, and the pose that reaches it
+YAWED_5 = Pose.from_axis_angle(np.array([3e-4, 1e-4, -2e-4]), [0, 0, 1], np.deg2rad(5))
 
 
-def test_estimate_pose_gate_negative_control():
-    ref = sparse_scan()
-    q0 = Pose.from_axis_angle(np.zeros(3), [1, 0, 0], np.pi / 2).orientation
-    params = RegistrationParams(q0=q0, rho_rot=np.deg2rad(10))
+def test_estimate_pose_recovers_perturbation_with_noise(monkeypatch):
+    """The scanner's depth noise is the noise; rho_icp is the pitch gate.
+    RANSAC's prior-orientation hypotheses are turned to the true rotation, an
+    oracle no program has (its prior is the identity): the control of the
+    strict xfail below, which registers the same scan on the identity prior."""
+    monkeypatch.setattr(ransac_module, "R_PRIOR", quat_to_matrix(YAWED_5.orientation))
+    result = register(sparse_scan(YAWED_5), sparse_scan(), seed=4)
+    assert np.linalg.norm(result.pose.position - YAWED_5.position) < 30e-6
+    assert quat_distance(result.pose.orientation, YAWED_5.orientation) < np.deg2rad(0.5)
+
+
+@pytest.mark.xfail(strict=True, reason="point-to-point ICP stops 0.71 degrees off a 5 degree "
+                   "yaw on the identity prior (ROADMAP item 2)")
+def test_estimate_pose_recovers_a_yaw_on_the_identity_prior():
+    """The control's scan and bounds on the prior the program uses. It
+    fails: 8.3 um and 0.71 degrees off at seed 4, and 0.71 degrees on 4 of
+    seeds 0-5, against 0.26-0.46 degrees with the oracle prior."""
+    result = register(sparse_scan(YAWED_5), sparse_scan(), seed=4)
+    assert np.linalg.norm(result.pose.position - YAWED_5.position) < 30e-6
+    assert quat_distance(result.pose.orientation, YAWED_5.orientation) < np.deg2rad(0.5)
+
+
+def test_estimate_pose_gate_negative_control(monkeypatch):
+    """An ICP pose 1 rad off the identity fails the registration at the gate, with no pose."""
+    def turned_icp(*args, **kwargs):
+        refined = icp_refine(*args, **kwargs)
+        return refined._replace(pose=pose_compose(
+            Pose.from_axis_angle(np.zeros(3), [0, 0, 1], 1.0), refined.pose))
+
+    monkeypatch.setattr(pipeline_module, "icp_refine", turned_icp)
+    scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
     with pytest.raises(RegistrationFailedError) as err:
-        register(ref, ref, params, seed=5)
+        register(scan, sparse_scan(), seed=5)
     # no pose was kept, so there is no fitness to report
     assert err.value.best is None
-    assert "no refined pose passed the orientation gate" in str(err.value)
+    assert "no refined pose passed the orientation gate: the ICP pose is outside it" \
+        in str(err.value)
 
 
 def test_estimate_pose_reports_a_diverged_icp(monkeypatch):
@@ -730,24 +780,22 @@ def test_estimate_pose_gate_soundness():
     """Plate poses drawn over the benchmark's range (yaw within MAX_YAW,
     offsets within MAX_OFFSET); a larger move takes part of the plate out
     of the sweep."""
-    ref = prepare_cloud(sparse_scan(), RegistrationParams())
+    ref = prepare_cloud(sparse_scan(), PARAMS)
     rng = np.random.default_rng(6)
     for trial in range(5):
         offset = rng.uniform(-workloads.MAX_OFFSET, workloads.MAX_OFFSET, size=2)
         true = Pose.from_axis_angle(np.array([*offset, 0.0]), [0, 0, 1],
                                     rng.uniform(-workloads.MAX_YAW, workloads.MAX_YAW))
-        p = RegistrationParams(q0=true.orientation)
-        result = estimate_pose(sparse_scan(true), ref.keypoints, p, seed=100 + trial,
+        result = estimate_pose(sparse_scan(true), ref.keypoints, PARAMS, seed=100 + trial,
                                ref_prepared=ref)
-        assert quat_distance(result.pose.orientation, p.q0) < p.rho_rot
+        assert in_orientation_gate(result.pose.orientation)
 
 
 def test_estimate_pose_deterministic():
     ref = sparse_scan()
     scan = sparse_scan(Pose.from_axis_angle(np.array([2e-4, 0, 0]), [0, 0, 1], 0.05))
-    params = RegistrationParams()
-    a = register(scan, ref, params, seed=9)
-    b = register(scan, ref, params, seed=9)
+    a = register(scan, ref, seed=9)
+    b = register(scan, ref, seed=9)
     np.testing.assert_array_equal(a.pose.position, b.pose.position)
     np.testing.assert_array_equal(a.pose.orientation, b.pose.orientation)
     assert a.fitness == b.fitness
@@ -758,7 +806,7 @@ def test_estimate_pose_deterministic():
 @pytest.fixture(scope="module")
 def dense_reference() -> FeatureCloud:
     return prepare_cloud(bench_scan("dense_corrected", Pose.identity(), CalibrationError.none()),
-                         RegistrationParams())
+                         PARAMS)
 
 
 @pytest.mark.parametrize("cal", [CalibrationError.none(), workloads.CAL],
@@ -766,7 +814,7 @@ def dense_reference() -> FeatureCloud:
 @pytest.mark.parametrize("offset", [(200e-6, -200e-6), (-200e-6, 200e-6)], ids=["+-", "-+"])
 @pytest.mark.parametrize("yaw", [0.0, 3.0, -3.0])
 def test_estimate_pose_on_a_dense_scan_is_accurate_in_one_loop(dense_reference, yaw, offset, cal):
-    """Outline registration with the default params finds the plate to 15 um
+    """Outline registration finds the plate to 15 um
     and 2 mrad in its one RANSAC -> ICP pass. The outline holds whole raster
     cells, so an edge along the raster keeps a sub-pitch bias: hence 15 um,
     not 10, and at 0 yaw, where every side runs along the raster, the yaw
@@ -774,7 +822,7 @@ def test_estimate_pose_on_a_dense_scan_is_accurate_in_one_loop(dense_reference, 
     4.2 mrad, not 2 (ICP stops anywhere in that range)."""
     true = Pose(np.array([*offset, 0.0]), quat_from_axis_angle([0, 0, 1], np.deg2rad(yaw)))
     scan = bench_scan("dense_corrected", true, cal)
-    result = estimate_pose(scan, dense_reference.keypoints, RegistrationParams(), seed=3,
+    result = estimate_pose(scan, dense_reference.keypoints, PARAMS, seed=3,
                            ref_prepared=dense_reference)
     truth = pose_compose(cal.mount_offset.inverse(), true)
     assert result.pose.translation_to(truth) <= 15e-6
@@ -794,14 +842,14 @@ def test_a_scan_missing_the_hole_and_two_edges_fails_in_one_pass(monkeypatch):
     monkeypatch.setattr(pipeline_module, "ransac_register", counting_ransac)
     w = workloads.WORKLOADS["sparse_fresh_ref"]
     ref = prepare_cloud(bench_scan("sparse_fresh_ref", Pose.identity(), CalibrationError.none()),
-                        RegistrationParams())
+                        PARAMS)
     sweep = linear_sweep(Pose.from_axis_angle([0.0, 0.8e-3, 0.03], [1, 0, 0], np.pi),
                          [0, 1, 0], w.sweep_step, 18)
     scene = Scene([ScenePart("plate", workloads.plate(workloads.HOLE_CENTER),
                              Pose.from_axis_angle(np.array([1e-4, -1e-4, 0.0]), [0, 0, 1], 0.02))])
     scan = sweep_scan(scene, sweep, w.scanner, workloads.CAL, seed=5)
     with pytest.raises(RegistrationFailedError):
-        estimate_pose(scan, ref.fine, RegistrationParams(), seed=3, ref_prepared=ref)
+        estimate_pose(scan, ref.fine, PARAMS, seed=3, ref_prepared=ref)
     assert len(calls) == 1
 
 

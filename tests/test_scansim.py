@@ -49,23 +49,24 @@ def test_lateral_positions_default_grid():
         assert x[-1] - x[0] == pytest.approx((n - 1) * resolution, rel=1e-12)
 
 
-def test_flat_plate_zero_noise_constant_depth():
-    cfg = small_cfg(depth_noise_std=0.0)
+def test_flat_plate_zero_noise_constant_depth(noise_free_scans):
+    cfg = small_cfg()
     traj = linear_sweep(DOWN, [0, 1, 0], SWEEP_STEP, 5)
     cloud = sweep_scan(plane_scene(), traj, cfg, CalibrationError.none(), seed=1)
     assert len(cloud) == 5 * 64
     assert np.ptp(cloud.points[:, 2]) < 1e-12
 
 
-def test_full_hit_sweep_point_count_is_profiles_times_2048():
-    cfg = ScannerConfig(depth_noise_std=0.0)
+def test_full_hit_sweep_point_count_is_profiles_times_2048(noise_free_scans):
+    cfg = ScannerConfig()
     traj = linear_sweep(DOWN, [0, 1, 0], SWEEP_STEP, 10)
     cloud = sweep_scan(plane_scene(), traj, cfg, CalibrationError.none(), seed=2)
     assert len(cloud) == 10 * 2048
 
 
 def test_depth_noise_std_matches_configuration():
-    cfg = ScannerConfig(depth_noise_std=1.5e-6)
+    assert scanner_module.DEPTH_NOISE_STD == 1.5e-6
+    cfg = ScannerConfig()
     traj = linear_sweep(DOWN, [0, 1, 0], SWEEP_STEP, 10)
     cloud = sweep_scan(plane_scene(), traj, cfg, CalibrationError.none(), seed=3)
     assert len(cloud) == 20480
@@ -97,8 +98,7 @@ def reference_sweep_scan(scene: Scene, trajectory, cfg: ScannerConfig,
         R = true_pose.rotation_matrix()
         depth = scene.cast(origins_local @ R.T + true_pose.position, np.tile(R[:, 2], (n, 1)))
         mask = np.isfinite(depth)
-        if cfg.depth_noise_std > 0.0:
-            depth = depth + rng.normal(scale=cfg.depth_noise_std, size=n)
+        depth = depth + rng.normal(scale=scanner_module.DEPTH_NOISE_STD, size=n)
         if not mask.any():
             continue
         pts_sensor = np.zeros((mask.sum(), 3))
@@ -140,8 +140,8 @@ def wobbling_sweep(count: int) -> list[Pose]:
             for k, p in enumerate(linear_sweep(start, [0, 1, 0], 25e-6, count))]
 
 
-def wide_cfg(**kw) -> ScannerConfig:
-    return small_cfg(points_per_profile=256, **kw)
+def wide_cfg() -> ScannerConfig:
+    return small_cfg(points_per_profile=256)
 
 
 FAR_BOX = Scene([ScenePart("far", Box((0.01, 0.01, 0.01)), Pose(np.array([5.0, 5.0, 5.0]), np.array([1.0, 0, 0, 0])))])
@@ -165,7 +165,7 @@ TWO_WINDOWS = boxes_at(((-2.5e-4, 0.0, -1e-3), (5e-5, 1e-3, 1e-3)), ((2.5e-4, 0.
 SWEEP_CASES = {  # name -> (scene, trajectory, config, calibration)
     "varying_orientation": lambda: (hole_plate_scene(), wobbling_sweep(40), wide_cfg(), CalibrationError.none()),
     "rotated_calibration": lambda: (hole_plate_scene(), wobbling_sweep(40), wide_cfg(), ROTATED_CAL),
-    "noise_off": lambda: (hole_plate_scene(), wobbling_sweep(40), wide_cfg(depth_noise_std=0.0), ROTATED_CAL),
+    "noise_off": lambda: (hole_plate_scene(), wobbling_sweep(40), wide_cfg(), ROTATED_CAL),
     "plate_and_bump": lambda: (plate_and_bump_scene(), linear_sweep(DOWN, [0, 1, 0], 2e-4, 12), small_cfg(),
                                ROTATED_CAL),
     "all_miss": lambda: (FAR_BOX, linear_sweep(DOWN, [0, 1, 0], 25e-6, 6), small_cfg(), ROTATED_CAL),
@@ -185,9 +185,16 @@ SWEEP_CASES = {  # name -> (scene, trajectory, config, calibration)
 }
 
 
+def sweep_case(case: str, request) -> tuple:
+    """The case's (scene, trajectory, config, calibration); "noise_off" scans without depth noise."""
+    if case == "noise_off":
+        request.getfixturevalue("noise_free_scans")
+    return SWEEP_CASES[case]()
+
+
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-def test_sweep_matches_per_profile_reference(case):
-    scene, traj, cfg, cal = SWEEP_CASES[case]()
+def test_sweep_matches_per_profile_reference(case, request):
+    scene, traj, cfg, cal = sweep_case(case, request)
     if case == "several_chunks":
         per_chunk = scanner_module._CHUNK_RAYS // len(cfg.lateral_positions())
         assert 2 * per_chunk < len(traj) < 3 * per_chunk
@@ -202,10 +209,10 @@ def test_sweep_matches_per_profile_reference(case):
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
-def test_sweep_raster_matches_per_profile_reference(case):
+def test_sweep_raster_matches_per_profile_reference(case, request):
     """Each point's raster cell is its profile and its detector column, and
     the raster's shape is (profiles, detector columns), misses included."""
-    scene, traj, cfg, cal = SWEEP_CASES[case]()
+    scene, traj, cfg, cal = sweep_case(case, request)
     cloud = sweep_scan(scene, traj, cfg, cal, seed=611)
     want = reference_sweep_scan(scene, traj, cfg, cal, seed=611).raster
     assert cloud.raster.dtype == want.dtype
@@ -257,16 +264,16 @@ def test_empty_trajectory_rejected():
         sweep_scan(plane_scene(), [], small_cfg(), CalibrationError.none(), seed=0)
 
 
-def test_all_misses_give_empty_cloud():
+def test_all_misses_give_empty_cloud(noise_free_scans):
     scene = Scene([ScenePart("far", Box((0.01, 0.01, 0.01)), Pose(np.array([5.0, 5.0, 5.0]), np.array([1.0, 0, 0, 0])))])
-    cfg = small_cfg(depth_noise_std=0.0)
+    cfg = small_cfg()
     cloud = sweep_scan(scene, [DOWN], cfg, CalibrationError.none(), seed=0)
     assert len(cloud) == 0
     assert cloud.raster_shape == (1, len(cfg.lateral_positions()))
 
 
-def test_calibration_offset_relates_clouds_by_the_offset():
-    cfg = small_cfg(depth_noise_std=0.0)
+def test_calibration_offset_relates_clouds_by_the_offset(noise_free_scans):
+    cfg = small_cfg()
     traj = linear_sweep(DOWN, [0, 1, 0], SWEEP_STEP, 6)
     offset = Pose.from_axis_angle(np.array([5e-4, -2e-4, 3e-4]), [0.2, 1.0, -0.3], np.deg2rad(0.5))
     scene = plane_scene()
@@ -288,10 +295,10 @@ def test_scene_rejects_duplicate_ids():
         Scene([part, ScenePart("p", Box((1, 1, 1)), Pose.identity())])
 
 
-def test_hole_plate_rays_through_hole_miss_top_face():
+def test_hole_plate_rays_through_hole_miss_top_face(noise_free_scans):
     plate = HolePlate((0.005, 0.005), 0.001, (150e-6, 175e-6), hole_center=(0.0, 0.0))
     scene = Scene([ScenePart("plate", plate, Pose(np.array([0.0, 0.0, -0.0005]), np.array([1.0, 0, 0, 0])))])
-    cfg = small_cfg(points_per_profile=256, depth_noise_std=0.0)
+    cfg = small_cfg(points_per_profile=256)
     traj = linear_sweep(DOWN, [0, 1, 0], 25e-6, 16)  # 400 um band across the hole
     start = Pose(DOWN.position - np.array([0.0, 2e-4, 0.0]), DOWN.orientation)
     traj = linear_sweep(start, [0, 1, 0], 25e-6, 16)
@@ -331,8 +338,6 @@ def test_hole_plate_rejects_a_hole_reaching_a_side(center):
 
 
 INVALID_PARTS = {  # name -> construction that must raise ValueError
-    "scanner_noise_nan": lambda: ScannerConfig(depth_noise_std=np.nan),
-    "scanner_noise_inf": lambda: ScannerConfig(depth_noise_std=np.inf),
     "scanner_resolution_nan": lambda: ScannerConfig(lateral_resolution=np.nan),
     "scanner_resolution_inf": lambda: ScannerConfig(lateral_resolution=np.inf),
     "scanner_points_fractional": lambda: ScannerConfig(points_per_profile=64.5),
