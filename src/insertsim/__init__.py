@@ -2,13 +2,12 @@
 
 __version__ = "0.1.0"
 
-from insertsim.geom import Pose, PointCloud, quat_distance, pose_compose, transform_cloud
+from insertsim.geom import Pose, PointCloud, quat_distance, pose_compose
 
 __all__ = [
     "Pose",
     "PointCloud",
     "quat_distance",
     "pose_compose",
-    "transform_cloud",
     "__version__",
 ]

@@ -263,19 +263,18 @@ def _raster_cells_unique(raster: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered 3-D points in meters with optional unit normals.
+    """Ordered 3-D points in meters, with the scanner raster behind them.
 
     `raster`, when given, is each point's (profile, column) cell in the
     scanner raster that produced it: an (N, 2) integer array, one point per
     cell. `raster_shape`, when given, is that raster's full (profiles,
     columns) shape, misses included, and every cell lies inside it; without
     it a miss past the last hit cannot be told from the raster's edge. A
-    scanner sets both; `select` and rigid moves keep them, since they keep
-    them valid. Clouds with no scanner behind them leave them None.
+    scanner sets both, and `select` keeps them. Clouds with no scanner behind
+    them leave them None.
     """
 
     points: np.ndarray
-    normals: Optional[np.ndarray] = field(default=None)
     raster: Optional[np.ndarray] = field(default=None)
     raster_shape: Optional[tuple] = field(default=None)
 
@@ -290,18 +289,6 @@ class PointCloud:
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if self.normals is not None:
-            nrm = np.atleast_2d(_as_f64(self.normals))
-            if nrm.shape != pts.shape:
-                raise ValueError("normals must match points shape")
-            if not np.all(np.isfinite(nrm)):
-                raise ValueError("normals must be finite")
-            lengths = np.linalg.norm(nrm, axis=1)
-            if pts.shape[0] and np.max(np.abs(lengths - 1.0)) > _UNIT_TOL:
-                raise ValueError(f"normals must be unit within {_UNIT_TOL}")
-            nrm = nrm.copy()
-            nrm.flags.writeable = False
-            object.__setattr__(self, "normals", nrm)
         if self.raster is not None:
             ras = np.asarray(self.raster)
             if ras.shape != (len(pts), 2) or not np.issubdtype(ras.dtype, np.integer):
@@ -325,20 +312,7 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def has_normals(self) -> bool:
-        return self.normals is not None
-
     def select(self, index) -> "PointCloud":
-        nrm = self.normals[index] if self.has_normals else None
         ras = self.raster[index] if self.raster is not None else None
-        return PointCloud(self.points[index], nrm, ras, self.raster_shape)
+        return PointCloud(self.points[index], ras, self.raster_shape)
 
-
-def transform_cloud(cloud: PointCloud, pose: Pose) -> PointCloud:
-    """Apply a rigid transform: points R p + t, normals rotated by R; the
-    raster and its shape are kept."""
-    R = pose.rotation_matrix()
-    pts = cloud.points @ R.T + pose.position
-    nrm = cloud.normals @ R.T if cloud.has_normals else None
-    return PointCloud(pts, nrm, cloud.raster, cloud.raster_shape)

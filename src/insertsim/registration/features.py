@@ -5,13 +5,14 @@ The descriptor follows the FPFH construction of Rusu, Blodow and Beetz
 three Darboux angle features over radius neighbors are histogrammed into 11
 bins each (simplified histograms, SPFH), then neighbor SPFHs are blended in
 with inverse distance weights and each 11-bin block is normalized to sum 100.
-Features depend only on relative geometry, so a rigidly moved cloud (with
-moved normals) produces the same descriptors.
+The normals are an argument, since a scan has none. Features depend only on
+relative geometry, so a rigidly moved cloud, with its normals turned by the
+same rotation, produces the same descriptors.
 
 All neighbour pairs come from one KD-tree pair query and are processed as
 flat arrays; histogram counts and the neighbour blend add each pair in
 (source, target) order. The pair features work on coordinate columns: the
-cloud's points and normals are transposed once into contiguous x, y and z
+points and normals are transposed once into contiguous x, y and z
 rows, each pair gathers its own columns, and cross and dot products are
 written out per component. The sums follow the order of the (m, 3) row
 routines they replace (np.linalg.norm, np.cross, np.einsum), so every
@@ -27,7 +28,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
-from insertsim.geom import PointCloud, column_norm
+from insertsim.geom import _UNIT_TOL, PointCloud, column_norm
 from insertsim.registration.params import DegenerateFeatureError
 
 BINS_PER_FEATURE = 11
@@ -38,8 +39,8 @@ NORMAL_K = 10  # neighbours of each point in its PCA normal
 
 @dataclass(frozen=True)
 class FeatureCloud:
-    """Keypoints with their descriptors: what prepare_cloud returns and
-    registration matches and refines on.
+    """Keypoints, without the normals FPFH read, and their descriptors: what
+    prepare_cloud returns and registration matches and refines on.
 
     `fine` is a read-only alias of `keypoints`, kept because the benchmark
     in `trialbench/workloads.py` reads `ref.fine` from a prepared reference
@@ -73,9 +74,9 @@ class FeatureCloud:
         return cKDTree(self.descriptors)
 
 
-def estimate_normals(cloud: PointCloud) -> PointCloud:
-    """PCA normals over the NORMAL_K nearest neighbors, oriented toward the
-    origin. Kept only for the benchmark's tracer (`harness.PROBES`)."""
+def estimate_normals(cloud: PointCloud) -> np.ndarray:
+    """(N, 3) unit PCA normals over the NORMAL_K nearest neighbors, oriented
+    toward the origin. Kept only for the benchmark's tracer (`harness.PROBES`)."""
     n = len(cloud)
     if n < 3:
         raise ValueError("need at least 3 points to estimate normals")
@@ -90,7 +91,7 @@ def estimate_normals(cloud: PointCloud) -> PointCloud:
     flip = np.einsum("ij,ij->i", normals, -cloud.points) < 0.0
     normals = np.where(flip[:, None], -normals, normals)
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(cloud.points, normals, cloud.raster, cloud.raster_shape)
+    return normals
 
 
 def _dot(a, b):
@@ -134,19 +135,22 @@ def _bin_index(values, lo, hi):
     return np.clip(scaled.astype(np.int64), 0, BINS_PER_FEATURE - 1)
 
 
-def compute_features(cloud: PointCloud, radius: float) -> FeatureCloud:
+def compute_features(cloud: PointCloud, normals: np.ndarray, radius: float) -> FeatureCloud:
     """FPFH-style descriptors over the given radius.
 
-    The cloud must carry normals. Points with fewer than 5 neighbors inside
-    the radius cannot be described. Such stragglers are dropped until none
-    is left (dropping one can leave its neighbors short), but if more than
-    10% of the cloud is dropped in all the radius is wrong for this cloud
-    and a DegenerateFeatureError is raised instead.
+    `normals` is (N, 3): one finite unit normal per point of the cloud.
+    Points with fewer than 5 neighbors inside the radius cannot be
+    described. Such stragglers are dropped until none is left (dropping one
+    can leave its neighbors short), but if more than 10% of the cloud is
+    dropped in all the radius is wrong for this cloud and a
+    DegenerateFeatureError is raised instead.
     """
     if not 0 < radius < np.inf:
         raise ValueError("radius must be positive and finite")
-    if not cloud.has_normals:
-        raise ValueError("compute_features needs a cloud with normals")
+    normals = np.asarray(normals, dtype=np.float64)
+    if normals.shape != cloud.points.shape or not np.all(  # a NaN or inf length fails too
+            np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= _UNIT_TOL):
+        raise ValueError(f"normals must be one finite unit vector per point, within {_UNIT_TOL}")
     n = len(cloud)
     # every neighbour pair in both directions, sorted by (source, target):
     # the order in which the blend below accumulates
@@ -175,10 +179,10 @@ def compute_features(cloud: PointCloud, radius: float) -> FeatureCloud:
     if not keep.all():
         renumber = np.cumsum(keep) - 1
         src, tgt = renumber[src], renumber[tgt]
-        cloud = cloud.select(keep)
+        cloud, normals = cloud.select(keep), normals[keep]
         n = len(cloud)
 
-    alpha, phi, theta, dist, ok = _pair_features(cloud.points, cloud.normals, src, tgt)
+    alpha, phi, theta, dist, ok = _pair_features(cloud.points, normals, src, tgt)
     src, tgt, dist = src[ok], tgt[ok], dist[ok]
     neighbor_counts = np.bincount(src, minlength=n)
     if not neighbor_counts.all():

@@ -48,9 +48,9 @@ def _prepare(cloud: PointCloud):
         raise ValueError("registration takes non-empty scanner clouds, with a raster shape")
     cells = raster_cells(cloud)
     pitch = raster_pitch(cloud, cells)
-    edge = outline(cloud, cells)
+    edge, normals = outline(cloud, cells)
     del cells  # not held through FPFH, which sets a dense trial's peak memory
-    return compute_features(edge, 5e-4 + max(pitch)), pitch
+    return compute_features(edge, normals, 5e-4 + max(pitch)), pitch
 
 
 def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> FeatureCloud:

@@ -12,7 +12,7 @@ measures the point spacing along and across profiles, from which
 `pipeline` derives every registration threshold.
 Both read one cell table over the hits' bounding box padded by one cell and
 clipped to the raster (`raster_cells`): past its edge lie misses or no raster.
-Neither reads the cloud's normals, which a line scanner does not measure.
+A line scanner measures no normals; `outline` returns the outline's.
 The scanner adds no outliers, and outlier removal would drop only outline
 points, so registration runs neither it nor a voxel grid.
 
@@ -80,10 +80,10 @@ def raster_pitch(cloud: PointCloud, cells: tuple) -> tuple:
     return tuple(pitch)
 
 
-def outline(cloud: PointCloud, cells: tuple) -> PointCloud:
-    """Outline points of a cloud with a raster shape, with unit in-plane
-    normals pointing out of the hit region (module docstring). An outline
-    cell whose Sobel gradient vanishes has no normal and is dropped."""
+def outline(cloud: PointCloud, cells: tuple) -> tuple:
+    """(edge, normals): the outline of a cloud with a raster shape and its
+    (N, 3) unit in-plane normals pointing out of the hit region (module docstring).
+    An outline cell whose Sobel gradient vanishes has no normal and is dropped."""
     table, profile, column = cells
     hit = table >= 0
     edge = hit & ~binary_erosion(hit, structure=np.ones((3, 3), dtype=bool), border_value=1)
@@ -103,13 +103,7 @@ def outline(cloud: PointCloud, cells: tuple) -> PointCloud:
     axes = np.linalg.lstsq(design, cloud.points, rcond=None)[0][1:].T  # (3, 2)
     normals = -(grad @ np.linalg.pinv(axes))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(cloud.points[on], normals, cloud.raster[on], cloud.raster_shape)
-
-
-def _voxel_sums(inverse: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
-    """Per-voxel column sums, added in point order."""
-    return np.column_stack([np.bincount(inverse, weights=values[:, c], minlength=m)
-                            for c in range(values.shape[1])])
+    return PointCloud(cloud.points[on], cloud.raster[on], cloud.raster_shape), normals
 
 
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
@@ -131,17 +125,11 @@ def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:
     cells = np.ravel_multi_index(keys.T, keys.max(axis=0) + 1)
     _, first, inverse, counts = np.unique(cells, return_index=True, return_inverse=True,
                                           return_counts=True)
-    m = len(counts)
-    centroids = _voxel_sums(inverse, cloud.points, m) / counts[:, None]
+    # per-voxel coordinate sums, added in point order
+    sums = np.column_stack([np.bincount(inverse, weights=c, minlength=len(counts))
+                            for c in cloud.points.T])
+    centroids = sums / counts[:, None]
     single = counts == 1
     centroids[single] = cloud.points[first[single]]  # exact pass-through, no round-off
-    normals = None
-    if cloud.has_normals:
-        nsum = _voxel_sums(inverse, cloud.normals, m)
-        lens = np.linalg.norm(nsum, axis=1, keepdims=True)
-        ok = lens[:, 0] > 1e-9
-        normals = np.where(ok[:, None], nsum / np.where(ok[:, None], lens, 1.0), 0.0)
-        # opposing normals cancelled out; fall back to the first point's normal
-        normals[~ok] = cloud.normals[first[~ok]]
-    return PointCloud(centroids, normals)
+    return PointCloud(centroids)
 

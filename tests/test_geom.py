@@ -13,7 +13,6 @@ from insertsim.geom import (
     quat_multiply,
     quat_normalize,
     quat_to_matrix,
-    transform_cloud,
     vector_norm,
 )
 
@@ -102,6 +101,9 @@ def test_compose_with_inverse_is_identity():
         out = pose_compose(p, p.inverse())
         np.testing.assert_allclose(out.position, np.zeros(3), atol=1e-12)
         assert quat_distance(out.orientation, IDENTITY_Q) < 1e-12
+        pts = rng.normal(size=(5, 3))
+        np.testing.assert_allclose(p.inverse().transform_points(p.transform_points(pts)), pts,
+                                   atol=1e-10)
 
 
 def homogeneous(p: Pose) -> np.ndarray:
@@ -117,6 +119,10 @@ def test_compose_matches_homogeneous_matrix_oracle():
         a, b = random_pose(rng), random_pose(rng)
         oracle = homogeneous(a) @ homogeneous(b)
         np.testing.assert_allclose(homogeneous(pose_compose(a, b)), oracle, atol=1e-10)
+        pts = rng.normal(size=(5, 3))
+        np.testing.assert_allclose(a.transform_points(pts),
+                                   (np.column_stack([pts, np.ones(5)]) @ homogeneous(a).T)[:, :3],
+                                   atol=1e-12)
 
 
 def test_compose_associative():
@@ -324,61 +330,9 @@ def test_quat_from_matrix_raises_the_reference_error(case):
     assert error_of(quat_from_matrix, R) == error_of(lambda m: reference_quat_from_matrix(m)[0], R)
 
 
-# -- transform_cloud ---------------------------------------------------------
-
-def test_transform_cloud_identity():
-    cloud = PointCloud(np.array([[0.1, 0.2, 0.3], [1.0, 2.0, 3.0]]))
-    out = transform_cloud(cloud, Pose.identity())
-    np.testing.assert_array_equal(out.points, cloud.points)
-
-
-def test_transform_cloud_pure_translation():
-    cloud = PointCloud(np.zeros((1, 3)))
-    out = transform_cloud(cloud, Pose(np.array([1.0, 0.0, 0.0]), IDENTITY_Q))
-    np.testing.assert_allclose(out.points, [[1.0, 0.0, 0.0]], atol=1e-15)
-
-
-def test_transform_cloud_quarter_turn_about_z():
-    cloud = PointCloud(np.array([[1.0, 0.0, 0.0]]))
-    pose = Pose.from_axis_angle(np.zeros(3), [0, 0, 1], np.pi / 2)
-    out = transform_cloud(cloud, pose)
-    np.testing.assert_allclose(out.points, [[0.0, 1.0, 0.0]], atol=1e-12)
-
-
-def test_transform_cloud_round_trip():
-    rng = np.random.default_rng(9)
-    cloud = PointCloud(rng.normal(size=(200, 3)), _unit_rows(rng.normal(size=(200, 3))))
-    for _ in range(10):
-        pose = random_pose(rng)
-        back = transform_cloud(transform_cloud(cloud, pose), pose.inverse())
-        np.testing.assert_allclose(back.points, cloud.points, atol=1e-10)
-        np.testing.assert_allclose(back.normals, cloud.normals, atol=1e-10)
-
-
-def test_transform_cloud_rotates_normals():
-    cloud = PointCloud(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))
-    pose = Pose.from_axis_angle(np.array([5.0, 0.0, 0.0]), [1, 0, 0], np.pi / 2)
-    out = transform_cloud(cloud, pose)
-    np.testing.assert_allclose(out.normals, [[0.0, -1.0, 0.0]], atol=1e-12)
-    np.testing.assert_allclose(out.points, [[5.0, 0.0, 0.0]], atol=1e-12)
-
-
-def _unit_rows(m):
-    return m / np.linalg.norm(m, axis=1, keepdims=True)
-
-
 # -- point cloud validation --------------------------------------------------
 
 def test_cloud_rejects_nan():
     with pytest.raises(ValueError):
         PointCloud(np.array([[0.0, np.nan, 0.0]]))
 
-
-def test_cloud_rejects_non_unit_normals():
-    with pytest.raises(ValueError):
-        PointCloud(np.zeros((1, 3)), np.array([[0.0, 0.0, 2.0]]))
-
-
-def test_cloud_rejects_mismatched_normals():
-    with pytest.raises(ValueError):
-        PointCloud(np.zeros((2, 3)), np.array([[0.0, 0.0, 1.0]]))

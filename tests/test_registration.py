@@ -7,7 +7,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from insertsim.geom import PointCloud, Pose, pose_compose, quat_distance, quat_from_axis_angle, \
-    quat_to_matrix, transform_cloud
+    quat_to_matrix
 from insertsim.registration import (
     DegenerateFeatureError,
     DivergenceError,
@@ -42,8 +42,9 @@ IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 PARAMS = RegistrationParams()
 
 
-def terrain_cloud(nx: int = 31, ny: int = 31, extent: float = 6e-3) -> PointCloud:
-    """Bumpy analytic surface with distinctive local geometry everywhere.
+def terrain_cloud(nx: int = 31, ny: int = 31, extent: float = 6e-3) -> tuple:
+    """Bumpy analytic surface with distinctive local geometry everywhere, and
+    its unit normals.
 
     Grid positions are jittered so no two pair distances are commensurate with
     the lattice (a regular grid aliases under lattice-sized translations).
@@ -63,16 +64,16 @@ def terrain_cloud(nx: int = 31, ny: int = 31, extent: float = 6e-3) -> PointClou
     pts = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
     nrm = np.column_stack([-dzdx.ravel(), -dzdy.ravel(), np.ones(pts.shape[0])])
     nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
-    return PointCloud(pts, nrm)
+    return PointCloud(pts), nrm
 
 
-def sphere_cloud(n: int = 900, radius: float = 3e-3) -> PointCloud:
+def sphere_cloud(n: int = 900, radius: float = 3e-3) -> tuple:
     # Fibonacci lattice: even coverage, no sparse patches
     i = np.arange(n) + 0.5
     phi = np.arccos(1 - 2 * i / n)
     theta = np.pi * (1 + 5**0.5) * i
     u = np.column_stack([np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta), np.cos(phi)])
-    return PointCloud(radius * u, u)
+    return PointCloud(radius * u), u
 
 
 def lattice_plate_cloud(pose: Pose | None = None) -> PointCloud:
@@ -86,10 +87,14 @@ def lattice_plate_cloud(pose: Pose | None = None) -> PointCloud:
                       CalibrationError.none(), seed=0)
 
 
-def with_up_normals(cloud: PointCloud) -> PointCloud:
-    """The plate scan with its top face's +z normals, which the scanner does not give."""
-    return PointCloud(cloud.points, np.tile([0.0, 0.0, 1.0], (len(cloud), 1)), cloud.raster,
-                      cloud.raster_shape)
+def up_normals(cloud: PointCloud) -> np.ndarray:
+    """A +z normal for every point: a plate scan's top face."""
+    return np.tile([0.0, 0.0, 1.0], (len(cloud), 1))
+
+
+def turned(pose: Pose, cloud: PointCloud, normals: np.ndarray) -> tuple:
+    """The cloud moved by `pose`, and its normals turned by the pose's rotation."""
+    return PointCloud(pose.transform_points(cloud.points)), normals @ pose.rotation_matrix().T
 
 
 def bench_scan(workload: str, pose: Pose, cal: CalibrationError) -> PointCloud:
@@ -131,7 +136,6 @@ ARGUMENT_CHECKS = {
         lambda v: icp_refine(FOUR_POINTS, FOUR_POINTS, v, Pose.identity(),
                              cKDTree(FOUR_POINTS.points)),
         "cutoff"),
-    "feature_radius": (lambda v: compute_features(FOUR_POINTS, v), "radius"),
 }
 
 
@@ -139,8 +143,6 @@ ARGUMENT_CHECKS = {
     ("voxel_size", np.nan), ("voxel_size", np.inf), ("voxel_size", 0.0), ("voxel_size", -1e-4),
     ("ransac_inlier_threshold", np.nan), ("ransac_inlier_threshold", np.inf),
     ("ransac_inlier_threshold", 0.0), ("ransac_inlier_threshold", -1.0),
-    ("feature_radius", np.nan), ("feature_radius", np.inf),
-    ("feature_radius", -1.0), ("feature_radius", 0.0),
     ("outlier_std_ratio", np.nan), ("icp_max_correspondence_dist", np.nan),
     ("icp_max_correspondence_dist", np.inf), ("icp_max_correspondence_dist", 0.0),
     ("icp_max_correspondence_dist", -1.0),
@@ -149,9 +151,10 @@ ARGUMENT_CHECKS = {
 ])
 def test_params_reject_nan_and_non_finite(field, value):
     """Every setting is an argument of the function that reads it, which
-    checks it itself: RANSAC's inlier threshold, ICP's cutoff and the FPFH
-    radius that the pipeline derives from the scan's pitch, and the
-    arguments of the functions kept for the benchmark's tracer."""
+    checks it itself: RANSAC's inlier threshold and ICP's cutoff, which the
+    pipeline derives from the scan's pitch (the FPFH radius has its own
+    test below), and the arguments of the functions kept for the
+    benchmark's tracer."""
     check, argument = ARGUMENT_CHECKS[field]
     with pytest.raises(ValueError, match=argument):
         check(value)
@@ -164,9 +167,9 @@ def test_estimate_pose_derives_its_thresholds_from_the_scan_pitch(monkeypatch):
     fitness gate is ds^2 + dl^2: a fitness at it passes, one above it fails."""
     radii, thresholds, cutoffs, fitness = [], [], [], []
 
-    def recording_features(cloud, radius):
+    def recording_features(cloud, normals, radius):
         radii.append(radius)
-        return compute_features(cloud, radius)
+        return compute_features(cloud, normals, radius)
 
     def recording_ransac(scan, ref, threshold, seed):
         thresholds.append(threshold)
@@ -211,18 +214,17 @@ def test_orientation_gate_is_strictly_inside_rho_rot():
 # -- features -----------------------------------------------------------------
 
 def test_features_deterministic():
-    cloud = terrain_cloud()
-    a = compute_features(cloud, radius=6e-4)
-    b = compute_features(cloud, radius=6e-4)
+    cloud, normals = terrain_cloud()
+    a = compute_features(cloud, normals, radius=6e-4)
+    b = compute_features(cloud, normals, radius=6e-4)
     np.testing.assert_array_equal(a.descriptors, b.descriptors)
 
 
 def test_features_rotation_invariant():
-    cloud = terrain_cloud()
+    cloud, normals = terrain_cloud()
     pose = Pose.from_axis_angle(np.array([0.02, -0.01, 0.005]), [0.3, 1.0, 0.2], 0.7)
-    moved = transform_cloud(cloud, pose)
-    a = compute_features(cloud, radius=6e-4)
-    b = compute_features(moved, radius=6e-4)
+    a = compute_features(cloud, normals, radius=6e-4)
+    b = compute_features(*turned(pose, cloud, normals), radius=6e-4)
     assert np.max(np.abs(a.descriptors - b.descriptors)) < 1e-6
 
 
@@ -231,7 +233,7 @@ def test_plane_patch_interior_descriptors_agree():
     gx, gy = np.meshgrid(xs, xs, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
     nrm = np.tile([0.0, 0.0, 1.0], (len(pts), 1))
-    fc = compute_features(PointCloud(pts, nrm), radius=5e-4)
+    fc = compute_features(PointCloud(pts), nrm, radius=5e-4)
     interior = (
         (pts[:, 0] > 6e-4) & (pts[:, 0] < 2.4e-3) & (pts[:, 1] > 6e-4) & (pts[:, 1] < 2.4e-3)
     )
@@ -241,9 +243,8 @@ def test_plane_patch_interior_descriptors_agree():
 
 
 def test_features_degenerate_radius():
-    cloud = terrain_cloud()
     with pytest.raises(DegenerateFeatureError):
-        compute_features(cloud, radius=1e-5)
+        compute_features(*terrain_cloud(), radius=1e-5)
 
 
 @pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -6e-4])
@@ -251,14 +252,20 @@ def test_features_reject_a_radius_that_is_not_positive_and_finite(radius):
     """A NaN radius used to raise the DegenerateFeatureError a trial counts as
     a failure, and an infinite one paired every point with every other."""
     with pytest.raises(ValueError, match="radius") as err:
-        compute_features(terrain_cloud(), radius)
+        compute_features(*terrain_cloud(), radius)
     assert err.type is ValueError
 
 
 def test_features_need_normals():
-    """compute_features estimates no normals: a cloud without them raises."""
-    with pytest.raises(ValueError, match="normals"):
-        compute_features(PointCloud(terrain_cloud().points), radius=6e-4)
+    """compute_features estimates no normals: it takes one finite unit normal
+    per point, and anything else raises naming them."""
+    cloud, normals = terrain_cloud()
+    nan = normals.copy()
+    nan[7, 1] = np.nan
+    for bad in (None, normals[:-1], normals[:, :2], normals * (1.0 + 1e-5), nan):
+        with pytest.raises(ValueError, match="normals"):
+            compute_features(cloud, bad, radius=6e-4)
+    compute_features(cloud, normals * (1.0 + 1e-7), radius=6e-4)  # within the tolerance
 
 
 # -- loop references ------------------------------------------------------------
@@ -283,7 +290,7 @@ def reference_pair_features(p, n_p, q, n_q):
     return alpha, phi, theta, dist, ok
 
 
-def reference_compute_features(cloud: PointCloud, radius: float):
+def reference_compute_features(cloud: PointCloud, normals: np.ndarray, radius: float):
     n_in = len(cloud)
     while True:  # drop stragglers, re-querying the rest, until none is left
         n = len(cloud)
@@ -295,7 +302,7 @@ def reference_compute_features(cloud: PointCloud, radius: float):
             raise DegenerateFeatureError("too few neighbors")
         keep = np.ones(n, dtype=bool)
         keep[degenerate] = False
-        cloud = cloud.select(keep)
+        cloud, normals = cloud.select(keep), normals[keep]
     src_idx, tgt_idx = [], []
     for i, nbrs in enumerate(neighbor_lists):
         nbrs = [j for j in sorted(nbrs) if j != i]
@@ -304,7 +311,7 @@ def reference_compute_features(cloud: PointCloud, radius: float):
     src = np.array(src_idx, dtype=np.int64)
     tgt = np.array(tgt_idx, dtype=np.int64)
     alpha, phi, theta, dist, ok = reference_pair_features(
-        cloud.points[src], cloud.normals[src], cloud.points[tgt], cloud.normals[tgt])
+        cloud.points[src], normals[src], cloud.points[tgt], normals[tgt])
     src, tgt, dist = src[ok], tgt[ok], dist[ok]
     b = features_module._bin_index
     cols = np.concatenate([b(alpha[ok], -1.0, 1.0), 11 + b(phi[ok], -1.0, 1.0),
@@ -338,56 +345,42 @@ def reference_voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointClo
     centroids = sums / counts[:, None]
     single = counts == 1
     centroids[single] = cloud.points[first[single]]
-    normals = None
-    if cloud.has_normals:
-        nsum = np.zeros((m, 3))
-        np.add.at(nsum, inverse, cloud.normals)
-        lens = np.linalg.norm(nsum, axis=1, keepdims=True)
-        ok = lens[:, 0] > 1e-9
-        normals = np.where(ok[:, None], nsum / np.where(ok[:, None], lens, 1.0), 0.0)
-        normals[~ok] = cloud.normals[first[~ok]]
-    return PointCloud(centroids, normals)
+    return PointCloud(centroids)
 
 
-def assert_same_features(cloud: PointCloud, radius: float):
-    expected_cloud, expected = reference_compute_features(cloud, radius)
-    fc = compute_features(cloud, radius)
+def assert_same_features(cloud: PointCloud, normals: np.ndarray, radius: float):
+    expected_cloud, expected = reference_compute_features(cloud, normals, radius)
+    fc = compute_features(cloud, normals, radius)
     np.testing.assert_array_equal(fc.keypoints.points, expected_cloud.points)
-    np.testing.assert_array_equal(fc.keypoints.normals, expected_cloud.normals)
     np.testing.assert_array_equal(fc.descriptors, expected)
 
 
 def assert_same_voxels(cloud: PointCloud, voxel_size: float):
     expected = reference_voxel_downsample(cloud, voxel_size)
-    out = voxel_downsample(cloud, voxel_size)
-    np.testing.assert_array_equal(out.points, expected.points)
-    if expected.has_normals:
-        np.testing.assert_array_equal(out.normals, expected.normals)
-    else:
-        assert not out.has_normals
+    np.testing.assert_array_equal(voxel_downsample(cloud, voxel_size).points, expected.points)
 
 
 def test_features_match_loop_reference_on_lattice_scan(noise_free_scans):
-    cloud = with_up_normals(lattice_plate_cloud())
+    cloud = lattice_plate_cloud()
     # sqrt(5) lattice steps: a quarter of the neighbour pairs sit on the radius
-    assert_same_features(cloud, radius=np.sqrt(5) * 25e-6)
+    assert_same_features(cloud, up_normals(cloud), radius=np.sqrt(5) * 25e-6)
     # estimated normals, on voxel centroids
-    assert_same_features(estimate_normals(PointCloud(voxel_downsample(cloud, 5e-5).points)),
-                         radius=1.5e-4)
+    centroids = voxel_downsample(cloud, 5e-5)
+    assert_same_features(centroids, estimate_normals(centroids), radius=1.5e-4)
 
 
 def test_features_match_loop_reference_on_jittered_terrain():
-    assert_same_features(terrain_cloud(), radius=6e-4)
+    assert_same_features(*terrain_cloud(), radius=6e-4)
 
 
 def test_features_match_loop_reference_after_dropping_stragglers():
-    cloud = terrain_cloud()
-    stragglers = np.array([[0.02, 0.02, 0.0], [-0.02, 0.01, 0.0]])
-    padded = PointCloud(np.vstack([cloud.points, stragglers]),
-                        np.vstack([cloud.normals, [[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]]))
-    fc = compute_features(padded, radius=6e-4)
+    cloud, normals = terrain_cloud()
+    stragglers = PointCloud(np.array([[0.02, 0.02, 0.0], [-0.02, 0.01, 0.0]]))
+    padded = PointCloud(np.vstack([cloud.points, stragglers.points]))
+    padded_normals = np.vstack([normals, up_normals(stragglers)])
+    fc = compute_features(padded, padded_normals, radius=6e-4)
     assert len(fc) == len(cloud)
-    assert_same_features(padded, radius=6e-4)
+    assert_same_features(padded, padded_normals, radius=6e-4)
 
 
 def line_of_points(count: int, radius: float) -> PointCloud:
@@ -395,48 +388,47 @@ def line_of_points(count: int, radius: float) -> PointCloud:
     6 neighbours, and the ends have 3, so dropping the ends shortens the next."""
     pts = np.zeros((count, 3))
     pts[:, 0] = 0.05 + 0.3 * radius * np.arange(count)
-    return PointCloud(pts, np.tile([0.0, 0.0, 1.0], (count, 1)))
+    return PointCloud(pts)
 
 
 def test_features_peel_stragglers_to_a_fixed_point():
     """Dropping the stragglers leaves new ones; they go too, until none is left,
     and the rest is described as if the dropped points had never been there."""
     radius = 6e-4
-    cloud = terrain_cloud()
+    cloud, normals = terrain_cloud()
     line = line_of_points(30, radius)
-    padded = PointCloud(np.vstack([cloud.points, line.points]),
-                        np.vstack([cloud.normals, line.normals]))
-    fc = compute_features(padded, radius)
-    expected = compute_features(cloud, radius)
+    padded = PointCloud(np.vstack([cloud.points, line.points]))
+    padded_normals = np.vstack([normals, up_normals(line)])
+    fc = compute_features(padded, padded_normals, radius)
+    expected = compute_features(cloud, normals, radius)
     np.testing.assert_array_equal(fc.keypoints.points, expected.keypoints.points)
     np.testing.assert_array_equal(fc.descriptors, expected.descriptors)
-    assert_same_features(padded, radius)
+    assert_same_features(padded, padded_normals, radius)
     # the bound counts every dropped point, not only the first round's
     long_line = line_of_points(len(cloud) // 10 + 20, radius)
     with pytest.raises(DegenerateFeatureError, match=f"of {len(cloud) + len(long_line)} points"):
-        compute_features(PointCloud(np.vstack([cloud.points, long_line.points]),
-                                    np.vstack([cloud.normals, long_line.normals])), radius)
+        compute_features(PointCloud(np.vstack([cloud.points, long_line.points])),
+                         np.vstack([normals, up_normals(long_line)]), radius)
 
 
 def test_pair_features_match_the_row_reference(noise_free_scans):
     """The column kernel gives the row kernel's values bit for bit, on a plate
     scan with copies below some points: their pairs lie on the normal line
     (no Darboux frame) and carry antiparallel normals."""
-    plate = with_up_normals(lattice_plate_cloud())
+    plate = lattice_plate_cloud()
     below = plate.select(np.arange(len(plate)) % 7 == 0)
-    cloud = PointCloud(np.vstack([plate.points, below.points - [0.0, 0.0, 30e-6]]),
-                       np.vstack([plate.normals, -below.normals]))
-    tilted = transform_cloud(cloud, Pose.from_axis_angle(
-        np.array([1e-3, -2e-3, 5e-4]), [0.3, -0.4, 1.0], 0.9))
-    for c in (cloud, tilted):
+    cloud = PointCloud(np.vstack([plate.points, below.points - [0.0, 0.0, 30e-6]]))
+    normals = np.vstack([up_normals(plate), -up_normals(below)])
+    tilted = turned(Pose.from_axis_angle(np.array([1e-3, -2e-3, 5e-4]), [0.3, -0.4, 1.0], 0.9),
+                    cloud, normals)
+    for c, nrm in ((cloud, normals), tilted):
         pairs = cKDTree(c.points).query_pairs(np.sqrt(5) * 25e-6, output_type="ndarray")
         src = np.concatenate([pairs[:, 0], pairs[:, 1]])
         tgt = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        expected = reference_pair_features(c.points[src], c.normals[src],
-                                           c.points[tgt], c.normals[tgt])
-        got = features_module._pair_features(c.points, c.normals, src, tgt)
+        expected = reference_pair_features(c.points[src], nrm[src], c.points[tgt], nrm[tgt])
+        got = features_module._pair_features(c.points, nrm, src, tgt)
         assert np.count_nonzero(~expected[4]) >= 2 * len(below)
-        assert np.any(np.einsum("ij,ij->i", c.normals[src], c.normals[tgt]) < -0.999)
+        assert np.any(np.einsum("ij,ij->i", nrm[src], nrm[tgt]) < -0.999)
         for g, e in zip(got, expected):
             np.testing.assert_array_equal(g, e)
             np.testing.assert_array_equal(np.signbit(g), np.signbit(e))
@@ -447,31 +439,23 @@ def test_features_without_a_darboux_frame_raise():
     has a frame: a typed error naming the point, and no 0/0 warning."""
     pts = np.zeros((30, 3))
     pts[:, 2] = 1e-4 * np.arange(30)
-    cloud = PointCloud(pts, np.tile([0.0, 0.0, 1.0], (30, 1)))
+    cloud = PointCloud(pts)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DegenerateFeatureError, match="point 0 "):
-            compute_features(cloud, radius=5e-4)
+            compute_features(cloud, up_normals(cloud), radius=5e-4)
 
 
 def test_voxel_grid_matches_loop_reference_on_lattice_scan(noise_free_scans):
-    cloud = with_up_normals(lattice_plate_cloud())
+    cloud = lattice_plate_cloud()
     for voxel_size in (1e-4, 5e-5, 2.5e-5):   # cell edges on lattice rows, and one point per cell
         assert_same_voxels(cloud, voxel_size)
-        assert_same_voxels(PointCloud(cloud.points), voxel_size)
 
 
 def test_voxel_grid_matches_loop_reference_on_jittered_terrain():
-    cloud = terrain_cloud()
+    cloud = terrain_cloud()[0]
     for voxel_size in (1e-4, 3e-4, 1e-3):
         assert_same_voxels(cloud, voxel_size)
-        assert_same_voxels(PointCloud(cloud.points), voxel_size)
-
-
-def test_voxel_grid_matches_loop_reference_on_opposing_normals():
-    pts = np.array([[0.0, 0.0, 0.0], [1e-5, 0.0, 0.0], [3e-4, 0.0, 0.0], [3.1e-4, 0.0, 0.0]])
-    nrm = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    assert_same_voxels(PointCloud(pts, nrm), 1e-4)
 
 
 def test_estimate_pose_indexes_each_cloud_once(monkeypatch):
@@ -536,8 +520,7 @@ def test_prepare_cloud_returns_the_feature_cloud():
 # -- RANSAC -------------------------------------------------------------------
 
 def test_ransac_identity_on_identical_clouds():
-    cloud = terrain_cloud()
-    fc = compute_features(cloud, radius=6e-4)
+    fc = compute_features(*terrain_cloud(), radius=6e-4)
     result = ransac_register(fc, fc, RANSAC_THRESHOLD, seed=0)
     assert result.inlier_fraction >= 0.99
     assert np.linalg.norm(result.pose.position) < 1e-6
@@ -547,20 +530,17 @@ def test_ransac_identity_on_identical_clouds():
 def test_ransac_recovers_known_transform():
     ref = terrain_cloud()
     true = Pose.from_axis_angle(np.array([4e-4, -2e-4, 3e-4]), [0.1, 0.2, 1.0], np.deg2rad(8))
-    scan = transform_cloud(ref, true)
-    scan_fc = compute_features(scan, radius=6e-4)
-    ref_fc = compute_features(ref, radius=6e-4)
+    scan_fc = compute_features(*turned(true, *ref), radius=6e-4)
+    ref_fc = compute_features(*ref, radius=6e-4)
     result = ransac_register(scan_fc, ref_fc, RANSAC_THRESHOLD, seed=1)
     assert np.linalg.norm(result.pose.position - true.position) < 2 * RANSAC_THRESHOLD
     assert quat_distance(result.pose.orientation, true.orientation) < 0.05
 
 
 def test_ransac_negative_control_unrelated_geometry():
-    plate = terrain_cloud()
-    ball = sphere_cloud()
     result = ransac_register(
-        compute_features(ball, radius=6e-4),
-        compute_features(plate, radius=6e-4),
+        compute_features(*sphere_cloud(), radius=6e-4),
+        compute_features(*terrain_cloud(), radius=6e-4),
         RANSAC_THRESHOLD,
         seed=2,
     )
@@ -580,9 +560,9 @@ def test_ransac_poses_lie_in_the_orientation_gate(monkeypatch):
 
     monkeypatch.setattr(ransac_module, "in_orientation_gate", recording_gate)
     ref = terrain_cloud()
-    turned = Pose.from_axis_angle(np.array([4e-4, -2e-4, 3e-4]), [0, 0, 1], np.deg2rad(50))
-    scan_fc = compute_features(transform_cloud(ref, turned), radius=6e-4)
-    ref_fc = compute_features(ref, radius=6e-4)
+    turn = Pose.from_axis_angle(np.array([4e-4, -2e-4, 3e-4]), [0, 0, 1], np.deg2rad(50))
+    scan_fc = compute_features(*turned(turn, *ref), radius=6e-4)
+    ref_fc = compute_features(*ref, radius=6e-4)
     for seed in range(5):
         rejected.clear()
         result = ransac_register(scan_fc, ref_fc, RANSAC_THRESHOLD, seed)
@@ -591,8 +571,7 @@ def test_ransac_poses_lie_in_the_orientation_gate(monkeypatch):
 
 
 def test_ransac_insufficient_keypoints():
-    tiny = PointCloud(np.zeros((2, 3)) + np.arange(2)[:, None] * 1e-3,
-                      np.tile([0.0, 0.0, 1.0], (2, 1)))
+    tiny = PointCloud(np.zeros((2, 3)) + np.arange(2)[:, None] * 1e-3)
     fc = FeatureCloud(tiny, np.zeros((2, 33)))
     with pytest.raises(InsufficientCorrespondencesError):
         ransac_register(fc, fc, RANSAC_THRESHOLD, seed=0)
@@ -659,7 +638,7 @@ def refine(scan: PointCloud, ref: PointCloud, initial_pose: Pose = Pose.identity
 
 
 def test_icp_identical_clouds():
-    cloud = terrain_cloud()
+    cloud = terrain_cloud()[0]
     result = refine(cloud, cloud)
     assert result.fitness <= 1e-18
     assert np.linalg.norm(result.pose.position) < 1e-12
@@ -667,9 +646,9 @@ def test_icp_identical_clouds():
 
 
 def test_icp_recovers_small_translation():
-    ref = terrain_cloud()
+    ref = terrain_cloud()[0]
     shift = np.array([2e-4, 0.0, 0.0])
-    moved = PointCloud(ref.points + shift, ref.normals)
+    moved = PointCloud(ref.points + shift)
     # moved ref must come back onto the scan: recovered translation is -shift
     result = refine(ref, moved)
     np.testing.assert_allclose(result.pose.position, -shift, atol=1e-6)
@@ -687,14 +666,14 @@ def test_icp_stops_at_the_iteration_cap_on_a_sliding_plate(noise_free_scans):
 
 
 def test_icp_divergence_error():
-    a = terrain_cloud()
-    b = PointCloud(a.points + np.array([1.0, 0.0, 0.0]), a.normals)
+    a = terrain_cloud()[0]
+    b = PointCloud(a.points + np.array([1.0, 0.0, 0.0]))
     with pytest.raises(DivergenceError):
         refine(a, b)
 
 
 def test_icp_total_pose_composes_initial():
-    ref = terrain_cloud()
+    ref = terrain_cloud()[0]
     coarse = Pose.from_axis_angle(np.array([1e-4, 2e-4, -1e-4]), [0, 1, 0], 0.02)
     result = refine(ref, ref, coarse)
     # scan == ref, so the total ref->scan transform must be identity
@@ -868,19 +847,6 @@ def test_a_traced_corrected_run_reports_every_layer():
     # the functions kept only for these probes run in no trial
     for name in ("preprocess.sor_s", "preprocess.voxel_s", "features.normals_calls"):
         assert report["metrics"][name]["value"] == 0
-
-
-def test_estimate_pose_reads_no_scan_normals():
-    """A line scanner measures no normals, and the scanner gives none: adding
-    estimated normals to both raster clouds changes no bit of the result."""
-    ref = bench_scan("sparse_fresh_ref", Pose.identity(), CalibrationError.none())
-    scan = bench_scan("sparse_fresh_ref", Pose.from_axis_angle(
-        np.array([1e-4, -1.5e-4, 0.0]), [0, 0, 1], 0.03), workloads.CAL)
-    assert scan.normals is None and ref.normals is None
-    with_normals = [estimate_normals(c) for c in (scan, ref)]
-    assert all(c.has_normals and c.raster_shape is not None for c in with_normals)
-    assert register(*with_normals, seed=4).to_json_dict() == \
-        register(scan, ref, seed=4).to_json_dict()
 
 
 def test_registration_result_json_round_trip():
