@@ -15,6 +15,7 @@ from insertsim.geom import (
     quat_to_matrix,
     vector_norm,
 )
+from insertsim.registration.features import compute_features
 
 IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -335,4 +336,17 @@ def test_quat_from_matrix_raises_the_reference_error(case):
 def test_cloud_rejects_nan():
     with pytest.raises(ValueError):
         PointCloud(np.array([[0.0, np.nan, 0.0]]))
+
+
+# A cloud carries no normals; the ones FPFH reads are compute_features'
+# argument, and it checks them against the cloud.
+
+def test_cloud_rejects_non_unit_normals():
+    with pytest.raises(ValueError, match="normals"):
+        compute_features(PointCloud(np.zeros((1, 3))), np.array([[0.0, 0.0, 2.0]]), radius=1.0)
+
+
+def test_cloud_rejects_mismatched_normals():
+    with pytest.raises(ValueError, match="normals"):
+        compute_features(PointCloud(np.zeros((2, 3))), np.array([[0.0, 0.0, 1.0]]), radius=1.0)
 

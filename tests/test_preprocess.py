@@ -55,8 +55,7 @@ def brute_force_sor_keep(points: np.ndarray, mean_k: int, std_ratio: float) -> n
 
 
 def test_outlier_removal_matches_brute_force():
-    """A 5 mm patch of 10000 points and one point ~10x its diameter away,
-    then 2-14 points of a scan, down to where k = min(mean_k, n - 1) clamps."""
+    """A 5 mm patch of 10000 points and one point ~10x its diameter away."""
     rng = np.random.default_rng(1)
     patch = rng.uniform(0, 5e-3, size=(10000, 2))
     far = np.array([[5e-2, 5e-2, 0.0]])
@@ -68,12 +67,6 @@ def test_outlier_removal_matches_brute_force():
     np.testing.assert_array_equal(out.points, cloud.points[expected_keep])
     np.testing.assert_array_equal(
         statistical_outlier_removal(cloud, mean_k=np.int64(k), std_ratio=1.0).points, out.points)
-    scan = plate_scan("sparse", "yaw+3", CAL)
-    for n in (2, 3, 12, 13, 14):
-        few = scan.select(np.arange(200, 200 + n))
-        keep = brute_force_sor_keep(few.points, k, 2.0)
-        np.testing.assert_array_equal(statistical_outlier_removal(few, k, 2.0).points,
-                                      few.points[keep])
 
 
 def test_preprocess_idempotent_on_voxel_centroids():
@@ -144,6 +137,18 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 13, 14])
+def test_raster_sor_with_few_points(n):
+    """2-14 points of a scan, down to where k = min(mean_k, n - 1) clamps;
+    the kept points take their raster cells with them."""
+    few = plate_scan("sparse", "yaw+3", CAL).select(np.arange(200, 200 + n))
+    keep = brute_force_sor_keep(few.points, 12, 2.0)
+    out = statistical_outlier_removal(few, 12, 2.0)
+    np.testing.assert_array_equal(out.points, few.points[keep])
+    np.testing.assert_array_equal(out.raster, few.raster[keep])
+    assert out.raster_shape == few.raster_shape
 
 
 def test_raster_validation():

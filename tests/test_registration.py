@@ -258,11 +258,12 @@ def test_features_reject_a_radius_that_is_not_positive_and_finite(radius):
 
 def test_features_need_normals():
     """compute_features estimates no normals: it takes one finite unit normal
-    per point, and anything else raises naming them."""
+    per point, and anything else raises naming them (a normal too few is
+    test_geom's test_cloud_rejects_mismatched_normals)."""
     cloud, normals = terrain_cloud()
     nan = normals.copy()
     nan[7, 1] = np.nan
-    for bad in (None, normals[:-1], normals[:, :2], normals * (1.0 + 1e-5), nan):
+    for bad in (None, normals[:, :2], normals * (1.0 + 1e-5), nan):
         with pytest.raises(ValueError, match="normals"):
             compute_features(cloud, bad, radius=6e-4)
     compute_features(cloud, normals * (1.0 + 1e-7), radius=6e-4)  # within the tolerance
