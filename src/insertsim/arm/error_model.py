@@ -37,8 +37,7 @@ class ProprioceptionError:
         if self.joint_bias.shape != (7,) or not np.all(np.isfinite(self.joint_bias)):
             raise ValueError("joint_bias must have 7 finite entries")
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4015E]))
-        self._state = np.zeros(7)
-        self._initialized = False
+        self._state = None  # the first draw replaces it
 
     @classmethod
     def draw(cls, seed: int) -> "ProprioceptionError":
@@ -62,9 +61,8 @@ class ProprioceptionError:
             travel = abs(float(motion_amplitude)) + BASE_DECORRELATION
             rho = float(np.exp(-travel / DECORRELATION_SCALE))
         fresh = self._noise_rng.normal(scale=REPEAT_STD, size=7)
-        if not self._initialized:
+        if self._state is None:
             self._state = fresh
-            self._initialized = True
         else:
             self._state = rho * self._state + np.sqrt(1.0 - rho * rho) * fresh
         return self._state.copy()

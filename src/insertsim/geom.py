@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 _UNIT_TOL = 1e-6
 
@@ -311,6 +313,12 @@ class PointCloud:
 
     def __len__(self) -> int:
         return self.points.shape[0]
+
+    @cached_property
+    def tree(self) -> cKDTree:
+        """The KD-tree over `points`, built on first use and kept: every
+        point query reads it, so a cloud is indexed once."""
+        return cKDTree(self.points)
 
     def select(self, index) -> "PointCloud":
         ras = self.raster[index] if self.raster is not None else None

@@ -9,8 +9,9 @@ The normals are an argument, since a scan has none. Features depend only on
 relative geometry, so a rigidly moved cloud, with its normals turned by the
 same rotation, produces the same descriptors.
 
-All neighbour pairs come from one KD-tree pair query and are processed as
-flat arrays; histogram counts and the neighbour blend add each pair in
+All neighbour pairs come from one pair query of the cloud's KD-tree
+(`PointCloud.tree`, kept for later queries) and are processed as flat
+arrays; histogram counts and the neighbour blend add each pair in
 (source, target) order. The pair features work on coordinate columns: the
 points and normals are transposed once into contiguous x, y and z
 rows, each pair gathers its own columns, and cross and dot products are
@@ -63,12 +64,8 @@ class FeatureCloud:
     def fine(self) -> PointCloud:
         return self.keypoints
 
-    # Indexes over the cloud, each built on first use and kept with it, so a
-    # scan that RANSAC and ICP both query, or a reference used by many scans, is indexed once.
-    @cached_property
-    def keypoint_tree(self) -> cKDTree:
-        return cKDTree(self.keypoints.points)
-
+    # The descriptor index, built on first use and kept, so a reference used by
+    # many scans is indexed once; the keypoints keep their own (`PointCloud.tree`).
     @cached_property
     def descriptor_tree(self) -> cKDTree:
         return cKDTree(self.descriptors)
@@ -81,8 +78,7 @@ def estimate_normals(cloud: PointCloud) -> np.ndarray:
     if n < 3:
         raise ValueError("need at least 3 points to estimate normals")
     k = min(NORMAL_K, n - 1)
-    tree = cKDTree(cloud.points)
-    _, idx = tree.query(cloud.points, k=k + 1)
+    _, idx = cloud.tree.query(cloud.points, k=k + 1)
     nbrs = cloud.points[idx]  # (N, k+1, 3), includes the point itself
     centered = nbrs - nbrs.mean(axis=1, keepdims=True)
     cov = np.einsum("nki,nkj->nij", centered, centered)
@@ -154,7 +150,7 @@ def compute_features(cloud: PointCloud, normals: np.ndarray, radius: float) -> F
     n = len(cloud)
     # every neighbour pair in both directions, sorted by (source, target):
     # the order in which the blend below accumulates
-    pairs = cKDTree(cloud.points).query_pairs(radius, output_type="ndarray")
+    pairs = cloud.tree.query_pairs(radius, output_type="ndarray")
     keys = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]]))
     src, tgt = np.divmod(keys, n)
 

@@ -1,8 +1,8 @@
 """Point-to-point ICP refinement.
 
 Each iteration matches every moving point to its nearest scan point within
-the cutoff, with one k=1 query of the scan's KD-tree, and solves the rigid
-update on those matches by Kabsch.
+the cutoff, with one k=1 query of the scan's KD-tree (`PointCloud.tree`),
+and solves the rigid update on those matches by Kabsch.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from insertsim.geom import PointCloud, Pose, pose_compose, quat_from_matrix
 from insertsim.registration.params import DivergenceError
@@ -28,12 +27,12 @@ class IcpResult(NamedTuple):
 
 
 def icp_refine(scan: PointCloud, ref: PointCloud, cutoff: float,
-               initial_pose: Pose, scan_tree: cKDTree) -> IcpResult:
+               initial_pose: Pose) -> IcpResult:
     """Refine the pose of `ref` in the scan frame, starting from `initial_pose`.
 
     The moving cloud is `ref` placed by `initial_pose`; correspondences are
-    nearest scan points within `cutoff` (m), found in `scan_tree`, a cKDTree
-    over `scan.points`. The returned pose composes the incremental refinement
+    nearest scan points within `cutoff` (m), found in the scan's own tree,
+    `scan.tree`. The returned pose composes the incremental refinement
     with `initial_pose`, i.e. it maps the reference frame into the scan frame.
     """
     if len(scan) == 0 or len(ref) == 0:
@@ -45,7 +44,7 @@ def icp_refine(scan: PointCloud, ref: PointCloud, cutoff: float,
     t_total = np.zeros(3)
     iterations = 0
     for _ in range(MAX_ITERATIONS):
-        d, idx = scan_tree.query(moving, distance_upper_bound=cutoff)
+        d, idx = scan.tree.query(moving, distance_upper_bound=cutoff)
         matched = np.isfinite(d)
         if not np.any(matched):
             raise DivergenceError("no correspondences within the cutoff distance")
@@ -59,7 +58,7 @@ def icp_refine(scan: PointCloud, ref: PointCloud, cutoff: float,
         if np.linalg.norm(t) < _POS_CONVERGE and angle < _ROT_CONVERGE:
             break
 
-    d, _ = scan_tree.query(moving, distance_upper_bound=cutoff)
+    d, _ = scan.tree.query(moving, distance_upper_bound=cutoff)
     matched = np.isfinite(d)
     if not np.any(matched):
         raise DivergenceError("no correspondences within the cutoff distance")

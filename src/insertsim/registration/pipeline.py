@@ -57,8 +57,8 @@ def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> FeatureCloud
     """Condition and describe a scanner cloud once, for any number of
     estimate_pose calls: its outline, with in-plane normals from the raster,
     described by FPFH at a radius derived from its own pitch. The returned
-    FeatureCloud builds its KD-trees on first use and keeps them, so no
-    later estimate_pose call against the same prepared cloud rebuilds one.
+    FeatureCloud and its keypoints keep the KD-trees they build on first use,
+    so no later estimate_pose call against the same prepared cloud rebuilds one.
     `params` is unused: every threshold comes from the pitch. It is kept only
     because the benchmark passes it positionally.
     """
@@ -85,7 +85,7 @@ def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
     coarse = ransac_register(scan_f, ref_prepared, 4.0 * d, _ransac_seed(seed))
     try:
         refined = icp_refine(scan_f.keypoints, ref_prepared.keypoints, 12.0 * d,
-                             initial_pose=coarse.pose, scan_tree=scan_f.keypoint_tree)
+                             initial_pose=coarse.pose)
     except DivergenceError as e:
         raise RegistrationFailedError(f"ICP diverged from the RANSAC pose: {e}", None) from e
     if not in_orientation_gate(refined.pose.orientation):

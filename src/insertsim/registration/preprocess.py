@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.ndimage import binary_erosion
-from scipy.spatial import cKDTree
 
 from insertsim.geom import PointCloud, column_norm
 from insertsim.registration.params import DegenerateFeatureError
@@ -43,7 +42,7 @@ def statistical_outlier_removal(cloud: PointCloud, mean_k: int, std_ratio: float
     k = min(mean_k, n - 1)
     if k < 1:
         return cloud
-    dists = cKDTree(cloud.points).query(cloud.points, k=k + 1)[0]  # column 0 is the point itself
+    dists = cloud.tree.query(cloud.points, k=k + 1)[0]  # column 0 is the point itself
     mean_d = dists[:, 1:].mean(axis=1)
     cutoff = mean_d.mean() + std_ratio * mean_d.std()
     keep = mean_d <= cutoff

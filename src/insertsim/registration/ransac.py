@@ -23,9 +23,10 @@ sampling pool of `correspondence_candidates`. A run often stops early, so a
 keypoint's descriptor kNN is queried on first read: a KD-tree answers each
 point on its own, as one batched query of all keypoints would. A hypothesis
 scores the number of moved reference keypoints within the inlier threshold
-of some scan keypoint, from one query of the scan's keypoint KD-tree; the
+of some scan keypoint, from one query of the scan keypoints' KD-tree; the
 winner's matches from that query are the correspondences its polish is
-solved on. The KD-trees come from the FeatureClouds, which build each one once.
+solved on. Each KD-tree is built once, on first use, and kept: the descriptor
+tree by the FeatureCloud, the keypoint tree by its PointCloud.
 """
 
 from __future__ import annotations
@@ -94,12 +95,11 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
     n_scan = len(scan_pts)
     n_ref = len(ref_pts)
 
-    scan_tree = scan.keypoint_tree
     min_edge = 3.0 * threshold
 
     def score(R, t):
         """Inlier count, inlier mask and matched scan keypoints of a hypothesis."""
-        d, idx = scan_tree.query(ref_pts @ R.T + t, distance_upper_bound=threshold)
+        d, idx = scan.keypoints.tree.query(ref_pts @ R.T + t, distance_upper_bound=threshold)
         inliers = np.isfinite(d)
         return int(np.count_nonzero(inliers)), inliers, idx
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from insertsim import geom as geom_module
 from insertsim.geom import PointCloud, Pose, pose_compose, quat_distance, quat_from_axis_angle, \
     quat_to_matrix
 from insertsim.registration import (
@@ -133,9 +134,7 @@ ARGUMENT_CHECKS = {
     "ransac_inlier_threshold": (
         lambda v: ransac_register(FOUR_FEATURES, FOUR_FEATURES, v, 0), "threshold"),
     "icp_max_correspondence_dist": (
-        lambda v: icp_refine(FOUR_POINTS, FOUR_POINTS, v, Pose.identity(),
-                             cKDTree(FOUR_POINTS.points)),
-        "cutoff"),
+        lambda v: icp_refine(FOUR_POINTS, FOUR_POINTS, v, Pose.identity()), "cutoff"),
 }
 
 
@@ -175,9 +174,9 @@ def test_estimate_pose_derives_its_thresholds_from_the_scan_pitch(monkeypatch):
         thresholds.append(threshold)
         return ransac_register(scan, ref, threshold, seed)
 
-    def icp_at_fitness(scan, ref, cutoff, initial_pose, scan_tree):
+    def icp_at_fitness(scan, ref, cutoff, initial_pose):
         cutoffs.append(cutoff)
-        return icp_refine(scan, ref, cutoff, initial_pose, scan_tree)._replace(fitness=fitness[-1])
+        return icp_refine(scan, ref, cutoff, initial_pose)._replace(fitness=fitness[-1])
 
     monkeypatch.setattr(pipeline_module, "compute_features", recording_features)
     monkeypatch.setattr(pipeline_module, "ransac_register", recording_ransac)
@@ -460,28 +459,41 @@ def test_voxel_grid_matches_loop_reference_on_jittered_terrain():
 
 
 def test_estimate_pose_indexes_each_cloud_once(monkeypatch):
-    """One estimate_pose builds four KD-trees: per cloud one for the FPFH
-    pairs of its outline, then the reference's descriptor tree (RANSAC's
-    correspondences) and the scan's keypoint tree (RANSAC's scoring and
-    every ICP iteration)."""
+    """One estimate_pose builds three KD-trees: per cloud the tree of its
+    outline, which FPFH queries for its pairs, then the reference's
+    descriptor tree (RANSAC's correspondences). FPFH drops no straggler of
+    this scan's outline, so that outline is the scan's keypoint cloud, and
+    RANSAC's scoring and every ICP iteration query the tree FPFH built."""
     builds = []
 
     def counting_tree(*args, **kwargs):
         builds.append(1)
         return cKDTree(*args, **kwargs)
 
-    for module in (preprocess_module, features_module, ransac_module, icp_module,
+    for module in (geom_module, preprocess_module, features_module, ransac_module, icp_module,
                    pipeline_module):
         monkeypatch.setattr(module, "cKDTree", counting_tree, raising=False)
     ref = sparse_scan()
     scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
     register(scan, ref, seed=3)
-    assert len(builds) == 4
+    assert len(builds) == 3
+
+
+def test_features_without_stragglers_keep_the_cloud_and_its_tree(monkeypatch):
+    """When FPFH drops no straggler its keypoints are the cloud it was given,
+    so the tree its pair query built is the one later queries read."""
+    cloud, normals = terrain_cloud()
+    features = compute_features(cloud, normals, radius=6e-4)
+    assert features.keypoints is cloud
+    tree = cloud.tree
+    monkeypatch.setattr(geom_module, "cKDTree", None)  # any further build fails
+    assert features.keypoints.tree is tree
 
 
 def test_icp_matches_against_the_scan_keypoint_tree(monkeypatch):
-    """ICP reuses the scan FeatureCloud's keypoint tree instead of building its own,
-    and places the reference keypoints itself from RANSAC's pose."""
+    """ICP matches against the scan FeatureCloud's keypoints, whose kept tree
+    RANSAC scored on, and places the reference keypoints itself from RANSAC's
+    pose."""
     ransac_calls, icp_calls = [], []
 
     def recording_ransac(scan, ref, *args, **kwargs):
@@ -489,9 +501,9 @@ def test_icp_matches_against_the_scan_keypoint_tree(monkeypatch):
         ransac_calls.append((scan, ref, result))
         return result
 
-    def recording_icp(scan, ref, cutoff, initial_pose, scan_tree):
-        icp_calls.append((ref, initial_pose, scan_tree))
-        return icp_refine(scan, ref, cutoff, initial_pose=initial_pose, scan_tree=scan_tree)
+    def recording_icp(scan, ref, cutoff, initial_pose):
+        icp_calls.append((scan, ref, initial_pose))
+        return icp_refine(scan, ref, cutoff, initial_pose=initial_pose)
 
     monkeypatch.setattr(pipeline_module, "ransac_register", recording_ransac)
     monkeypatch.setattr(pipeline_module, "icp_refine", recording_icp)
@@ -499,8 +511,8 @@ def test_icp_matches_against_the_scan_keypoint_tree(monkeypatch):
     scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
     register(scan, ref, seed=3)
     assert len(ransac_calls) == len(icp_calls) == 1
-    (scan_f, ref_f, coarse), (icp_ref, initial_pose, tree) = ransac_calls[0], icp_calls[0]
-    assert tree is scan_f.keypoint_tree
+    (scan_f, ref_f, coarse), (icp_scan, icp_ref, initial_pose) = ransac_calls[0], icp_calls[0]
+    assert icp_scan is scan_f.keypoints
     assert icp_ref is ref_f.keypoints
     assert initial_pose is coarse.pose
 
@@ -634,8 +646,8 @@ def test_a_ransac_run_that_scores_nothing_fails_without_a_pose(monkeypatch):
 # -- ICP ----------------------------------------------------------------------
 
 def refine(scan: PointCloud, ref: PointCloud, initial_pose: Pose = Pose.identity()):
-    """icp_refine of `ref` onto `scan` from `initial_pose`, with a tree over the scan."""
-    return icp_refine(scan, ref, ICP_CUTOFF, initial_pose, cKDTree(scan.points))
+    """icp_refine of `ref` onto `scan` from `initial_pose`."""
+    return icp_refine(scan, ref, ICP_CUTOFF, initial_pose)
 
 
 def test_icp_identical_clouds():
