@@ -2,7 +2,9 @@
 
 The redundancy of the 7-DoF chain is resolved by projecting a pull toward
 `bias_config` through (I - J+ J), so different bias configs select different
-solutions for the same end-effector target.
+solutions for the same end-effector target. One SVD of J = U diag(s) Vt per
+step gives both the damped least-squares step and that projector,
+Vt[r:]^T Vt[r:] with r the rank `np.linalg.pinv` finds.
 
 `ik` judges every iterate through `fk` and steps through `jacobian`, both on
 one `JointConfig` object, so the DH chain that configuration holds (see
@@ -28,11 +30,6 @@ MAX_ITERATIONS = 500
 POS_TOL = 1e-6   # m
 ROT_TOL = 1e-5   # rad
 MAX_STEP = 0.2   # per-joint step clamp, radians
-
-_EYE6 = np.eye(6)
-_EYE7 = np.eye(DOF)
-_EYE6.flags.writeable = False
-_EYE7.flags.writeable = False
 
 
 class UnreachableTargetError(RuntimeError):
@@ -69,13 +66,12 @@ def ik(model: ArmModel, target: Pose, bias_config: JointConfig, start: JointConf
         # stop on the pose just evaluated: it is the one judged below
         if task_ok or it == MAX_ITERATIONS:
             break
-        J = jacobian(model, q_cfg)
-        JJt = J @ J.T + lam2 * _EYE6
-        J_dls = J.T @ np.linalg.inv(JJt)
+        U, s, Vt = np.linalg.svd(jacobian(model, q_cfg))
         # exact projector: a damped pseudoinverse would leak the null-space
         # pull into task space and stall convergence at the damping scale
-        null_proj = _EYE7 - np.linalg.pinv(J) @ J
-        dq = J_dls @ err + null_proj @ (NULL_GAIN * (bias - q))
+        null = Vt[np.count_nonzero(s > 1e-15 * s[0]):]  # np.linalg.pinv's rank cutoff
+        dq = Vt[:6].T @ (s / (s * s + lam2) * (U.T @ err)) \
+            + null.T @ (null @ (NULL_GAIN * (bias - q)))
         dq = np.clip(dq, -MAX_STEP, MAX_STEP)
         q_cfg = JointConfig(model.clamp(q + dq))
 

@@ -347,6 +347,58 @@ def test_ik_bias_never_worse_than_unbiased():
         assert distance(biased, q) <= distance(unbiased, q) + 1e-9
 
 
+def reference_step(J, err, q, bias):
+    """`ik`'s step as it was formed before one SVD gave both terms: the damped
+    step through an inverse, the null-space pull through I - pinv(J) J."""
+    J_dls = J.T @ np.linalg.inv(J @ J.T + ik_module.DAMPING ** 2 * np.eye(6))
+    null_proj = np.eye(DOF) - np.linalg.pinv(J) @ J
+    return J_dls @ err + null_proj @ (ik_module.NULL_GAIN * (bias - q))
+
+
+def reference_iterates(model, target, bias, start):
+    """The joint angles of every iterate an IK loop on `reference_step` judges."""
+    iterates = [start.angles]
+    for _ in range(ik_module.MAX_ITERATIONS):
+        q = iterates[-1]
+        err = ik_module._pose_error(target, fk(model, JointConfig(q), check_limits=False))
+        if np.linalg.norm(err[:3]) < ik_module.POS_TOL and np.linalg.norm(err[3:]) < ik_module.ROT_TOL:
+            break
+        dq = reference_step(ik_module.jacobian(model, JointConfig(q)), err, q, bias)
+        iterates.append(model.clamp(q + np.clip(dq, -ik_module.MAX_STEP, ik_module.MAX_STEP)))
+    return iterates
+
+
+@pytest.mark.parametrize("zeroed, bound", [((), 1e-12), ((0, 1), 1e-8)],
+                         ids=["full_rank", "two_zero_columns"])
+def test_ik_iterates_match_the_inverse_and_pseudoinverse_reference(monkeypatch, zeroed, bound):
+    """One SVD per step walks the iterates of the inverse + pinv step, as many
+    of them and within `bound` rad, on the round-trip targets. With the first
+    two Jacobian columns zeroed the sixth singular value is tiny but not zero,
+    so pinv's rank cutoff decides a 2-D null space; 20 iterations keep the
+    unconverging walk short."""
+    mask = np.ones(DOF)
+    mask[list(zeroed)] = 0.0
+    monkeypatch.setattr(ik_module, "jacobian", lambda model, q: jacobian(model, q) * mask)
+    if zeroed:
+        monkeypatch.setattr(ik_module, "MAX_ITERATIONS", 20)
+    judged = []
+    monkeypatch.setattr(ik_module, "fk", lambda model, q, check_limits: (
+        judged.append(q.angles), fk(model, q, check_limits=check_limits))[1])
+    model = panda()
+    rng = np.random.default_rng(6)
+    for q in random_configs(model, 20, seed=7):
+        target = fk(model, q)
+        start = JointConfig(model.clamp(q.angles + rng.normal(scale=0.15, size=7)))
+        judged.clear()
+        try:
+            ik(model, target, bias_config=q, start=start)
+        except (UnreachableTargetError, LimitViolationError):
+            assert zeroed  # only the rank-deficient walk may fail to converge
+        reference = reference_iterates(model, target, q.angles, start)
+        assert len(judged) == len(reference)
+        assert np.max(np.abs(np.array(judged) - np.array(reference))) <= bound
+
+
 def test_ik_unreachable_target():
     model = panda()
     far = Pose(np.array([2.5, 0.0, 0.3]), np.array([1.0, 0, 0, 0]))
