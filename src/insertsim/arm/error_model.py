@@ -81,8 +81,8 @@ def execute_motion(model: ArmModel, err: ProprioceptionError, commanded: JointCo
     if previous is not None:
         amplitude = float(np.linalg.norm(commanded.angles - previous.angles))
     actual_q = commanded.angles + err.joint_bias + err.next_noise(amplitude)
-    reported = fk(model, commanded, check_limits=False)
-    actual = fk(model, JointConfig(actual_q), check_limits=False)
+    reported = fk(model, commanded)
+    actual = fk(model, JointConfig(actual_q))
     return reported, actual
 
 

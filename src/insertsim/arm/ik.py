@@ -7,14 +7,14 @@ step gives both the damped least-squares step and that projector,
 Vt[r:]^T Vt[r:] with r the rank `np.linalg.pinv` finds.
 
 `ik` judges every iterate through `fk` and steps through `jacobian`, both on
-one `JointConfig` object, so the DH chain that configuration holds (see
-`insertsim.arm.model`) is computed once per iterate. It starts from `start`
-itself and returns the configuration it judged, not a copy, so a caller's
-next `fk` of the result, or a next solve started from it, reads that chain
-too. The pose goes through `fk` rather than a chain computed here: the
+one `JointConfig` object, so the DH chain and pose that configuration holds
+(see `insertsim.arm.model`) are computed once per iterate. It starts from
+`start` itself and returns the configuration it judged, not a copy, so a
+caller's next `fk` of the result, or a next solve started from it, reads that
+chain too. The pose goes through `fk` rather than a chain computed here: the
 benchmark's `arm.fk` probe wraps this module's `fk` and counts one call per
-judged iterate (`arm.fk_per_ik`), and the held chain makes that call cost no
-second chain.
+judged iterate (`arm.fk_per_ik`). `fk` checks no limits; `ik` checks them on
+`start` alone, and every later iterate is clamped into them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from insertsim.geom import Pose, quat_to_rotvec, quat_multiply, quat_conjugate, vector_norm
-from insertsim.arm.model import DOF, ArmModel, JointConfig, fk, jacobian
+from insertsim.arm.model import ArmModel, JointConfig, fk, jacobian
 
 DAMPING = 1e-3
 NULL_GAIN = 0.1
@@ -54,14 +54,14 @@ def ik(model: ArmModel, target: Pose, bias_config: JointConfig, start: JointConf
     """
     model.check_limits(start)
     bias = bias_config.angles
-    if len(bias) != DOF or not np.all(np.isfinite(bias)):
-        raise ValueError(f"bias_config must hold {DOF} finite joint angles")
+    if not np.all(np.isfinite(bias)):
+        raise ValueError("bias_config must hold finite joint angles")
     q_cfg = start
     lam2 = DAMPING**2
 
     for it in range(MAX_ITERATIONS + 1):
         q = q_cfg.angles
-        err = _pose_error(target, fk(model, q_cfg, check_limits=False))
+        err = _pose_error(target, fk(model, q_cfg))
         task_ok = vector_norm(err[:3]) < POS_TOL and vector_norm(err[3:]) < ROT_TOL
         # stop on the pose just evaluated: it is the one judged below
         if task_ok or it == MAX_ITERATIONS:

@@ -1,9 +1,10 @@
 """Kinematics of the Panda arm in the modified DH convention.
 
-A `JointConfig` holds the DH chain it was last evaluated under: `_frames`
-chains a (model, configuration) pair once and returns the held, read-only
-frames to every later `fk` or `jacobian` call on the same configuration
-object under the same model object. The held chain cannot go stale, because
+A `JointConfig` holds the DH chain it was last evaluated under, with the
+end-effector pose of that chain: `_held_chain` chains a (model,
+configuration) pair once and returns the held, read-only frames and pose to
+every later `fk` or `jacobian` call on the same configuration object under
+the same model object. The held chain cannot go stale, because
 `JointConfig.angles` is a read-only copy and every array of an `ArmModel` is
 read-only; a configuration evaluated under another model object is chained
 again for that model.
@@ -48,21 +49,18 @@ _EYE4.flags.writeable = False
 
 @dataclass(frozen=True)
 class JointConfig:
-    """Joint angles in radians."""
+    """The seven joint angles of the chain, in radians."""
 
     angles: np.ndarray
-    # (model, frames) of the last _frames call on this configuration
+    # (model, frames, pose) of the last _held_chain call on this configuration
     _held: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.angles, dtype=np.float64).copy()
-        if a.ndim != 1:
-            raise ValueError("angles must be a flat vector")
+        if a.shape != (DOF,):
+            raise ValueError(f"expected {DOF} joint angles, got shape {a.shape}")
         a.flags.writeable = False
         object.__setattr__(self, "angles", a)
-
-    def __len__(self) -> int:
-        return len(self.angles)
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,6 @@ class ArmModel:
 
     def check_limits(self, q: JointConfig) -> None:
         a = q.angles
-        if len(a) != DOF:
-            raise ValueError(f"expected {DOF} joint angles, got {len(a)}")
         lo, hi = self.joint_limits[:, 0], self.joint_limits[:, 1]
         # written so that a NaN angle fails it too
         inside = (lo - 1e-12 <= a) & (a <= hi + 1e-12)
@@ -117,17 +113,18 @@ class ArmModel:
         return np.clip(angles, self.joint_limits[:, 0], self.joint_limits[:, 1])
 
 
-def _frames(model: ArmModel, q: JointConfig) -> np.ndarray:
+def _held_chain(model: ArmModel, q: JointConfig) -> tuple[np.ndarray, Pose]:
     """Cumulative frames T_0..T_7 from the base, as one read-only (8, 4, 4)
-    array: the chain held on `q` if `q` was last chained under `model`
-    itself, otherwise a new one, which `q` then holds."""
+    array, and the end-effector pose of T_7: the pair held on `q` if `q` was
+    last chained under `model` itself, otherwise a new one, which `q` then
+    holds."""
     held = q._held
-    if held is not None and held[0] is model:
-        return held[1]
-    frames = _chain(model, q.angles)
-    frames.flags.writeable = False
-    object.__setattr__(q, "_held", (model, frames))
-    return frames
+    if held is None or held[0] is not model:
+        frames = _chain(model, q.angles)
+        frames.flags.writeable = False
+        held = (model, frames, Pose.from_matrix(frames[-1]))
+        object.__setattr__(q, "_held", held)
+    return held[1:]
 
 
 def _chain(model: ArmModel, angles: np.ndarray) -> np.ndarray:
@@ -159,18 +156,19 @@ def _chain(model: ArmModel, angles: np.ndarray) -> np.ndarray:
     return frames
 
 
-def fk(model: ArmModel, q: JointConfig, check_limits: bool = True) -> Pose:
-    """End-effector pose from the chained DH transforms."""
-    if check_limits:
-        model.check_limits(q)
-    elif len(q) != DOF:
-        raise ValueError(f"expected {DOF} joint angles")
-    return Pose.from_matrix(_frames(model, q)[-1])
+def fk(model: ArmModel, q: JointConfig) -> Pose:
+    """End-effector pose from the chained DH transforms.
+
+    Pure kinematics: it does not check the joint limits. `ArmModel.check_limits`
+    does, called by `execute_motion` on every commanded configuration and by
+    `ik` on its start.
+    """
+    return _held_chain(model, q)[1]
 
 
 def jacobian(model: ArmModel, q: JointConfig) -> np.ndarray:
     """Geometric Jacobian (6 x 7): linear rows on top, angular below."""
-    joints = _frames(model, q)[1:]  # frame of joint i: its z-axis is the rotation axis
+    joints = _held_chain(model, q)[0][1:]  # frame of joint i: its z-axis is the rotation axis
     z = joints[:, :3, 2].T                                 # (3, 7) joint axes
     r = joints[-1, :3, 3, None] - joints[:, :3, 3].T       # (3, 7) lever arms to the flange
     # z x r per component, as np.cross forms it

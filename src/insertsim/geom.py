@@ -244,36 +244,17 @@ def column_norm(x, y, z) -> np.ndarray:
     return np.sqrt((x * x + y * y) + z * z)
 
 
-def _raster_cells_unique(raster: np.ndarray) -> bool:
-    """Whether no two rows of an (N, 2) integer raster name the same cell."""
-    n = len(raster)
-    if n == 0:
-        return True
-    # per column, and in Python ints, which cannot wrap
-    lo = [int(raster[:, a].min()) for a in range(2)]
-    rows, cols = (int(raster[:, a].max()) - lo[a] + 1 for a in range(2))
-    if rows * cols > 4 * n:  # a bounding box this sparse is not worth a grid
-        return len(np.unique(raster, axis=0)) == n
-    # scatter every point's number into its cell and read it back: a cell
-    # shared by two points keeps only one of them
-    cells = (raster[:, 0] - lo[0]) * cols + (raster[:, 1] - lo[1])
-    slot = np.empty(rows * cols, dtype=np.intp)
-    order = np.arange(n)
-    slot[cells] = order
-    return bool(np.array_equal(slot[cells], order))
-
-
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered 3-D points in meters, with the scanner raster behind them.
+    """Ordered 3-D points in meters, with or without a scanner raster.
 
-    `raster`, when given, is each point's (profile, column) cell in the
-    scanner raster that produced it: an (N, 2) integer array, one point per
-    cell. `raster_shape`, when given, is that raster's full (profiles,
-    columns) shape, misses included, and every cell lies inside it; without
-    it a miss past the last hit cannot be told from the raster's edge. A
-    scanner sets both, and `select` keeps them. Clouds with no scanner behind
-    them leave them None.
+    A cloud is in one of two states. A scanner cloud has both `raster`, each
+    point's (profile, column) cell in the raster that produced it, an (N, 2)
+    integer array with one point per cell, and `raster_shape`, that raster's
+    full (profiles, columns) shape, misses included, with every cell inside
+    it: without the shape a miss past the last hit could not be told from the
+    raster's edge. A scanner sets both, and `select` keeps them. A cloud with
+    no scanner behind it has neither.
     """
 
     points: np.ndarray
@@ -291,25 +272,30 @@ class PointCloud:
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if self.raster is not None:
-            ras = np.asarray(self.raster)
-            if ras.shape != (len(pts), 2) or not np.issubdtype(ras.dtype, np.integer):
-                raise ValueError(f"raster must be an ({len(pts)}, 2) integer array")
-            ras = ras.astype(np.int64)
-            if not _raster_cells_unique(ras):
-                raise ValueError("raster cells must be unique")
-            ras.flags.writeable = False
-            object.__setattr__(self, "raster", ras)
-        if self.raster_shape is not None:
-            shape = tuple(self.raster_shape)
-            if self.raster is None or len(shape) != 2 or not all(
-                    isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
-                    for n in shape):
-                raise ValueError("raster_shape must be two integers >= 1 and needs a raster")
-            shape = (int(shape[0]), int(shape[1]))
-            if len(self.raster) and (self.raster.min() < 0 or np.any(self.raster.max(axis=0) >= shape)):
-                raise ValueError(f"raster cells must lie inside raster_shape {shape}")
-            object.__setattr__(self, "raster_shape", shape)
+        if (self.raster is None) != (self.raster_shape is None):
+            raise ValueError("raster and raster_shape come together or not at all")
+        if self.raster is None:
+            return
+        ras = np.asarray(self.raster)
+        if ras.shape != (len(pts), 2) or not np.issubdtype(ras.dtype, np.integer):
+            raise ValueError(f"raster must be an ({len(pts)}, 2) integer array")
+        shape = tuple(self.raster_shape)
+        if len(shape) != 2 or not all(
+                isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
+                for n in shape):
+            raise ValueError("raster_shape must be two integers >= 1")
+        rows, cols = shape = (int(shape[0]), int(shape[1]))
+        if rows * cols >= 2 ** 63:  # a cell's code below would overflow int64
+            raise ValueError(f"raster_shape {shape} must hold fewer than 2**63 cells")
+        ras = ras.astype(np.int64)
+        if len(ras) and (ras.min() < 0 or np.any(ras.max(axis=0) >= shape)):
+            raise ValueError(f"raster cells must lie inside raster_shape {shape}")
+        codes = np.sort(ras[:, 0] * cols + ras[:, 1])  # one code per cell of the shape
+        if np.any(codes[1:] == codes[:-1]):
+            raise ValueError("raster cells must be unique")
+        ras.flags.writeable = False
+        object.__setattr__(self, "raster", ras)
+        object.__setattr__(self, "raster_shape", shape)
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -42,27 +42,22 @@ def icp_refine(scan: PointCloud, ref: PointCloud, cutoff: float,
     moving = initial_pose.transform_points(ref.points)
     R_total = np.eye(3)
     t_total = np.zeros(3)
-    iterations = 0
-    for _ in range(MAX_ITERATIONS):
+    converged = False
+    for iterations in range(MAX_ITERATIONS + 1):
         d, idx = scan.tree.query(moving, distance_upper_bound=cutoff)
         matched = np.isfinite(d)
         if not np.any(matched):
             raise DivergenceError("no correspondences within the cutoff distance")
-        targets = scan.points[idx[matched]]
-        R, t = kabsch_transform(moving[matched], targets)
+        # stop on the pose just matched: its matches give the fitness
+        if converged or iterations == MAX_ITERATIONS:
+            break
+        R, t = kabsch_transform(moving[matched], scan.points[idx[matched]])
         moving = moving @ R.T + t
         R_total = R @ R_total
         t_total = R @ t_total + t
-        iterations += 1
         angle = np.arccos(np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0))
-        if np.linalg.norm(t) < _POS_CONVERGE and angle < _ROT_CONVERGE:
-            break
+        converged = np.linalg.norm(t) < _POS_CONVERGE and angle < _ROT_CONVERGE
 
-    d, _ = scan.tree.query(moving, distance_upper_bound=cutoff)
-    matched = np.isfinite(d)
-    if not np.any(matched):
-        raise DivergenceError("no correspondences within the cutoff distance")
     fitness = float(np.mean(d[matched] ** 2))
     incremental = Pose(t_total, quat_from_matrix(R_total))
     return IcpResult(fitness, pose_compose(incremental, initial_pose), iterations)
-

@@ -44,7 +44,7 @@ from insertsim.registration.ransac import ransac_register
 
 def _prepare(cloud: PointCloud):
     """The cloud's FeatureCloud, and the (ds, dl) pitch of its raster."""
-    if cloud.raster_shape is None or len(cloud) == 0:
+    if cloud.raster is None or len(cloud) == 0:
         raise ValueError("registration takes non-empty scanner clouds, with a raster shape")
     cells = raster_cells(cloud)
     pitch = raster_pitch(cloud, cells)

@@ -88,12 +88,6 @@ def test_fk_matches_homogeneous_chain_oracle():
         np.testing.assert_allclose(pose.rotation_matrix(), T[:3, :3], atol=1e-10)
 
 
-def test_fk_rejects_out_of_limit_joints():
-    model = panda()
-    with pytest.raises(ValueError):
-        fk(model, JointConfig(np.zeros(7)))  # joint 4 limit range excludes 0
-
-
 def test_jacobian_matches_central_differences():
     model = panda()
     h = 1e-6
@@ -103,8 +97,8 @@ def test_jacobian_matches_central_differences():
         for i in range(7):
             dq = np.zeros(7)
             dq[i] = h
-            plus = fk(model, JointConfig(q.angles + dq), check_limits=False)
-            minus = fk(model, JointConfig(q.angles - dq), check_limits=False)
+            plus = fk(model, JointConfig(q.angles + dq))
+            minus = fk(model, JointConfig(q.angles - dq))
             J_fd[:3, i] = (plus.position - minus.position) / (2 * h)
             q_rel = quat_multiply(plus.orientation, quat_conjugate(minus.orientation))
             J_fd[3:, i] = quat_to_rotvec(q_rel) / (2 * h)
@@ -112,7 +106,7 @@ def test_jacobian_matches_central_differences():
 
 
 def reference_frames(model, q):
-    """The per-row loop _frames replaced: one 4 x 4 np.array per link, built
+    """The per-row loop _chain replaced: one 4 x 4 np.array per link, built
     from numpy scalars, chained with `@`."""
     T = np.eye(4)
     frames = [T]
@@ -135,13 +129,13 @@ def reference_frames(model, q):
 def test_frames_match_the_per_row_reference_bit_for_bit():
     model = panda()
     for q in configs_to_the_limits(model):
-        frames = model_module._frames(model, q)
+        frames = model_module._held_chain(model, q)[0]
         assert frames.shape == (DOF + 1, 4, 4)
         assert same_bits(frames, np.stack(reference_frames(model, q)))
 
 
 def test_vector_cos_and_sin_match_the_scalar_calls_bit_for_bit():
-    """_frames takes the cosines and sines of all joints in one call each;
+    """_chain takes the cosines and sines of all joints in one call each;
     the per-row loop took them one numpy scalar at a time."""
     model = panda()
     offset, alpha = model.dh_parameters[:, 3], model.dh_parameters[:, 2]
@@ -189,9 +183,9 @@ def open_loop_insertions(monkeypatch, seed, trials):
 
 def test_open_loop_insertions_match_the_reference_kernels_bit_for_bit(monkeypatch):
     """Whole open-loop insertions, run once on the production kernels and once
-    on the per-row _frames and per-column jacobian, end on the same bits."""
+    on the per-row chain and per-column jacobian, end on the same bits."""
     production = open_loop_insertions(monkeypatch, 901, (0, 1))
-    calls = {"frames": 0, "jacobian": 0}
+    calls = {"chain": 0, "jacobian": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -199,10 +193,11 @@ def test_open_loop_insertions_match_the_reference_kernels_bit_for_bit(monkeypatc
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(model_module, "_frames", counted("frames", reference_frames))
+    monkeypatch.setattr(model_module, "_chain", counted(
+        "chain", lambda model, angles: np.stack(reference_frames(model, JointConfig(angles)))))
     monkeypatch.setattr(ik_module, "jacobian", counted("jacobian", reference_jacobian))
     reference = open_loop_insertions(monkeypatch, 901, (0, 1))
-    assert calls["frames"] > calls["jacobian"] > 0  # the reference kernels ran
+    assert calls["chain"] > calls["jacobian"] > 0  # the reference kernels ran
     assert len(production) == len(reference) == 2
     for (final, path), (ref_final, ref_path) in zip(production, reference):
         assert same_bits(final.position, ref_final.position)
@@ -248,8 +243,9 @@ def test_a_held_chain_is_the_chain_of_its_own_model():
 
 def test_held_frames_are_read_only():
     model = panda()
-    frames = model_module._frames(model, HOME)
-    assert model_module._frames(model, HOME) is frames
+    frames, pose = model_module._held_chain(model, HOME)
+    assert model_module._held_chain(model, HOME)[0] is frames
+    assert fk(model, HOME) is pose
     with pytest.raises(ValueError):
         frames[-1, 0, 3] = 0.0
     with pytest.raises(ValueError):
@@ -270,10 +266,16 @@ def test_mutating_a_source_array_leaves_fk_unchanged():
         assert same_bits(pose.orientation, expected.orientation)
 
 
+@pytest.mark.parametrize("angles", [np.zeros(6), np.zeros(8), np.zeros((1, 7)), 0.0],
+                         ids=["six", "eight", "row", "scalar"])
+def test_a_joint_config_holds_seven_angles(angles):
+    with pytest.raises(ValueError, match=r"expected 7 joint angles"):
+        JointConfig(angles)
+
+
 NAN_AT_2 = JointConfig(np.where(np.arange(7) == 2, np.nan, HOME.angles))
 NAN_JOINT_ENTRY_POINTS = {
     "check_limits": lambda model: model.check_limits(NAN_AT_2),
-    "fk": lambda model: fk(model, NAN_AT_2),
     "ik_start": lambda model: ik(model, fk(model, HOME), bias_config=HOME, start=NAN_AT_2),
     "execute_motion": lambda model: execute_motion(model, ProprioceptionError(np.zeros(7), 0), NAN_AT_2),
 }
@@ -292,8 +294,8 @@ def test_fk_lipschitz_smoothness():
     for q in random_configs(model, 50, seed=4):
         delta = rng.normal(scale=3e-4, size=7)
         delta *= min(1.0, 1e-3 / np.linalg.norm(delta))
-        a = fk(model, q, check_limits=False)
-        b = fk(model, JointConfig(q.angles + delta), check_limits=False)
+        a = fk(model, q)
+        b = fk(model, JointConfig(q.angles + delta))
         assert np.linalg.norm(b.position - a.position) <= L * np.linalg.norm(delta)
 
 
@@ -315,7 +317,7 @@ def test_ik_round_trip_100_targets():
         target = fk(model, q)
         start = JointConfig(model.clamp(q.angles + rng.normal(scale=0.15, size=7)))
         sol = ik(model, target, bias_config=q, start=start)
-        reached = fk(model, sol, check_limits=False)
+        reached = fk(model, sol)
         assert np.linalg.norm(reached.position - target.position) < 1e-6
         assert reached.rotation_to(target) < 1e-5
         ok += 1
@@ -360,7 +362,7 @@ def reference_iterates(model, target, bias, start):
     iterates = [start.angles]
     for _ in range(ik_module.MAX_ITERATIONS):
         q = iterates[-1]
-        err = ik_module._pose_error(target, fk(model, JointConfig(q), check_limits=False))
+        err = ik_module._pose_error(target, fk(model, JointConfig(q)))
         if np.linalg.norm(err[:3]) < ik_module.POS_TOL and np.linalg.norm(err[3:]) < ik_module.ROT_TOL:
             break
         dq = reference_step(ik_module.jacobian(model, JointConfig(q)), err, q, bias)
@@ -382,8 +384,7 @@ def test_ik_iterates_match_the_inverse_and_pseudoinverse_reference(monkeypatch, 
     if zeroed:
         monkeypatch.setattr(ik_module, "MAX_ITERATIONS", 20)
     judged = []
-    monkeypatch.setattr(ik_module, "fk", lambda model, q, check_limits: (
-        judged.append(q.angles), fk(model, q, check_limits=check_limits))[1])
+    monkeypatch.setattr(ik_module, "fk", lambda model, q: (judged.append(q.angles), fk(model, q))[1])
     model = panda()
     rng = np.random.default_rng(6)
     for q in random_configs(model, 20, seed=7):
@@ -407,7 +408,6 @@ def test_ik_unreachable_target():
 
 
 BAD_BIASES = {
-    "six_long": np.zeros(6),
     "nan": NAN_AT_2.angles,
     "inf": np.where(np.arange(7) == 5, np.inf, HOME.angles),
 }
@@ -443,7 +443,7 @@ def test_ik_judges_the_last_evaluated_pose(monkeypatch):
     sol = ik(model, target, bias_config=HOME, start=JointConfig(HOME.angles + 0.05))
     assert calls["jacobian"] > 0
     assert calls["fk"] == calls["jacobian"] + 1
-    assert fk(model, sol, check_limits=False).translation_to(target) < ik_module.POS_TOL
+    assert fk(model, sol).translation_to(target) < ik_module.POS_TOL
 
     calls.update(fk=0, jacobian=0)
     far = Pose(np.array([2.5, 0.0, 0.3]), np.array([1.0, 0, 0, 0]))

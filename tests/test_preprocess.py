@@ -154,32 +154,37 @@ def test_raster_sor_with_few_points(n):
 def test_raster_validation():
     pts = np.zeros((3, 3))
     pts[:, 0] = [0.0, 1.0, 2.0]
-    PointCloud(pts, raster=np.array([[0, 0], [0, 1], [5, 7]], dtype=np.int32))
+    PointCloud(pts, raster=np.array([[0, 0], [0, 1], [5, 7]], dtype=np.int32), raster_shape=(6, 8))
     with pytest.raises(ValueError, match="unique"):
-        PointCloud(pts, raster=np.array([[0, 0], [0, 1], [0, 0]]))
-    with pytest.raises(ValueError, match="unique"):  # a box too sparse to grid
-        PointCloud(pts, raster=np.array([[0, 0], [10 ** 12, 1], [10 ** 12, 1]]))
+        PointCloud(pts, raster=np.array([[0, 0], [0, 1], [0, 0]]), raster_shape=(1, 2))
+    with pytest.raises(ValueError, match="unique"):  # a large shape, sparsely hit
+        PointCloud(pts, raster=np.array([[0, 0], [10 ** 12, 1], [10 ** 12, 1]]),
+                   raster_shape=(10 ** 12 + 1, 10 ** 6))
     for bad in (np.zeros((3, 3), dtype=np.int64), np.zeros((2, 2), dtype=np.int64),
                 np.zeros((3, 2)), np.zeros((3, 2), dtype=bool)):
-        with pytest.raises(ValueError, match="raster"):
-            PointCloud(pts, raster=bad)
-    cloud = PointCloud(pts, raster=np.array([[0, 0], [0, 1], [1, 0]]))
-    assert cloud.raster.dtype == np.int64 and not cloud.raster.flags.writeable
-    np.testing.assert_array_equal(cloud.select([2, 0]).raster, [[1, 0], [0, 0]])
-    assert PointCloud(pts).select([0]).raster is None
-    # the raster's shape: every cell inside it, kept by select
+        with pytest.raises(ValueError, match="integer array"):
+            PointCloud(pts, raster=bad, raster_shape=(2, 3))
     cells = np.array([[0, 0], [0, 1], [1, 2]])
-    shaped = PointCloud(pts, raster=cells, raster_shape=(2, np.int64(3)))
-    assert shaped.raster_shape == (2, 3)
-    assert cloud.select([2, 0]).raster_shape is None
-    assert shaped.select([2, 0]).raster_shape == (2, 3)
-    for bad in ((2,), (2, 3, 1), (2, 0), (2, 3.0), (True, 3), (1, 3), (2, 2)):
+    cloud = PointCloud(pts, raster=cells, raster_shape=(2, np.int64(3)))
+    assert cloud.raster.dtype == np.int64 and not cloud.raster.flags.writeable
+    assert cloud.raster_shape == (2, 3)
+    # select keeps the raster and its shape, or the lack of both
+    np.testing.assert_array_equal(cloud.select([2, 0]).raster, [[1, 2], [0, 0]])
+    assert cloud.select([2, 0]).raster_shape == (2, 3)
+    bare = PointCloud(pts).select([0])
+    assert bare.raster is None and bare.raster_shape is None
+    for bad in ((2,), (2, 3, 1), (2, 0), (2, 3.0), (True, 3), (1, 3), (2, 2),
+                (2 ** 32, 2 ** 31), (2 ** 63, 1)):
         with pytest.raises(ValueError, match="raster_shape"):
             PointCloud(pts, raster=cells, raster_shape=bad)
+    PointCloud(pts, raster=cells, raster_shape=(2 ** 32, 2 ** 31 - 1))  # 2**63 - 2**32 cells
     with pytest.raises(ValueError, match="raster_shape"):
         PointCloud(pts, raster=-cells, raster_shape=(2, 3))
+    # a raster and its shape come together or not at all
     with pytest.raises(ValueError, match="raster_shape"):
         PointCloud(pts, raster_shape=(2, 3))
+    with pytest.raises(ValueError, match="raster_shape"):
+        PointCloud(pts, raster=cells)
 
 
 # -- outline of a scan -------------------------------------------------------------
@@ -312,17 +317,17 @@ def test_prepare_cloud_registers_a_scan_on_its_outline(monkeypatch):
 
 
 def test_registration_rejects_a_cloud_without_a_raster_shape():
-    """Registration takes scanner clouds: a cloud without its raster shape,
-    as reference (prepared by prepare_cloud) or as scan, raises and names
-    what it lacks."""
+    """Registration takes scanner clouds: a cloud without a raster and its
+    shape, as reference (prepared by prepare_cloud) or as scan, raises and
+    names what it lacks."""
     scan = plate_scan("sparse", "yaw+3", CAL)
     params = RegistrationParams()
     ref = prepare_cloud(scan, params)
-    for bare in (PointCloud(scan.points, raster=scan.raster), PointCloud(scan.points)):
-        with pytest.raises(ValueError, match="raster shape"):
-            prepare_cloud(bare, params)
-        with pytest.raises(ValueError, match="raster shape"):
-            estimate_pose(bare, scan, params, 0, ref)
+    bare = PointCloud(scan.points)
+    with pytest.raises(ValueError, match="raster shape"):
+        prepare_cloud(bare, params)
+    with pytest.raises(ValueError, match="raster shape"):
+        estimate_pose(bare, scan, params, 0, ref)
 
 
 def test_a_plate_across_the_last_profile_has_no_outline_on_it():

@@ -106,15 +106,18 @@ def reference_sweep_scan(scene: Scene, trajectory, cfg: ScannerConfig,
         pts_sensor[:, 2] = depth[mask]
         pts.append(pts_sensor @ assumed.rotation_matrix().T + assumed.position)
         cells.append(np.column_stack([np.full(mask.sum(), k, dtype=np.int64), np.flatnonzero(mask)]))
+    shape = (len(trajectory), n)
     if not pts:
-        return PointCloud(np.zeros((0, 3)), raster=np.zeros((0, 2), dtype=np.int64))
-    return PointCloud(np.vstack(pts), raster=np.vstack(cells))
+        return PointCloud(np.zeros((0, 3)), raster=np.zeros((0, 2), dtype=np.int64),
+                          raster_shape=shape)
+    return PointCloud(np.vstack(pts), raster=np.vstack(cells), raster_shape=shape)
 
 
 def assert_same_sweep(got: PointCloud, want: PointCloud):
     for a, b in ((got.points, want.points), (got.raster, want.raster)):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
+    assert got.raster_shape == want.raster_shape
 
 
 HOLE_PLATE = HolePlate((3e-3, 3e-3), 1e-3, (5e-4, 6e-4), hole_center=(8e-4, 3e-4))
