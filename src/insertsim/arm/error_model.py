@@ -37,34 +37,29 @@ class ProprioceptionError:
         if self.joint_bias.shape != (7,) or not np.all(np.isfinite(self.joint_bias)):
             raise ValueError("joint_bias must have 7 finite entries")
         self._noise_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x4015E]))
-        self._state = None  # the first draw replaces it
+        self._state = np.zeros(7)  # the first draw, at amplitude inf, replaces it
 
     @classmethod
     def draw(cls, seed: int) -> "ProprioceptionError":
         bias_rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xB1A5]))
         return cls(bias_rng.normal(scale=BIAS_STD, size=7), seed)
 
-    def next_noise(self, motion_amplitude: float | None) -> np.ndarray:
+    def next_noise(self, motion_amplitude: float) -> np.ndarray:
         """Advance the repeatability state for one commanded motion.
 
-        `motion_amplitude` is the joint-space travel (rad); None (or inf)
-        means a large, fully decorrelating motion. NaN is refused before
-        anything is drawn, so the state and the generator stay as they were.
+        `motion_amplitude` is the joint-space travel (rad); inf means a
+        large, fully decorrelating motion: exp(-inf) = 0, so the state
+        becomes the fresh draw exactly. NaN is refused before anything is
+        drawn, so the state and the generator stay as they were.
         The marginal distribution of the returned state is
         N(0, REPEAT_STD^2) per joint regardless of the motion history.
         """
-        if motion_amplitude is not None and math.isnan(motion_amplitude):
+        if math.isnan(motion_amplitude):
             raise ValueError("motion_amplitude must not be NaN")
-        if motion_amplitude is None:
-            rho = 0.0
-        else:
-            travel = abs(float(motion_amplitude)) + BASE_DECORRELATION
-            rho = float(np.exp(-travel / DECORRELATION_SCALE))
+        travel = abs(float(motion_amplitude)) + BASE_DECORRELATION
+        rho = float(np.exp(-travel / DECORRELATION_SCALE))
         fresh = self._noise_rng.normal(scale=REPEAT_STD, size=7)
-        if self._state is None:
-            self._state = fresh
-        else:
-            self._state = rho * self._state + np.sqrt(1.0 - rho * rho) * fresh
+        self._state = rho * self._state + np.sqrt(1.0 - rho * rho) * fresh
         return self._state.copy()
 
 
@@ -77,7 +72,7 @@ def execute_motion(model: ArmModel, err: ProprioceptionError, commanded: JointCo
     `previous` the motion counts as large and the noise state is redrawn.
     """
     model.check_limits(commanded)
-    amplitude = None
+    amplitude = math.inf
     if previous is not None:
         amplitude = float(np.linalg.norm(commanded.angles - previous.angles))
     actual_q = commanded.angles + err.joint_bias + err.next_noise(amplitude)

@@ -246,20 +246,18 @@ def column_norm(x, y, z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered 3-D points in meters, with or without a scanner raster.
+    """Ordered 3-D points in meters, with or without a scanner's hit mask.
 
-    A cloud is in one of two states. A scanner cloud has both `raster`, each
-    point's (profile, column) cell in the raster that produced it, an (N, 2)
-    integer array with one point per cell, and `raster_shape`, that raster's
-    full (profiles, columns) shape, misses included, with every cell inside
-    it: without the shape a miss past the last hit could not be told from the
-    raster's edge. A scanner sets both, and `select` keeps them. A cloud with
-    no scanner behind it has neither.
+    A scanner cloud carries `hits`, the full (profiles, columns) boolean
+    raster of the sweep that produced it, misses included: point i lies in
+    the i-th True cell in row-major order, so `np.argwhere(hits)` is each
+    point's (profile, column) cell, one point per cell inside the raster by
+    construction. `select` keeps the mask in step with the points. A cloud
+    with no scanner behind it has no mask.
     """
 
     points: np.ndarray
-    raster: Optional[np.ndarray] = field(default=None)
-    raster_shape: Optional[tuple] = field(default=None)
+    hits: Optional[np.ndarray] = field(default=None)
 
     def __post_init__(self):
         pts = np.atleast_2d(_as_f64(self.points))
@@ -272,30 +270,13 @@ class PointCloud:
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
-        if (self.raster is None) != (self.raster_shape is None):
-            raise ValueError("raster and raster_shape come together or not at all")
-        if self.raster is None:
+        if self.hits is None:
             return
-        ras = np.asarray(self.raster)
-        if ras.shape != (len(pts), 2) or not np.issubdtype(ras.dtype, np.integer):
-            raise ValueError(f"raster must be an ({len(pts)}, 2) integer array")
-        shape = tuple(self.raster_shape)
-        if len(shape) != 2 or not all(
-                isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1
-                for n in shape):
-            raise ValueError("raster_shape must be two integers >= 1")
-        rows, cols = shape = (int(shape[0]), int(shape[1]))
-        if rows * cols >= 2 ** 63:  # a cell's code below would overflow int64
-            raise ValueError(f"raster_shape {shape} must hold fewer than 2**63 cells")
-        ras = ras.astype(np.int64)
-        if len(ras) and (ras.min() < 0 or np.any(ras.max(axis=0) >= shape)):
-            raise ValueError(f"raster cells must lie inside raster_shape {shape}")
-        codes = np.sort(ras[:, 0] * cols + ras[:, 1])  # one code per cell of the shape
-        if np.any(codes[1:] == codes[:-1]):
-            raise ValueError("raster cells must be unique")
-        ras.flags.writeable = False
-        object.__setattr__(self, "raster", ras)
-        object.__setattr__(self, "raster_shape", shape)
+        hits = np.array(self.hits)
+        if hits.ndim != 2 or hits.dtype != bool or np.count_nonzero(hits) != len(pts):
+            raise ValueError(f"hits must be a 2-D boolean raster with {len(pts)} True cells")
+        hits.flags.writeable = False
+        object.__setattr__(self, "hits", hits)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -306,7 +287,15 @@ class PointCloud:
         point query reads it, so a cloud is indexed once."""
         return cKDTree(self.points)
 
-    def select(self, index) -> "PointCloud":
-        ras = self.raster[index] if self.raster is not None else None
-        return PointCloud(self.points[index], ras, self.raster_shape)
+    def select(self, keep) -> "PointCloud":
+        """The points where `keep`, a boolean mask with one entry per point,
+        is True, each still in its cell of the mask."""
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (len(self),):
+            raise ValueError(f"keep must be a boolean mask of {len(self)} entries")
+        hits = None
+        if self.hits is not None:
+            hits = self.hits.copy()
+            hits[hits] = keep
+        return PointCloud(self.points[keep], hits)
 

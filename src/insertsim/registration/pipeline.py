@@ -1,10 +1,10 @@
 """Full pose estimation: prepare both clouds, then one pass of RANSAC ->
 ICP -> orientation gate -> fitness check.
 
-Both clouds are scanner clouds, which carry their raster and the raster's
-shape. Each is registered on its outline. Every distance threshold is
-derived from the scan's (ds, dl) pitch, the median point spacing along
-profiles and across them (`preprocess.raster_pitch`); with d = max(ds, dl):
+Both clouds are scanner clouds, which carry their scanner's hit mask. Each
+is registered on its outline. Every distance threshold is derived from the
+scan's (ds, dl) pitch, the median point spacing along profiles and across
+them, which `preprocess.outline` measures; with d = max(ds, dl):
 
   - rho_icp, the fitness gate: ds^2 + dl^2, 12x the mean squared offset from
     its cell's centre of a point placed uniformly in a ds x dl cell;
@@ -38,18 +38,15 @@ from insertsim.registration.params import (
     RegistrationResult,
     in_orientation_gate,
 )
-from insertsim.registration.preprocess import outline, raster_cells, raster_pitch
+from insertsim.registration.preprocess import outline
 from insertsim.registration.ransac import ransac_register
 
 
 def _prepare(cloud: PointCloud):
     """The cloud's FeatureCloud, and the (ds, dl) pitch of its raster."""
-    if cloud.raster is None or len(cloud) == 0:
-        raise ValueError("registration takes non-empty scanner clouds, with a raster shape")
-    cells = raster_cells(cloud)
-    pitch = raster_pitch(cloud, cells)
-    edge, normals = outline(cloud, cells)
-    del cells  # not held through FPFH, which sets a dense trial's peak memory
+    if cloud.hits is None or len(cloud) == 0:
+        raise ValueError("registration takes non-empty scanner clouds, with their hit mask")
+    edge, normals, pitch = outline(cloud)
     return compute_features(edge, normals, 5e-4 + max(pitch)), pitch
 
 

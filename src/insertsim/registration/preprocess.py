@@ -2,16 +2,16 @@
 
 A scanned part with a flat face gives the same FPFH descriptor at every
 point of that face, so registration on the whole cloud has nothing to
-match; the part's outline carries the in-plane shape. When a cloud carries
-its scanner raster and the raster's shape, `outline` keeps the hit cells
-with a miss among their 8 neighbours (cells on the raster's border are
-never outline: what lies past them was not scanned) and gives each an
-in-plane normal from the hit mask alone: the Sobel gradient of the
-occupancy image, mapped into 3-D through the raster's axes. `raster_pitch`
-measures the point spacing along and across profiles, from which
-`pipeline` derives every registration threshold.
+match; the part's outline carries the in-plane shape. `outline` takes a
+cloud that carries its scanner's hit mask and keeps the hit cells with a
+miss among their 8 neighbours (cells on the raster's border are never
+outline: what lies past them was not scanned). It gives each an in-plane
+normal from the hit mask alone: the Sobel gradient of the occupancy image,
+mapped into 3-D through the raster's axes. It also measures the point
+spacing along and across profiles (`_raster_pitch`), from which `pipeline`
+derives every registration threshold.
 Both read one cell table over the hits' bounding box padded by one cell and
-clipped to the raster (`raster_cells`): past its edge lie misses or no raster.
+clipped to the raster (`_raster_cells`): past its edge lie misses or no raster.
 A line scanner measures no normals; `outline` returns the outline's.
 The scanner adds no outliers, and outlier removal would drop only outline
 points, so registration runs neither it nor a voxel grid.
@@ -49,23 +49,24 @@ def statistical_outlier_removal(cloud: PointCloud, mean_k: int, std_ratio: float
     return cloud.select(keep)
 
 
-def raster_cells(cloud: PointCloud) -> tuple:
-    """(table, profile, column): the point in each cell of the hits' window
-    (module docstring), -1 for a miss, and each point's cell in the window."""
-    raster = cloud.raster.T  # one row per axis: reducing (N, 2) along axis 0 is slow
-    lo = [max(r.min() - 1, 0) for r in raster]
-    hi = [min(r.max() + 2, n) for r, n in zip(raster, cloud.raster_shape)]
-    profile, column = raster[0] - lo[0], raster[1] - lo[1]
-    table = np.full((hi[0] - lo[0], hi[1] - lo[1]), -1, dtype=np.intp)
-    table[profile, column] = np.arange(len(cloud))
-    return table, profile, column
+def _raster_cells(hits: np.ndarray) -> tuple:
+    """(table, profile, column, lo): the point in each cell of the hits'
+    window (module docstring), -1 for a miss, each point's cell in the
+    window, and the window's first (profile, column) in the raster."""
+    rows = np.flatnonzero(hits.any(axis=1))  # the profiles with a hit
+    cols = np.flatnonzero(hits.any(axis=0))  # the columns with a hit
+    lo = [max(rows[0] - 1, 0), max(cols[0] - 1, 0)]
+    window = hits[lo[0]:rows[-1] + 2, lo[1]:cols[-1] + 2]  # slicing clips the far ends
+    table = np.full(window.shape, -1, dtype=np.intp)
+    table[window] = np.arange(np.count_nonzero(window))
+    profile, column = np.nonzero(window)
+    return table, profile, column, lo
 
 
-def raster_pitch(cloud: PointCloud, cells: tuple) -> tuple:
+def _raster_pitch(cloud: PointCloud, table: np.ndarray) -> tuple:
     """(ds, dl): the median distance between the points of neighbouring hit
     cells along a profile (adjacent columns) and across profiles (adjacent
-    profiles) of a cloud with a raster shape, from its `raster_cells`."""
-    table = cells[0]
+    profiles), from the cell table of `_raster_cells`."""
     coords = np.array(cloud.points.T)  # x, y and z as contiguous rows
     pitch = []
     for a, b, across in ((table[:, :-1], table[:, 1:], "columns"),
@@ -79,11 +80,14 @@ def raster_pitch(cloud: PointCloud, cells: tuple) -> tuple:
     return tuple(pitch)
 
 
-def outline(cloud: PointCloud, cells: tuple) -> tuple:
-    """(edge, normals): the outline of a cloud with a raster shape and its
-    (N, 3) unit in-plane normals pointing out of the hit region (module docstring).
-    An outline cell whose Sobel gradient vanishes has no normal and is dropped."""
-    table, profile, column = cells
+def outline(cloud: PointCloud) -> tuple:
+    """(edge, normals, pitch) of a non-empty cloud with a hit mask: its
+    outline, the outline's (N, 3) unit in-plane normals pointing out of the
+    hit region, and the (ds, dl) pitch of its raster (module docstring). An
+    outline cell whose Sobel gradient vanishes has no normal and is dropped.
+    The outline carries no mask: nothing downstream reads one."""
+    table, profile, column, lo = _raster_cells(cloud.hits)
+    pitch = _raster_pitch(cloud, table)
     hit = table >= 0
     edge = hit & ~binary_erosion(hit, structure=np.ones((3, 3), dtype=bool), border_value=1)
     edge[[0, -1], :] = False
@@ -98,11 +102,11 @@ def outline(cloud: PointCloud, cells: tuple) -> tuple:
     on, grad = on[described], grad[described]
     # raster axes: least squares of the points on (1, profile, column); the
     # occupancy gradient over the raster's plane is pinv(axes)^T (d/dp, d/dc)
-    design = np.column_stack([np.ones(len(cloud)), cloud.raster]).astype(np.float64)
+    design = np.column_stack([np.ones(len(cloud)), profile + lo[0], column + lo[1]])
     axes = np.linalg.lstsq(design, cloud.points, rcond=None)[0][1:].T  # (3, 2)
     normals = -(grad @ np.linalg.pinv(axes))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(cloud.points[on], cloud.raster[on], cloud.raster_shape), normals
+    return PointCloud(cloud.points[on]), normals, pitch
 
 
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:

@@ -4,9 +4,9 @@ Each trajectory pose carries the sensor frame: the laser line lies along the
 sensor x-axis and rays travel along sensor +z. One pose yields one profile of
 up to `points_per_profile` depth samples. Misses produce no point, and no
 point carries a normal: a line scanner measures depth only. The cloud's
-raster records each point's (profile, column): its trajectory index and its
-detector column; its raster shape is (trajectory length, detector columns),
-so the misses stay known.
+hit mask is the (trajectory length, detector columns) raster of the sweep,
+True where a ray hit: a point's cell is its trajectory index and its
+detector column, and the misses stay known.
 
 The sweep takes whole profiles in chunks of at most `_CHUNK_RAYS` rays (at
 least one profile), which bounds the per-ray buffers on long sweeps, and
@@ -116,7 +116,8 @@ def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
     n = len(lateral)
     profiles_per_chunk = max(1, _CHUNK_RAYS // n)
 
-    pts, cells = [np.zeros((0, 3))], [np.zeros((0, 2), dtype=np.int64)]
+    pts = [np.zeros((0, 3))]
+    hits = np.zeros((len(trajectory), n), dtype=bool)
     for lo in range(0, len(trajectory), profiles_per_chunk):
         assumed = trajectory[lo:lo + profiles_per_chunk]
         R, t = _frames([pose_compose(cal.mount_offset, p) for p in assumed])
@@ -139,10 +140,6 @@ def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
         samples[:, :, 2] = np.where(keep, depth, 0.0).reshape(m, w)
         Ra, ta = _frames(assumed)
         pts.append((samples @ Ra.transpose(0, 2, 1) + ta[:, None, :]).reshape(-1, 3)[keep])
-        # (profile, column) raster cell of each ray
-        cells.append(np.column_stack([
-            np.repeat(np.arange(lo, lo + m, dtype=np.int64), w),
-            np.tile(np.arange(c0, c1, dtype=np.int64), m),
-        ])[keep])
+        hits[lo:lo + m, c0:c1] = keep.reshape(m, w)
 
-    return PointCloud(np.vstack(pts), raster=np.vstack(cells), raster_shape=(len(trajectory), n))
+    return PointCloud(np.vstack(pts), hits)

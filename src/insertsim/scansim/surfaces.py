@@ -1,11 +1,12 @@
 """Scene geometry for the virtual scanner: analytic parts.
 
-Every surface implements `ray_intersect(origins, dirs)` in its local frame and
-returns, per ray, the smallest positive hit parameter, inf where the ray
-misses: an (N,) array. A Scene places
-surfaces with poses and casts world-frame rays against all parts, keeping
-the nearest hit. No surface normal is computed: a line scanner measures
-depth only.
+Every surface implements `ray_intersect(o, d)` in its local frame: ray
+origins and directions given as float64 (N, 3) arrays, which it does not
+convert (`Scene.cast`, its caller, converts once). It returns, per ray, the
+smallest positive hit parameter, inf where the ray misses: an (N,) array.
+A Scene places surfaces with poses and casts world-frame rays against all
+parts, keeping the nearest hit. No surface normal is computed: a line
+scanner measures depth only.
 
 Every surface also exposes `bounds`, its local axis-aligned bounding box as
 a (2, 3) array of low and high corners. The scanner's column window relies
@@ -61,9 +62,7 @@ class Box:
     def bounds(self) -> np.ndarray:
         return np.stack([-self.half_extents, self.half_extents])
 
-    def ray_intersect(self, origins, dirs) -> np.ndarray:
-        o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
-        d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
+    def ray_intersect(self, o: np.ndarray, d: np.ndarray) -> np.ndarray:
         return _box_faces(o, d, self.half_extents)
 
 
@@ -105,9 +104,7 @@ class HolePlate:
         v = (y - self.cy) / self.b
         return u * u + v * v < 1.0
 
-    def ray_intersect(self, origins, dirs) -> np.ndarray:
-        o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
-        d = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
+    def ray_intersect(self, o: np.ndarray, d: np.ndarray) -> np.ndarray:
         best_t = _box_faces(o, d, np.array([self.hx, self.hy, self.half_thickness]),
                             open_z=self._in_hole)
 

@@ -491,7 +491,6 @@ def test_a_nan_amplitude_leaves_the_noise_state_untouched():
     a twin that never saw it; inf (a full redraw) stays legal."""
     poked, twin = ProprioceptionError.draw(seed=12), ProprioceptionError.draw(seed=12)
     for err in (poked, twin):
-        err.next_noise(None)
         err.next_noise(np.inf)
     with pytest.raises(ValueError, match="motion_amplitude"):
         poked.next_noise(np.nan)

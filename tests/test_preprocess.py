@@ -12,19 +12,18 @@ from insertsim.registration import (
     estimate_pose,
     prepare_cloud,
 )
-from insertsim.registration.preprocess import outline, raster_cells, raster_pitch, \
-    statistical_outlier_removal, voxel_downsample
+from insertsim.registration.preprocess import outline, statistical_outlier_removal, \
+    voxel_downsample
 from insertsim.scansim import CalibrationError, HolePlate, Scene, ScenePart, ScannerConfig, \
     linear_sweep, sweep_scan
 
 
-def outline_of(cloud: PointCloud) -> tuple:
-    """The outline of a scan and its normals."""
-    return outline(cloud, raster_cells(cloud))
-
-
-def pitch_of(cloud: PointCloud) -> tuple:
-    return raster_pitch(cloud, raster_cells(cloud))
+def cells_of(part: PointCloud, cloud: PointCloud) -> np.ndarray:
+    """The (profile, column) cell in the hit mask of `cloud` of each point of
+    `part`, whose points are points of `cloud`."""
+    at = {p.tobytes(): i for i, p in enumerate(cloud.points)}
+    assert len(at) == len(cloud)
+    return np.argwhere(cloud.hits)[[at[p.tobytes()] for p in part.points]].reshape(-1, 2)
 
 
 def test_single_voxel_collapses_to_centroid():
@@ -143,48 +142,51 @@ def count_calls(monkeypatch, module, name: str) -> list:
 def test_raster_sor_with_few_points(n):
     """2-14 points of a scan, down to where k = min(mean_k, n - 1) clamps;
     the kept points take their raster cells with them."""
-    few = plate_scan("sparse", "yaw+3", CAL).select(np.arange(200, 200 + n))
+    scan = plate_scan("sparse", "yaw+3", CAL)
+    index = np.arange(len(scan))
+    few = scan.select((index >= 200) & (index < 200 + n))
     keep = brute_force_sor_keep(few.points, 12, 2.0)
     out = statistical_outlier_removal(few, 12, 2.0)
     np.testing.assert_array_equal(out.points, few.points[keep])
-    np.testing.assert_array_equal(out.raster, few.raster[keep])
-    assert out.raster_shape == few.raster_shape
+    np.testing.assert_array_equal(np.argwhere(out.hits), np.argwhere(few.hits)[keep])
+    assert out.hits.shape == few.hits.shape
 
 
 def test_raster_validation():
+    """A hit mask is a 2-D boolean raster with one True cell per point, and
+    the cloud keeps a read-only copy of it."""
     pts = np.zeros((3, 3))
     pts[:, 0] = [0.0, 1.0, 2.0]
-    PointCloud(pts, raster=np.array([[0, 0], [0, 1], [5, 7]], dtype=np.int32), raster_shape=(6, 8))
-    with pytest.raises(ValueError, match="unique"):
-        PointCloud(pts, raster=np.array([[0, 0], [0, 1], [0, 0]]), raster_shape=(1, 2))
-    with pytest.raises(ValueError, match="unique"):  # a large shape, sparsely hit
-        PointCloud(pts, raster=np.array([[0, 0], [10 ** 12, 1], [10 ** 12, 1]]),
-                   raster_shape=(10 ** 12 + 1, 10 ** 6))
-    for bad in (np.zeros((3, 3), dtype=np.int64), np.zeros((2, 2), dtype=np.int64),
-                np.zeros((3, 2)), np.zeros((3, 2), dtype=bool)):
-        with pytest.raises(ValueError, match="integer array"):
-            PointCloud(pts, raster=bad, raster_shape=(2, 3))
-    cells = np.array([[0, 0], [0, 1], [1, 2]])
-    cloud = PointCloud(pts, raster=cells, raster_shape=(2, np.int64(3)))
-    assert cloud.raster.dtype == np.int64 and not cloud.raster.flags.writeable
-    assert cloud.raster_shape == (2, 3)
-    # select keeps the raster and its shape, or the lack of both
-    np.testing.assert_array_equal(cloud.select([2, 0]).raster, [[1, 2], [0, 0]])
-    assert cloud.select([2, 0]).raster_shape == (2, 3)
-    bare = PointCloud(pts).select([0])
-    assert bare.raster is None and bare.raster_shape is None
-    for bad in ((2,), (2, 3, 1), (2, 0), (2, 3.0), (True, 3), (1, 3), (2, 2),
-                (2 ** 32, 2 ** 31), (2 ** 63, 1)):
-        with pytest.raises(ValueError, match="raster_shape"):
-            PointCloud(pts, raster=cells, raster_shape=bad)
-    PointCloud(pts, raster=cells, raster_shape=(2 ** 32, 2 ** 31 - 1))  # 2**63 - 2**32 cells
-    with pytest.raises(ValueError, match="raster_shape"):
-        PointCloud(pts, raster=-cells, raster_shape=(2, 3))
-    # a raster and its shape come together or not at all
-    with pytest.raises(ValueError, match="raster_shape"):
-        PointCloud(pts, raster_shape=(2, 3))
-    with pytest.raises(ValueError, match="raster_shape"):
-        PointCloud(pts, raster=cells)
+    hits = np.zeros((2, 3), dtype=bool)
+    hits.flat[[0, 1, 5]] = True
+    cloud = PointCloud(pts, hits)
+    np.testing.assert_array_equal(np.argwhere(cloud.hits), [[0, 0], [0, 1], [1, 2]])
+    assert not cloud.hits.flags.writeable
+    hits[0, 0] = False
+    assert cloud.hits[0, 0]  # a copy: the caller's array stays the caller's
+    hits[0, 0] = True
+    two, four = hits.copy(), hits.copy()
+    two[0, 0], four[1, 0] = False, True
+    for bad in (hits.astype(np.int64), hits.astype(np.float64), hits.ravel(), hits[None],
+                two, four):
+        with pytest.raises(ValueError, match="hits"):
+            PointCloud(pts, bad)
+    assert PointCloud(pts).hits is None
+
+
+def test_select_keeps_each_point_in_its_cell():
+    """`select` takes a boolean mask with one entry per point; each kept
+    point keeps its cell of the hit mask, and an integer index raises."""
+    cloud = plate_scan("sparse", "yaw+3", CAL)
+    keep = np.random.default_rng(4).random(len(cloud)) < 0.5
+    out = cloud.select(keep)
+    np.testing.assert_array_equal(out.points, cloud.points[keep])
+    np.testing.assert_array_equal(np.argwhere(out.hits), np.argwhere(cloud.hits)[keep])
+    assert out.hits.shape == cloud.hits.shape
+    for bad in (np.flatnonzero(keep), keep[:-1], keep.astype(np.int64)):
+        with pytest.raises(ValueError, match="boolean mask"):
+            cloud.select(bad)
+    assert PointCloud(cloud.points).select(keep).hits is None
 
 
 # -- outline of a scan -------------------------------------------------------------
@@ -192,8 +194,8 @@ def test_raster_validation():
 def outline_oracle(cloud: PointCloud) -> set:
     """Cells of the outline by a loop: a hit cell off the raster's border
     with a miss among its 8 neighbours."""
-    rows, cols = cloud.raster_shape
-    hit = set(map(tuple, cloud.raster.tolist()))
+    rows, cols = cloud.hits.shape
+    hit = set(map(tuple, np.argwhere(cloud.hits).tolist()))
     return {(p, c) for p, c in hit if 0 < p < rows - 1 and 0 < c < cols - 1
             and any((p + dp, c + dc) not in hit for dp in (-1, 0, 1) for dc in (-1, 0, 1))}
 
@@ -202,15 +204,14 @@ def outline_oracle(cloud: PointCloud) -> set:
 def test_outline_is_the_hit_cells_next_to_a_miss(pose):
     cloud = plate_scan("sparse", pose, CAL)
     expected = outline_oracle(cloud)
-    edge, normals = outline_of(cloud)
+    edge, normals, _ = outline(cloud)
     assert normals.shape == edge.points.shape
-    cells = list(map(tuple, edge.raster.tolist()))
+    cells = list(map(tuple, cells_of(edge, cloud).tolist()))
     # only cells whose Sobel gradient vanishes (none on a plate) are left out
     assert len(cells) == len(set(cells)) == len(expected) > 300
     assert set(cells) == expected
-    index = {cell: i for i, cell in enumerate(map(tuple, cloud.raster.tolist()))}
-    np.testing.assert_array_equal(edge.points, cloud.points[[index[c] for c in cells]])
-    assert edge.raster_shape == cloud.raster_shape
+    assert cells == sorted(cells)  # the outline keeps the points' order
+    assert edge.hits is None
 
 
 def test_outline_drops_cells_without_a_gradient():
@@ -218,10 +219,12 @@ def test_outline_drops_cells_without_a_gradient():
     gradient vanishes, so it has no normal and is left out; each arm's
     normal points away from the centre."""
     cells = np.array([[1, 2], [2, 1], [2, 2], [2, 3], [3, 2]])
+    hits = np.zeros((5, 5), dtype=bool)
+    hits[tuple(cells.T)] = True
     cloud = PointCloud(np.column_stack([cells[:, 1] * 1e-5, cells[:, 0] * 2e-5, np.zeros(5)]),
-                       raster=cells, raster_shape=(5, 5))
-    edge, normals = outline_of(cloud)
-    np.testing.assert_array_equal(edge.raster, cells[[0, 1, 3, 4]])
+                       hits)
+    edge, normals, _ = outline(cloud)
+    np.testing.assert_array_equal(cells_of(edge, cloud), cells[[0, 1, 3, 4]])
     np.testing.assert_allclose(normals, [[0, -1, 0], [-1, 0, 0], [1, 0, 0], [0, 1, 0]],
                                atol=1e-12)
 
@@ -231,7 +234,7 @@ def test_outline_normals_point_out_of_the_plate_in_its_plane():
     outward axis; on a tilted plate every normal lies in the plate's plane,
     to within the ~0.01 rad by which the hits on its side face, ~3% of the
     points, turn the fitted raster axes."""
-    edge, normals = outline_of(plate_scan("dense", "level", CalibrationError.none()))
+    edge, normals, _ = outline(plate_scan("dense", "level", CalibrationError.none()))
     x, y = edge.points[:, 0], edge.points[:, 1]
     for axis, coord, other in ((0, x, y), (1, y, x)):
         side = (np.abs(coord) > 2.9e-3) & (np.abs(other) < 2.8e-3)
@@ -240,7 +243,7 @@ def test_outline_normals_point_out_of_the_plate_in_its_plane():
         outward[:, axis] = np.sign(coord[side])
         assert np.min(np.einsum("ij,ij->i", normals[side], outward)) > np.cos(0.05)
     tilted = PLATE_POSES["tilted"]
-    normals = outline_of(plate_scan("sparse", "tilted", CalibrationError.none()))[1]
+    normals = outline(plate_scan("sparse", "tilted", CalibrationError.none()))[1]
     assert np.max(np.abs(normals @ tilted.rotate_vector([0.0, 0.0, 1.0]))) < 0.02
 
 
@@ -249,15 +252,15 @@ def test_outline_normals_point_out_of_the_plate_in_its_plane():
 def test_raster_pitch_is_the_scanner_spacing(scanner, pitch):
     """Median spacing along and across profiles; depth noise lengthens the
     along-profile step a little."""
-    np.testing.assert_allclose(pitch_of(plate_scan(scanner, "yaw+3", CAL)), pitch, rtol=0.02)
+    np.testing.assert_allclose(outline(plate_scan(scanner, "yaw+3", CAL))[2], pitch, rtol=0.02)
 
 
 def pitch_oracle(cloud: PointCloud) -> tuple:
     """(ds, dl) by a loop over every cell of the full raster: the median
     distance between the points of hit cells next to each other along a
     profile, and across profiles."""
-    rows, cols = cloud.raster_shape
-    at = {cell: i for i, cell in enumerate(map(tuple, cloud.raster.tolist()))}
+    rows, cols = cloud.hits.shape
+    at = {cell: i for i, cell in enumerate(map(tuple, np.argwhere(cloud.hits).tolist()))}
     pitch = []
     for dp, dc in ((0, 1), (1, 0)):
         steps = [cloud.points[at[p + dp, c + dc]] - cloud.points[at[p, c]]
@@ -297,12 +300,13 @@ def test_conditioning_on_the_hits_window_matches_the_full_raster(name):
     outline, wherever the hits meet the raster's border."""
     scan, touches = WINDOW_SCANS[name]
     cloud = scan()
-    rows, cols = cloud.raster_shape
-    profile, column = cloud.raster.T
+    rows, cols = cloud.hits.shape
+    profile, column = np.argwhere(cloud.hits).T
     assert (profile.min() == 0, profile.max() == rows - 1,
             column.min() == 0, column.max() == cols - 1) == touches
-    assert pitch_of(cloud) == pitch_oracle(cloud)
-    assert set(map(tuple, outline_of(cloud)[0].raster.tolist())) == outline_oracle(cloud)
+    edge, _, pitch = outline(cloud)
+    assert pitch == pitch_oracle(cloud)
+    assert set(map(tuple, cells_of(edge, cloud).tolist())) == outline_oracle(cloud)
 
 
 def test_prepare_cloud_registers_a_scan_on_its_outline(monkeypatch):
@@ -313,20 +317,20 @@ def test_prepare_cloud_registers_a_scan_on_its_outline(monkeypatch):
     cloud = plate_scan("sparse", "yaw+3", CAL)
     prepared = prepare_cloud(cloud, RegistrationParams())
     assert sor == [] and voxel == []
-    np.testing.assert_array_equal(prepared.keypoints.points, outline_of(cloud)[0].points)
+    np.testing.assert_array_equal(prepared.keypoints.points, outline(cloud)[0].points)
 
 
 def test_registration_rejects_a_cloud_without_a_raster_shape():
-    """Registration takes scanner clouds: a cloud without a raster and its
-    shape, as reference (prepared by prepare_cloud) or as scan, raises and
-    names what it lacks."""
+    """Registration takes scanner clouds: a cloud without its hit mask, and
+    so without a raster shape, as reference (prepared by prepare_cloud) or
+    as scan, raises and names what it lacks."""
     scan = plate_scan("sparse", "yaw+3", CAL)
     params = RegistrationParams()
     ref = prepare_cloud(scan, params)
     bare = PointCloud(scan.points)
-    with pytest.raises(ValueError, match="raster shape"):
+    with pytest.raises(ValueError, match="hit mask"):
         prepare_cloud(bare, params)
-    with pytest.raises(ValueError, match="raster shape"):
+    with pytest.raises(ValueError, match="hit mask"):
         estimate_pose(bare, scan, params, 0, ref)
 
 
@@ -334,11 +338,10 @@ def test_a_plate_across_the_last_profile_has_no_outline_on_it():
     """The sweep stops inside the plate: the last profile is all plate, and
     what lies past it was not scanned, so none of its cells is outline."""
     cloud = plate_scan("sparse", "yaw+3", CAL, profiles=50)
-    last = cloud.raster_shape[0] - 1
-    assert np.count_nonzero(cloud.raster[:, 0] == last) > 100
-    edge = outline_of(cloud)[0]
-    assert np.max(edge.raster[:, 0]) == last - 1
-    assert edge.raster_shape == cloud.raster_shape
+    last = cloud.hits.shape[0] - 1
+    assert np.count_nonzero(cloud.hits[last]) > 100
+    edge = outline(cloud)[0]
+    assert np.max(cells_of(edge, cloud)[:, 0]) == last - 1
 
 
 def test_outline_poor_rasters_raise_typed_errors():
@@ -349,11 +352,11 @@ def test_outline_poor_rasters_raise_typed_errors():
     cloud = sweep_scan(Scene([ScenePart("plate", PLATE, Pose.identity())]),
                        linear_sweep(start, [0, 1, 0], 100e-6, 20), cfg,
                        CalibrationError.none(), seed=1)
-    assert len(cloud) == 20 * 64 and len(outline_of(cloud)[0]) == 0
+    assert len(cloud) == 20 * 64 and len(outline(cloud)[0]) == 0
     params = RegistrationParams()
     with pytest.raises(InsufficientCorrespondencesError):
         estimate_pose(cloud, cloud, params, 0, prepare_cloud(cloud, params))
-    one_profile = cloud.select(cloud.raster[:, 0] == 3)
+    one_profile = cloud.select(np.argwhere(cloud.hits)[:, 0] == 3)
     with pytest.raises(DegenerateFeatureError, match="pitch"):
         prepare_cloud(one_profile, params)
 

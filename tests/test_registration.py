@@ -29,8 +29,8 @@ from insertsim.registration import preprocess as preprocess_module
 from insertsim.registration import ransac as ransac_module
 from insertsim.registration.features import estimate_normals
 from insertsim.registration.params import RHO_ROT, in_orientation_gate
-from insertsim.registration.preprocess import raster_cells, raster_pitch, \
-    statistical_outlier_removal, voxel_downsample
+from insertsim.registration.preprocess import outline, statistical_outlier_removal, \
+    voxel_downsample
 from insertsim.scansim import CalibrationError, HolePlate, Scene, ScenePart, ScannerConfig, \
     linear_sweep, sweep_scan
 
@@ -183,7 +183,7 @@ def test_estimate_pose_derives_its_thresholds_from_the_scan_pitch(monkeypatch):
     monkeypatch.setattr(pipeline_module, "icp_refine", icp_at_fitness)
     ref_cloud = sparse_scan()
     scan = sparse_scan(Pose.from_axis_angle(np.array([1e-4, 0, 0]), [0, 0, 1], 0.02))
-    ds, dl = raster_pitch(scan, raster_cells(scan))
+    ds, dl = outline(scan)[2]
     d = max(ds, dl)
     ref = prepare_cloud(ref_cloud, PARAMS)
     fitness.append(ds * ds + dl * dl)
@@ -191,8 +191,7 @@ def test_estimate_pose_derives_its_thresholds_from_the_scan_pitch(monkeypatch):
     fitness.append(np.nextafter(fitness[-1], np.inf))
     with pytest.raises(RegistrationFailedError, match="above rho_icp"):
         estimate_pose(scan, ref_cloud, PARAMS, 3, ref)
-    assert radii == [5e-4 + max(raster_pitch(ref_cloud, raster_cells(ref_cloud))), 5e-4 + d,
-                     5e-4 + d]
+    assert radii == [5e-4 + max(outline(ref_cloud)[2]), 5e-4 + d, 5e-4 + d]
     assert thresholds == [4.0 * d] * 2 and cutoffs == [12.0 * d] * 2
 
 

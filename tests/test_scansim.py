@@ -89,7 +89,7 @@ def reference_sweep_scan(scene: Scene, trajectory, cfg: ScannerConfig,
     """Per-profile loop: one Scene.cast and one sensor-to-base map per profile."""
     lateral = cfg.lateral_positions()
     n = len(lateral)
-    pts, cells = [], []
+    pts, hits = [np.zeros((0, 3))], np.zeros((len(trajectory), n), dtype=bool)
     for k, assumed in enumerate(trajectory):
         true_pose = pose_compose(cal.mount_offset, assumed)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), k]))
@@ -97,27 +97,19 @@ def reference_sweep_scan(scene: Scene, trajectory, cfg: ScannerConfig,
         origins_local[:, 0] = lateral
         R = true_pose.rotation_matrix()
         depth = scene.cast(origins_local @ R.T + true_pose.position, np.tile(R[:, 2], (n, 1)))
-        mask = np.isfinite(depth)
+        mask = hits[k] = np.isfinite(depth)
         depth = depth + rng.normal(scale=scanner_module.DEPTH_NOISE_STD, size=n)
-        if not mask.any():
-            continue
         pts_sensor = np.zeros((mask.sum(), 3))
         pts_sensor[:, 0] = lateral[mask]
         pts_sensor[:, 2] = depth[mask]
         pts.append(pts_sensor @ assumed.rotation_matrix().T + assumed.position)
-        cells.append(np.column_stack([np.full(mask.sum(), k, dtype=np.int64), np.flatnonzero(mask)]))
-    shape = (len(trajectory), n)
-    if not pts:
-        return PointCloud(np.zeros((0, 3)), raster=np.zeros((0, 2), dtype=np.int64),
-                          raster_shape=shape)
-    return PointCloud(np.vstack(pts), raster=np.vstack(cells), raster_shape=shape)
+    return PointCloud(np.vstack(pts), hits)
 
 
 def assert_same_sweep(got: PointCloud, want: PointCloud):
-    for a, b in ((got.points, want.points), (got.raster, want.raster)):
+    for a, b in ((got.points, want.points), (got.hits, want.hits)):
         assert a.dtype == b.dtype
         np.testing.assert_array_equal(a, b)
-    assert got.raster_shape == want.raster_shape
 
 
 HOLE_PLATE = HolePlate((3e-3, 3e-3), 1e-3, (5e-4, 6e-4), hole_center=(8e-4, 3e-4))
@@ -206,20 +198,20 @@ def test_sweep_matches_per_profile_reference(case, request):
     if case == "all_miss":
         assert len(want) == 0
     else:
-        assert len(np.unique(want.raster[:, 0])) > 1
+        assert np.count_nonzero(want.hits.any(axis=1)) > 1
     assert_same_sweep(got, want)
 
 
 @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
 def test_sweep_raster_matches_per_profile_reference(case, request):
-    """Each point's raster cell is its profile and its detector column, and
-    the raster's shape is (profiles, detector columns), misses included."""
+    """The hit mask is True at each ray's profile and detector column where
+    it hit, and its shape is (profiles, detector columns), misses included."""
     scene, traj, cfg, cal = sweep_case(case, request)
     cloud = sweep_scan(scene, traj, cfg, cal, seed=611)
-    want = reference_sweep_scan(scene, traj, cfg, cal, seed=611).raster
-    assert cloud.raster.dtype == want.dtype
-    np.testing.assert_array_equal(cloud.raster, want)
-    assert cloud.raster_shape == (len(traj), len(cfg.lateral_positions()))
+    want = reference_sweep_scan(scene, traj, cfg, cal, seed=611).hits
+    assert cloud.hits.dtype == want.dtype == bool
+    np.testing.assert_array_equal(cloud.hits, want)
+    assert cloud.hits.shape == (len(traj), len(cfg.lateral_positions()))
 
 
 def test_sweep_with_chunks_narrower_than_a_profile(monkeypatch):
@@ -271,7 +263,7 @@ def test_all_misses_give_empty_cloud(noise_free_scans):
     cfg = small_cfg()
     cloud = sweep_scan(scene, [DOWN], cfg, CalibrationError.none(), seed=0)
     assert len(cloud) == 0
-    assert cloud.raster_shape == (1, len(cfg.lateral_positions()))
+    assert cloud.hits.shape == (1, len(cfg.lateral_positions()))
 
 
 def test_calibration_offset_relates_clouds_by_the_offset(noise_free_scans):
