@@ -26,8 +26,6 @@ and retry.
 
 from __future__ import annotations
 
-import numpy as np
-
 from insertsim.geom import PointCloud
 from insertsim.registration.features import FeatureCloud, compute_features
 from insertsim.registration.icp import icp_refine
@@ -62,12 +60,6 @@ def prepare_cloud(cloud: PointCloud, params: RegistrationParams) -> FeatureCloud
     return _prepare(cloud)[0]
 
 
-def _ransac_seed(seed: int) -> int:
-    # the first round's seed of the retry loop this pass replaced (loop index
-    # 0), which keeps every pose bit-identical
-    return int(np.random.SeedSequence([int(seed), 0x10D, 0]).generate_state(1, dtype=np.uint64)[0])
-
-
 def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
                   seed: int, ref_prepared: FeatureCloud) -> RegistrationResult:
     """Estimate the pose mapping the reference into the frame of `scan`.
@@ -79,7 +71,7 @@ def estimate_pose(scan: PointCloud, ref: PointCloud, params: RegistrationParams,
     scan_f, (ds, dl) = _prepare(scan)
     d = max(ds, dl)
 
-    coarse = ransac_register(scan_f, ref_prepared, 4.0 * d, _ransac_seed(seed))
+    coarse = ransac_register(scan_f, ref_prepared, 4.0 * d, seed)
     try:
         refined = icp_refine(scan_f.keypoints, ref_prepared.keypoints, 12.0 * d,
                              initial_pose=coarse.pose)

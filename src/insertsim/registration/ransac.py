@@ -119,7 +119,7 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
             if np.any(e_dst < min_edge):
                 continue  # tiny baselines give useless orientations
             longest = np.maximum(e_src, e_dst)
-            if np.any(longest <= 0.0) or np.any(np.minimum(e_src, e_dst) / longest < _EDGE_SIMILARITY):
+            if np.any(np.minimum(e_src, e_dst) / longest < _EDGE_SIMILARITY):
                 continue
             area = 0.5 * np.linalg.norm(np.cross(dst[1] - dst[0], dst[2] - dst[0]))
             if area < 0.05 * float(np.max(e_dst)) ** 2:

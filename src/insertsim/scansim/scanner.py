@@ -17,14 +17,15 @@ sensor-x extent of the bounds' corners, over the poses whose laser plane
 that extent over the chunk and the parts, padded by `_WINDOW_PAD` times the
 coordinates' magnitude, far above their rounding.
 
-Depth noise, N(0, DEPTH_NOISE_STD^2) per sample, is drawn per profile k from
-`SeedSequence([seed, k])`, so the cloud does not depend on the chunking. A
-profile draws `normal(size=c1)` and keeps `[c0:]`: the stream is a prefix,
-so column c gets the same noise whatever the window.
+Depth noise, N(0, DEPTH_NOISE_STD^2) per hit, comes from one stream per
+sweep, `default_rng(seed)`: the i-th hit in (profile, column) order gets the
+i-th draw. Successive draws concatenate, so the cloud depends on neither the
+chunking nor the window.
 
 Calibration error model: the assumed sensor poses are the trajectory as given;
 the physical sensor actually sits at `mount_offset` composed on the base side
-(true = offset ∘ assumed). Rays are cast from the true poses, but the measured
+(true = offset ∘ assumed), composed as rotation matrices for the whole
+trajectory at once. Rays are cast from the true poses, but the measured
 sensor-frame samples are mapped back to the base frame through the assumed
 poses. With zero noise the resulting cloud is therefore the true surface
 sampling moved rigidly by the inverse offset, which is exactly the constant
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from insertsim.geom import Pose, PointCloud, pose_compose
+from insertsim.geom import Pose, PointCloud
 from insertsim.scansim.surfaces import Scene
 
 _CHUNK_RAYS = 32768
@@ -115,31 +116,26 @@ def sweep_scan(scene: Scene, trajectory: list[Pose], cfg: ScannerConfig,
     lateral = cfg.lateral_positions()
     n = len(lateral)
     profiles_per_chunk = max(1, _CHUNK_RAYS // n)
+    Ra, ta = _frames(trajectory)
+    Rc = cal.mount_offset.rotation_matrix()
+    R, t = Rc @ Ra, ta @ Rc.T + cal.mount_offset.position  # true = offset ∘ assumed
+    rng = np.random.default_rng(seed)
 
     pts = [np.zeros((0, 3))]
     hits = np.zeros((len(trajectory), n), dtype=bool)
     for lo in range(0, len(trajectory), profiles_per_chunk):
-        assumed = trajectory[lo:lo + profiles_per_chunk]
-        R, t = _frames([pose_compose(cal.mount_offset, p) for p in assumed])
-        c0, c1 = _column_window(scene, R, t, lateral)
+        k = slice(lo, lo + profiles_per_chunk)
+        c0, c1 = _column_window(scene, R[k], t[k], lateral)
         if c0 >= c1:
             continue
-        m, w, x = len(assumed), c1 - c0, lateral[c0:c1]
+        x = lateral[c0:c1]
         # bit-equal to the matrix product, which rounds a sensor row (x, 0, 0) once in any order
-        origins = x[None, :, None] * R[:, None, :, 0] + t[:, None, :]
-        depth = scene.cast(origins.reshape(-1, 3), np.repeat(R[:, :, 2], w, axis=0))
-        keep = np.isfinite(depth)
-        depth = depth + np.concatenate([
-            np.random.default_rng(np.random.SeedSequence([int(seed), k]))
-            .normal(scale=DEPTH_NOISE_STD, size=c1)[c0:]
-            for k in range(lo, lo + m)
-        ])
-        samples = np.zeros((m, w, 3))
-        samples[:, :, 0] = x
-        # misses (depth inf) are dropped below; zero keeps inf * 0 out of the product
-        samples[:, :, 2] = np.where(keep, depth, 0.0).reshape(m, w)
-        Ra, ta = _frames(assumed)
-        pts.append((samples @ Ra.transpose(0, 2, 1) + ta[:, None, :]).reshape(-1, 3)[keep])
-        hits[lo:lo + m, c0:c1] = keep.reshape(m, w)
+        origins = x[None, :, None] * R[k, None, :, 0] + t[k, None, :]
+        depth = scene.cast(origins.reshape(-1, 3), np.repeat(R[k, :, 2], c1 - c0, axis=0))
+        keep = hits[k, c0:c1] = np.isfinite(depth).reshape(-1, c1 - c0)
+        p, c = np.nonzero(keep)
+        p += lo
+        s = depth[keep.ravel()] + rng.normal(scale=DEPTH_NOISE_STD, size=len(p))
+        pts.append(x[c, None] * Ra[p, :, 0] + s[:, None] * Ra[p, :, 2] + ta[p])
 
     return PointCloud(np.vstack(pts), hits)

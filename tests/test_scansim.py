@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from insertsim.geom import PointCloud, Pose, pose_compose, quat_from_axis_angle
+from insertsim.geom import PointCloud, Pose, quat_from_axis_angle
 from insertsim.scansim import (
     Box,
     CalibrationError,
@@ -86,23 +86,23 @@ def test_sweep_deterministic_under_seed():
 
 def reference_sweep_scan(scene: Scene, trajectory, cfg: ScannerConfig,
                          cal: CalibrationError, seed: int) -> PointCloud:
-    """Per-profile loop: one Scene.cast and one sensor-to-base map per profile."""
+    """Per-profile loop: one Scene.cast and one sensor-to-base map per profile,
+    with one noise stream drawn in profile order."""
     lateral = cfg.lateral_positions()
     n = len(lateral)
     pts, hits = [np.zeros((0, 3))], np.zeros((len(trajectory), n), dtype=bool)
+    Rc = cal.mount_offset.rotation_matrix()
+    rng = np.random.default_rng(seed)
     for k, assumed in enumerate(trajectory):
-        true_pose = pose_compose(cal.mount_offset, assumed)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), k]))
+        Ra = assumed.rotation_matrix()
+        R = Rc @ Ra  # true = offset ∘ assumed
         origins_local = np.zeros((n, 3))
         origins_local[:, 0] = lateral
-        R = true_pose.rotation_matrix()
-        depth = scene.cast(origins_local @ R.T + true_pose.position, np.tile(R[:, 2], (n, 1)))
+        t = Rc @ assumed.position + cal.mount_offset.position
+        depth = scene.cast(origins_local @ R.T + t, np.tile(R[:, 2], (n, 1)))
         mask = hits[k] = np.isfinite(depth)
-        depth = depth + rng.normal(scale=scanner_module.DEPTH_NOISE_STD, size=n)
-        pts_sensor = np.zeros((mask.sum(), 3))
-        pts_sensor[:, 0] = lateral[mask]
-        pts_sensor[:, 2] = depth[mask]
-        pts.append(pts_sensor @ assumed.rotation_matrix().T + assumed.position)
+        s = depth[mask] + rng.normal(scale=scanner_module.DEPTH_NOISE_STD, size=mask.sum())
+        pts.append(lateral[mask, None] * Ra[:, 0] + s[:, None] * Ra[:, 2] + assumed.position)
     return PointCloud(np.vstack(pts), hits)
 
 
