@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from insertsim.geom import Pose
+from insertsim.geom import Pose, column_cross
 
 # Franka Emika Panda, modified DH convention (Craig): one row per joint,
 # (a [m], d [m], alpha [rad], theta_offset [rad]). Row i uses a_{i-1} and
@@ -171,8 +171,4 @@ def jacobian(model: ArmModel, q: JointConfig) -> np.ndarray:
     joints = _held_chain(model, q)[0][1:]  # frame of joint i: its z-axis is the rotation axis
     z = joints[:, :3, 2].T                                 # (3, 7) joint axes
     r = joints[-1, :3, 3, None] - joints[:, :3, 3].T       # (3, 7) lever arms to the flange
-    # z x r per component, as np.cross forms it
-    return np.vstack([z[1] * r[2] - z[2] * r[1],
-                      z[2] * r[0] - z[0] * r[2],
-                      z[0] * r[1] - z[1] * r[0],
-                      z])
+    return np.vstack([*column_cross(z, r), z])  # z x r on top

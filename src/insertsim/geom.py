@@ -244,6 +244,15 @@ def column_norm(x, y, z) -> np.ndarray:
     return np.sqrt((x * x + y * y) + z * z)
 
 
+def column_cross(a, b) -> tuple:
+    """Cross products of vectors given as coordinate column triples, formed
+    per component as `np.cross` forms them, so FPFH's pair features and the
+    arm's Jacobian keep the bits of the row routine."""
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Ordered 3-D points in meters, with or without a scanner's hit mask.

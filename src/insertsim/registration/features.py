@@ -29,7 +29,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
-from insertsim.geom import _UNIT_TOL, PointCloud, column_norm
+from insertsim.geom import _UNIT_TOL, PointCloud, column_cross, column_norm
 from insertsim.registration.params import DegenerateFeatureError
 
 BINS_PER_FEATURE = 11
@@ -96,13 +96,6 @@ def _dot(a, b):
     return ((a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]) + 0.0
 
 
-def _cross(a, b):
-    """Cross products of two column triples, as np.cross forms them."""
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
-
-
 def _pair_features(points, normals, src, tgt):
     """Darboux angle features (alpha, phi, theta), distance and frame flag
     `ok` of each source -> target pair, on coordinate columns; every value,
@@ -114,12 +107,12 @@ def _pair_features(points, normals, src, tgt):
     d_hat = tuple(c / dist for c in d)
     u = tuple(c[src] for c in nxyz)
     n_q = tuple(c[tgt] for c in nxyz)
-    v = _cross(d_hat, u)
+    v = column_cross(d_hat, u)
     v_len = column_norm(*v)
     ok = v_len > 1e-12
     scale = np.where(ok, v_len, 1.0)
     v = tuple(np.where(ok, c / scale, 0.0) for c in v)
-    w = _cross(u, v)
+    w = column_cross(u, v)
     alpha = _dot(v, n_q)
     phi = _dot(u, d_hat)
     theta = np.arctan2(_dot(w, n_q), _dot(u, n_q))

@@ -3,8 +3,9 @@ ICP -> orientation gate -> fitness check.
 
 Both clouds are scanner clouds, which carry their scanner's hit mask. Each
 is registered on its outline. Every distance threshold is derived from the
-scan's (ds, dl) pitch, the median point spacing along profiles and across
-them, which `preprocess.outline` measures; with d = max(ds, dl):
+scan's (ds, dl) pitch, the lengths of the raster's least-squares axes (the
+step along a profile and the step across profiles), which
+`preprocess.outline` fits; with d = max(ds, dl):
 
   - rho_icp, the fitness gate: ds^2 + dl^2, 12x the mean squared offset from
     its cell's centre of a point placed uniformly in a ds x dl cell;

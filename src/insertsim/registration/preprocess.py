@@ -7,11 +7,13 @@ cloud that carries its scanner's hit mask and keeps the hit cells with a
 miss among their 8 neighbours (cells on the raster's border are never
 outline: what lies past them was not scanned). It gives each an in-plane
 normal from the hit mask alone: the Sobel gradient of the occupancy image,
-mapped into 3-D through the raster's axes. It also measures the point
-spacing along and across profiles (`_raster_pitch`), from which `pipeline`
-derives every registration threshold.
-Both read one cell table over the hits' bounding box padded by one cell and
-clipped to the raster (`_raster_cells`): past its edge lie misses or no raster.
+mapped into 3-D through the raster's axes. The axes are a least-squares
+fit of the points on their (profile, column) cells, and their lengths are
+the scan's one measurement, its (ds, dl) pitch: ds the step along a profile
+(to the next column), dl the step across profiles. `pipeline` derives every
+registration threshold from it. `outline` reads only the hits' bounding
+window padded by one cell and clipped to the raster: past its edge lie
+misses or no raster, and the fit's axes do not depend on the window's shift.
 A line scanner measures no normals; `outline` returns the outline's.
 The scanner adds no outliers, and outlier removal would drop only outline
 points, so registration runs neither it nor a voxel grid.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import binary_erosion
 
-from insertsim.geom import PointCloud, column_norm
+from insertsim.geom import PointCloud, vector_norm
 from insertsim.registration.params import DegenerateFeatureError
 
 
@@ -49,46 +51,27 @@ def statistical_outlier_removal(cloud: PointCloud, mean_k: int, std_ratio: float
     return cloud.select(keep)
 
 
-def _raster_cells(hits: np.ndarray) -> tuple:
-    """(table, profile, column, lo): the point in each cell of the hits'
-    window (module docstring), -1 for a miss, each point's cell in the
-    window, and the window's first (profile, column) in the raster."""
-    rows = np.flatnonzero(hits.any(axis=1))  # the profiles with a hit
-    cols = np.flatnonzero(hits.any(axis=0))  # the columns with a hit
-    lo = [max(rows[0] - 1, 0), max(cols[0] - 1, 0)]
-    window = hits[lo[0]:rows[-1] + 2, lo[1]:cols[-1] + 2]  # slicing clips the far ends
-    table = np.full(window.shape, -1, dtype=np.intp)
-    table[window] = np.arange(np.count_nonzero(window))
-    profile, column = np.nonzero(window)
-    return table, profile, column, lo
-
-
-def _raster_pitch(cloud: PointCloud, table: np.ndarray) -> tuple:
-    """(ds, dl): the median distance between the points of neighbouring hit
-    cells along a profile (adjacent columns) and across profiles (adjacent
-    profiles), from the cell table of `_raster_cells`."""
-    coords = np.array(cloud.points.T)  # x, y and z as contiguous rows
-    pitch = []
-    for a, b, across in ((table[:, :-1], table[:, 1:], "columns"),
-                         (table[:-1], table[1:], "profiles")):
-        both = (a >= 0) & (b >= 0)
-        if not both.any():
-            raise DegenerateFeatureError(f"no two neighbouring raster cells across {across} "
-                                         f"both hit, so the scan's pitch is unknown")
-        a, b = a[both], b[both]
-        pitch.append(float(np.median(column_norm(*(c[b] - c[a] for c in coords)))))
-    return tuple(pitch)
-
-
 def outline(cloud: PointCloud) -> tuple:
     """(edge, normals, pitch) of a non-empty cloud with a hit mask: its
     outline, the outline's (N, 3) unit in-plane normals pointing out of the
     hit region, and the (ds, dl) pitch of its raster (module docstring). An
     outline cell whose Sobel gradient vanishes has no normal and is dropped.
-    The outline carries no mask: nothing downstream reads one."""
-    table, profile, column, lo = _raster_cells(cloud.hits)
-    pitch = _raster_pitch(cloud, table)
-    hit = table >= 0
+    The outline carries no mask: nothing downstream reads one. Hits on one
+    line of the raster have no pitch and raise DegenerateFeatureError."""
+    hits = cloud.hits
+    rows = np.flatnonzero(hits.any(axis=1))  # the profiles with a hit
+    cols = np.flatnonzero(hits.any(axis=0))  # the columns with a hit
+    # the hits' window, padded by one cell; slicing clips the far ends
+    hit = hits[max(rows[0] - 1, 0):rows[-1] + 2, max(cols[0] - 1, 0):cols[-1] + 2]
+    profile, column = np.nonzero(hit)  # each point's cell in the window
+    # raster axes: least squares of the points on (1, profile, column)
+    design = np.column_stack([np.ones(len(cloud)), profile, column])
+    fit, _, rank, _ = np.linalg.lstsq(design, cloud.points, rcond=None)
+    if rank < 3:
+        raise DegenerateFeatureError("the hit cells lie on one line of the raster, "
+                                     "so the scan's pitch is unknown")
+    axes = fit[1:].T  # (3, 2): the step to the next profile, to the next column
+    pitch = (vector_norm(axes[:, 1]), vector_norm(axes[:, 0]))
     edge = hit & ~binary_erosion(hit, structure=np.ones((3, 3), dtype=bool), border_value=1)
     edge[[0, -1], :] = False
     edge[:, [0, -1]] = False
@@ -100,10 +83,7 @@ def outline(cloud: PointCloud) -> tuple:
     grad = np.column_stack([across[1] - across[0], along[1] - along[0]])
     described = np.any(grad != 0.0, axis=1)
     on, grad = on[described], grad[described]
-    # raster axes: least squares of the points on (1, profile, column); the
-    # occupancy gradient over the raster's plane is pinv(axes)^T (d/dp, d/dc)
-    design = np.column_stack([np.ones(len(cloud)), profile + lo[0], column + lo[1]])
-    axes = np.linalg.lstsq(design, cloud.points, rcond=None)[0][1:].T  # (3, 2)
+    # the occupancy gradient over the raster's plane is pinv(axes)^T (d/dp, d/dc)
     normals = -(grad @ np.linalg.pinv(axes))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     return PointCloud(cloud.points[on]), normals, pitch

@@ -250,24 +250,18 @@ def test_outline_normals_point_out_of_the_plate_in_its_plane():
 @pytest.mark.parametrize("scanner, pitch", [("dense", (12e-6, 25e-6)),
                                             ("sparse", (48e-6, 100e-6))])
 def test_raster_pitch_is_the_scanner_spacing(scanner, pitch):
-    """Median spacing along and across profiles; depth noise lengthens the
-    along-profile step a little."""
-    np.testing.assert_allclose(outline(plate_scan(scanner, "yaw+3", CAL))[2], pitch, rtol=0.02)
+    """The fitted steps along and across profiles are the scanner's column
+    spacing and sweep step: the depth noise averages out of the fit."""
+    np.testing.assert_allclose(outline(plate_scan(scanner, "yaw+3", CAL))[2], pitch, rtol=1e-5)
 
 
 def pitch_oracle(cloud: PointCloud) -> tuple:
-    """(ds, dl) by a loop over every cell of the full raster: the median
-    distance between the points of hit cells next to each other along a
-    profile, and across profiles."""
-    rows, cols = cloud.hits.shape
-    at = {cell: i for i, cell in enumerate(map(tuple, np.argwhere(cloud.hits).tolist()))}
-    pitch = []
-    for dp, dc in ((0, 1), (1, 0)):
-        steps = [cloud.points[at[p + dp, c + dc]] - cloud.points[at[p, c]]
-                 for p in range(rows - dp) for c in range(cols - dc)
-                 if (p, c) in at and (p + dp, c + dc) in at]
-        pitch.append(float(np.median(np.linalg.norm(steps, axis=1))))
-    return tuple(pitch)
+    """(ds, dl) by the normal equations of the points on (1, profile, column)
+    over their cells in the full raster: the lengths of the column and the
+    profile axis."""
+    design = np.column_stack([np.ones(len(cloud)), np.argwhere(cloud.hits)])
+    fit = np.linalg.solve(design.T @ design, design.T @ cloud.points)
+    return float(np.linalg.norm(fit[2])), float(np.linalg.norm(fit[1]))
 
 
 NARROW = ScannerConfig(points_per_profile=64, lateral_resolution=40e-6)
@@ -295,9 +289,9 @@ WINDOW_SCANS = {
 
 @pytest.mark.parametrize("name", WINDOW_SCANS)
 def test_conditioning_on_the_hits_window_matches_the_full_raster(name):
-    """Pitch and outline read a cell table over the hits' bounding window
-    only; loops over the whole raster give the same pitch bits and the same
-    outline, wherever the hits meet the raster's border."""
+    """Pitch and outline read the hits' bounding window only; a fit over the
+    whole raster's cells gives the same pitch to round-off, and a loop over
+    it the same outline, wherever the hits meet the raster's border."""
     scan, touches = WINDOW_SCANS[name]
     cloud = scan()
     rows, cols = cloud.hits.shape
@@ -305,7 +299,7 @@ def test_conditioning_on_the_hits_window_matches_the_full_raster(name):
     assert (profile.min() == 0, profile.max() == rows - 1,
             column.min() == 0, column.max() == cols - 1) == touches
     edge, _, pitch = outline(cloud)
-    assert pitch == pitch_oracle(cloud)
+    np.testing.assert_allclose(pitch, pitch_oracle(cloud), rtol=1e-12)
     assert set(map(tuple, cells_of(edge, cloud).tolist())) == outline_oracle(cloud)
 
 
@@ -345,8 +339,9 @@ def test_a_plate_across_the_last_profile_has_no_outline_on_it():
 
 
 def test_outline_poor_rasters_raise_typed_errors():
-    """A plate that fills the raster has no outline, and a single profile
-    has no pitch across profiles: both fail with the errors a trial counts."""
+    """A plate that fills the raster has no outline, and a single profile or
+    a single column has no pitch across it: both fail with the errors a
+    trial counts."""
     cfg = ScannerConfig(points_per_profile=64, lateral_resolution=40e-6)
     start = Pose.from_axis_angle([-1.5e-3, -2e-3, 0.03], [1, 0, 0], np.pi)
     cloud = sweep_scan(Scene([ScenePart("plate", PLATE, Pose.identity())]),
@@ -356,8 +351,9 @@ def test_outline_poor_rasters_raise_typed_errors():
     params = RegistrationParams()
     with pytest.raises(InsufficientCorrespondencesError):
         estimate_pose(cloud, cloud, params, 0, prepare_cloud(cloud, params))
-    one_profile = cloud.select(np.argwhere(cloud.hits)[:, 0] == 3)
-    with pytest.raises(DegenerateFeatureError, match="pitch"):
-        prepare_cloud(one_profile, params)
+    for line in (0, 1):  # one profile, one column
+        one_line = cloud.select(np.argwhere(cloud.hits)[:, line] == 3)
+        with pytest.raises(DegenerateFeatureError, match="pitch"):
+            prepare_cloud(one_line, params)
 
 

@@ -701,11 +701,12 @@ def test_icp_total_pose_composes_initial():
                    "minimum of the outline (ROADMAP item 2)")
 def test_a_scan_registers_onto_itself_exactly():
     """A scan registered against itself should come back at the identity.
-    It does not yet: RANSAC's seed-0 pose is 97 um and 0.02 mrad off, and ICP
-    stops after 3 iterations 32.3 um and 0.005 mrad off, at a fitness of
-    5.1e-10 m^2 that passes the pitch gate."""
+    It does not yet: RANSAC's seed-4 pose is 72 um and 8.4 mrad off, and ICP
+    stops after 4 iterations 15.4 um and 4.1 mrad off, at a fitness of
+    3.1e-10 m^2 that passes the pitch gate (seeds 0-3 and 5-7 land on the
+    identity)."""
     cloud = sparse_scan()
-    result = register(cloud, cloud, seed=0)
+    result = register(cloud, cloud, seed=4)
     assert result.fitness <= 1e-12
     assert np.linalg.norm(result.pose.position) < 1e-6
 
@@ -729,8 +730,8 @@ def test_estimate_pose_recovers_perturbation_with_noise(monkeypatch):
                    "yaw on the identity prior (ROADMAP item 2)")
 def test_estimate_pose_recovers_a_yaw_on_the_identity_prior():
     """The control's scan and bounds on the prior the program uses. It
-    fails: 8.3 um and 0.71 degrees off at seed 2, and 0.71 degrees on 4 of
-    seeds 0-7 (0.26-0.71 over them), against 0.25-0.46 degrees with the
+    fails: 8.3 um and 0.71 degrees off at seed 2, and 0.71 degrees on 5 of
+    seeds 0-7 (0.48-0.71 over them), against 0.25-0.48 degrees with the
     oracle prior."""
     result = register(sparse_scan(YAWED_5), sparse_scan(), seed=2)
     assert np.linalg.norm(result.pose.position - YAWED_5.position) < 30e-6
