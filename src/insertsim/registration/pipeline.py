@@ -16,8 +16,8 @@ step along a profile and the step across profiles), which
 The true pose passes rho_icp, so a scan that registers does so in this one
 pass. The orientation gate (`in_orientation_gate`: within RHO_ROT of the
 identity) is checked once per stage: RANSAC gates every hypothesis it scores
-and its polish (cheap rejection of flipped or degenerate-symmetry matches),
-so its pose lies in the gate, and this function gates the refined pose, so
+(cheap rejection of flipped or degenerate-symmetry matches), so its pose
+lies in the gate, and this function gates the pose ICP refines from it, so
 every result it returns lies in the gate too. A failure raises
 RegistrationFailedError: with `best` None when RANSAC scored no hypothesis,
 no refined pose passed the gate or ICP diverged, and with the refined result

@@ -13,20 +13,20 @@ Two hypothesis sources feed one inlier-count competition:
     orientation gate must then reject; these hypotheses keep gate-compatible
     candidates in the stream regardless.
 
-Triple hypotheses and the polish whose orientation violates the gate
-(`in_orientation_gate`) are dropped before counting, so a flipped
-basin can never shadow the true one and the returned pose lies in the gate.
-The returned transform maps the reference cloud into the scan frame.
+Triple hypotheses whose orientation violates the gate (`in_orientation_gate`)
+are dropped before counting, so a flipped basin can never shadow the true
+one and the returned pose lies in the gate. The returned transform, the best
+hypothesis as drawn, maps the reference cloud into the scan frame; refining
+it is ICP's job alone.
 
 Each call draws its hypotheses from the descriptor correspondences and the
 sampling pool of `correspondence_candidates`. A run often stops early, so a
 keypoint's descriptor kNN is queried on first read: a KD-tree answers each
 point on its own, as one batched query of all keypoints would. A hypothesis
 scores the number of moved reference keypoints within the inlier threshold
-of some scan keypoint, from one query of the scan keypoints' KD-tree; the
-winner's matches from that query are the correspondences its polish is
-solved on. Each KD-tree is built once, on first use, and kept: the descriptor
-tree by the FeatureCloud, the keypoint tree by its PointCloud.
+of some scan keypoint, from one query of the scan keypoints' KD-tree. Each
+KD-tree is built once, on first use, and kept: the descriptor tree by the
+FeatureCloud, the keypoint tree by its PointCloud.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def correspondence_candidates(scan: FeatureCloud, ref: FeatureCloud):
 def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
                     seed: int) -> RansacResult:
     """Best hypothesis of one seeded RANSAC run within the orientation gate,
-    polished on its inliers: the reference keypoints it moves to
-    within `threshold` (m) of a scan keypoint."""
+    unrefined, and its inlier fraction: the share of reference keypoints it
+    moves to within `threshold` (m) of a scan keypoint."""
     if not 0 < threshold < np.inf:
         raise ValueError("threshold must be positive and finite")
     knn, pool = correspondence_candidates(scan, ref)
@@ -98,10 +98,9 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
     min_edge = 3.0 * threshold
 
     def score(R, t):
-        """Inlier count, inlier mask and matched scan keypoints of a hypothesis."""
-        d, idx = scan.keypoints.tree.query(ref_pts @ R.T + t, distance_upper_bound=threshold)
-        inliers = np.isfinite(d)
-        return int(np.count_nonzero(inliers)), inliers, idx
+        """Inlier count of a hypothesis."""
+        d = scan.keypoints.tree.query(ref_pts @ R.T + t, distance_upper_bound=threshold)[0]
+        return int(np.count_nonzero(np.isfinite(d)))
 
     best_count = -1
     best = None
@@ -139,10 +138,10 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
             R = R_PRIOR
             t = scan_pts[s] - R @ ref_pts[r]
 
-        count, inliers, idx = score(R, t)
+        count = score(R, t)
         if count > best_count:
             best_count = count
-            best = (R, t, inliers, idx)
+            best = (R, t)
             if count >= 0.9 * n_ref:
                 break
 
@@ -150,14 +149,5 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
         raise RegistrationFailedError("RANSAC scored no hypothesis: each one was rejected "
                                       "before scoring", None)
 
-    # polish the winner on its inlier correspondences
-    R, t, inliers, idx = best
-    count = best_count
-    if count >= 3:
-        R2, t2 = kabsch_transform(ref_pts[inliers], scan_pts[idx[inliers]])
-        if in_orientation_gate(quat_from_matrix(R2)):
-            refined_count = score(R2, t2)[0]
-            if refined_count >= count:  # a tie is adopted too
-                R, t, count = R2, t2, refined_count
-
-    return RansacResult(Pose(t, quat_from_matrix(R)), count / n_ref)
+    R, t = best
+    return RansacResult(Pose(t, quat_from_matrix(R)), best_count / n_ref)
