@@ -1,17 +1,20 @@
 """Coarse registration: feature-correspondence RANSAC with an orientation prior.
 
-Two hypothesis sources feed one inlier-count competition:
+Every hypothesis is drawn from one table: the descriptor kNN in the reference
+of the scan's most distinctive keypoints (the pool), queried once, before the
+first hypothesis. Two kinds of hypothesis sample it and feed one inlier-count
+competition:
 
-  - 3-point samples of the scan keypoints paired with descriptor nearest
+  - 3-point samples of pool keypoints paired with their descriptor nearest
     neighbors in the reference, solved by Kabsch (the classic prerejective
     flavor). Samples whose triangle edge lengths disagree between the clouds
     are rejected before the costly inlier count.
   - prior-orientation hypotheses: rotation fixed to the identity, the
-    orientation the gate is centred on, translation from a single sampled
-    correspondence. On small near-symmetric parts (a plate with a hole
-    barely off center) descriptors often prefer the flipped match, which the
-    orientation gate must then reject; these hypotheses keep gate-compatible
-    candidates in the stream regardless.
+    orientation the gate is centred on, translation from one pool keypoint
+    and one of its matches. On small near-symmetric parts (a plate with a
+    hole barely off center) descriptors often prefer the flipped match,
+    which the orientation gate must then reject; these hypotheses keep
+    gate-compatible candidates in the stream regardless.
 
 Triple hypotheses whose orientation violates the gate (`in_orientation_gate`)
 are dropped before counting, so a flipped basin can never shadow the true
@@ -19,14 +22,10 @@ one and the returned pose lies in the gate. The returned transform, the best
 hypothesis as drawn, maps the reference cloud into the scan frame; refining
 it is ICP's job alone.
 
-Each call draws its hypotheses from the descriptor correspondences and the
-sampling pool of `correspondence_candidates`. A run often stops early, so a
-keypoint's descriptor kNN is queried on first read: a KD-tree answers each
-point on its own, as one batched query of all keypoints would. A hypothesis
-scores the number of moved reference keypoints within the inlier threshold
-of some scan keypoint, from one query of the scan keypoints' KD-tree. Each
-KD-tree is built once, on first use, and kept: the descriptor tree by the
-FeatureCloud, the keypoint tree by its PointCloud.
+A hypothesis scores the number of moved reference keypoints within the
+inlier threshold of some scan keypoint, from one query of the scan
+keypoints' KD-tree. Each KD-tree is built once, on first use, and kept: the
+descriptor tree by the FeatureCloud, the keypoint tree by its PointCloud.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from insertsim.registration.rigid import kabsch_transform
 
 ITERATIONS = 2000       # hypotheses per run, at most
 _EDGE_SIMILARITY = 0.9  # min/max edge-length ratio accepted by the prerejector
-_DESC_KNN = 5           # correspondence candidates per scan keypoint
+_DESC_KNN = 5           # correspondence candidates per pool keypoint
 R_PRIOR = np.eye(3)     # rotation of every prior-orientation hypothesis
 R_PRIOR.flags.writeable = False
 
@@ -61,25 +60,6 @@ def _edge_lengths(pts: np.ndarray) -> np.ndarray:
     ])
 
 
-def correspondence_candidates(scan: FeatureCloud, ref: FeatureCloud):
-    """Descriptor kNN (scan -> reference), (n_scan, k) reference keypoint
-    indices of which only the pool's rows are queried (the rest hold -1 until
-    read), and the distinctive-keypoint pool that triple hypotheses sample."""
-    if len(scan) < 3 or len(ref) < 3:
-        raise InsufficientCorrespondencesError(
-            f"need >= 3 keypoints on both sides, got {len(scan)} / {len(ref)}"
-        )
-    # sample the most distinctive keypoints: on plane-dominant scans the bulk
-    # descriptors all look alike and their correspondences are noise
-    n_scan = len(scan)
-    deviation = np.linalg.norm(scan.descriptors - scan.descriptors.mean(axis=0), axis=1)
-    pool_size = min(n_scan, max(40, n_scan // 10))
-    pool = np.argsort(deviation, kind="stable")[-pool_size:]
-    knn = np.full((n_scan, min(_DESC_KNN, len(ref))), -1, dtype=np.int64)
-    knn[pool] = ref.descriptor_tree.query(scan.descriptors[pool], k=knn.shape[1])[1]
-    return knn, pool
-
-
 def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
                     seed: int) -> RansacResult:
     """Best hypothesis of one seeded RANSAC run within the orientation gate,
@@ -87,12 +67,19 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
     moves to within `threshold` (m) of a scan keypoint."""
     if not 0 < threshold < np.inf:
         raise ValueError("threshold must be positive and finite")
-    knn, pool = correspondence_candidates(scan, ref)
-    k = knn.shape[1]
+    if len(scan) < 3 or len(ref) < 3:
+        raise InsufficientCorrespondencesError(
+            f"need >= 3 keypoints on both sides, got {len(scan)} / {len(ref)}"
+        )
+    # sample the most distinctive keypoints: on plane-dominant scans the bulk
+    # descriptors all look alike and their correspondences are noise
+    deviation = np.linalg.norm(scan.descriptors - scan.descriptors.mean(axis=0), axis=1)
+    pool = np.argsort(deviation, kind="stable")[-max(40, len(scan) // 10):]
+    k = min(_DESC_KNN, len(ref))
+    knn = ref.descriptor_tree.query(scan.descriptors[pool], k=k)[1]
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xAC]))
     scan_pts = scan.keypoints.points
     ref_pts = ref.keypoints.points
-    n_scan = len(scan_pts)
     n_ref = len(ref_pts)
 
     min_edge = 3.0 * threshold
@@ -107,12 +94,12 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
     for it in range(ITERATIONS):
         if it % 2 == 0:
             # feature-triple hypothesis
-            sample = pool[rng.choice(len(pool), size=3, replace=False)]
-            ref_sample = knn[sample, rng.integers(0, k, size=3)]
+            rows = rng.choice(len(pool), size=3, replace=False)
+            ref_sample = knn[rows, rng.integers(0, k, size=3)]
             if len(set(ref_sample.tolist())) < 3:
                 continue
             src = ref_pts[ref_sample]
-            dst = scan_pts[sample]
+            dst = scan_pts[pool[rows]]
             e_src = _edge_lengths(src)
             e_dst = _edge_lengths(dst)
             if np.any(e_dst < min_edge):
@@ -128,15 +115,9 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
                 continue  # already hopeless at the orientation gate
         else:
             # prior-orientation hypothesis from one correspondence
-            s = int(rng.integers(0, n_scan))
-            if it % 4 == 1:
-                if knn[s, 0] < 0:  # first read of a row outside the pool
-                    knn[s] = ref.descriptor_tree.query(scan.descriptors[s], k=k)[1]
-                r = int(knn[s, rng.integers(0, k)])
-            else:
-                r = int(rng.integers(0, n_ref))
+            row = int(rng.integers(0, len(pool)))
             R = R_PRIOR
-            t = scan_pts[s] - R @ ref_pts[r]
+            t = scan_pts[pool[row]] - R @ ref_pts[knn[row, rng.integers(0, k)]]
 
         count = score(R, t)
         if count > best_count:
