@@ -127,12 +127,10 @@ def _bin_index(values, lo, hi):
 def compute_features(cloud: PointCloud, normals: np.ndarray, radius: float) -> FeatureCloud:
     """FPFH-style descriptors over the given radius.
 
-    `normals` is (N, 3): one finite unit normal per point of the cloud.
-    Points with fewer than 5 neighbors inside the radius cannot be
-    described. Such stragglers are dropped until none is left (dropping one
-    can leave its neighbors short), but if more than 10% of the cloud is
-    dropped in all the radius is wrong for this cloud and a
-    DegenerateFeatureError is raised instead.
+    `normals` is (N, 3): one finite unit normal per point of the cloud. The
+    keypoints are the cloud itself, with the KD-tree its pair query built. A
+    point with fewer than MIN_NEIGHBORS neighbors within the radius cannot be
+    described and raises DegenerateFeatureError naming it.
     """
     if not 0 < radius < np.inf:
         raise ValueError("radius must be positive and finite")
@@ -147,29 +145,11 @@ def compute_features(cloud: PointCloud, normals: np.ndarray, radius: float) -> F
     keys = np.sort(np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]]))
     src, tgt = np.divmod(keys, n)
 
-    # peel the stragglers off the pair list; renumbering the kept points in
-    # order keeps the pairs sorted
-    keep = np.ones(n, dtype=bool)
-    while True:
-        neighbors = np.bincount(src, minlength=n)
-        degenerate = np.flatnonzero(keep & (neighbors < MIN_NEIGHBORS))
-        if not len(degenerate):
-            break
-        keep[degenerate] = False
-        dropped = n - np.count_nonzero(keep)
-        if dropped > max(1, n // 10):
-            example = degenerate[0]
-            raise DegenerateFeatureError(
-                f"{dropped} of {n} points have too few neighbors within "
-                f"{radius} (e.g. point {example}: {neighbors[example]} < {MIN_NEIGHBORS})"
-            )
-        live = keep[src] & keep[tgt]
-        src, tgt = src[live], tgt[live]
-    if not keep.all():
-        renumber = np.cumsum(keep) - 1
-        src, tgt = renumber[src], renumber[tgt]
-        cloud, normals = cloud.select(keep), normals[keep]
-        n = len(cloud)
+    neighbors = np.bincount(src, minlength=n)
+    short = np.flatnonzero(neighbors < MIN_NEIGHBORS)
+    if len(short):
+        raise DegenerateFeatureError(f"point {short[0]} has {neighbors[short[0]]} < "
+                                     f"{MIN_NEIGHBORS} neighbors within {radius}")
 
     alpha, phi, theta, dist, ok = _pair_features(cloud.points, normals, src, tgt)
     src, tgt, dist = src[ok], tgt[ok], dist[ok]

@@ -2,10 +2,11 @@
 ICP -> orientation gate -> fitness check.
 
 Both clouds are scanner clouds, which carry their scanner's hit mask. Each
-is registered on its outline. Every distance threshold is derived from the
-scan's (ds, dl) pitch, the lengths of the raster's least-squares axes (the
-step along a profile and the step across profiles), which
-`preprocess.outline` fits; with d = max(ds, dl):
+is registered on the outline of its top face, every point of which FPFH
+describes, so each cloud is indexed once. Every distance threshold derives
+from the scan's (ds, dl) pitch, the lengths of the raster's least-squares
+axes (the steps along and across profiles), which `preprocess.outline`
+fits; with d = max(ds, dl):
 
   - rho_icp, the fitness gate: ds^2 + dl^2, 12x the mean squared offset from
     its cell's centre of a point placed uniformly in a ds x dl cell;

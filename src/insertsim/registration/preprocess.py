@@ -3,18 +3,24 @@
 A scanned part with a flat face gives the same FPFH descriptor at every
 point of that face, so registration on the whole cloud has nothing to
 match; the part's outline carries the in-plane shape. `outline` takes a
-cloud that carries its scanner's hit mask and keeps the hit cells with a
-miss among their 8 neighbours (cells on the raster's border are never
-outline: what lies past them was not scanned). It gives each an in-plane
-normal from the hit mask alone: the Sobel gradient of the occupancy image,
-mapped into 3-D through the raster's axes. The axes are a least-squares
-fit of the points on their (profile, column) cells, and their lengths are
-the scan's one measurement, its (ds, dl) pitch: ds the step along a profile
-(to the next column), dl the step across profiles. `pipeline` derives every
-registration threshold from it. `outline` reads only the hits' bounding
-window padded by one cell and clipped to the raster: past its edge lie
-misses or no raster, and the fit's axes do not depend on the window's shift.
-A line scanner measures no normals; `outline` returns the outline's.
+cloud that carries its scanner's hit mask and keeps the cells of the top
+face with a miss or a dropped hit among their 8 neighbours (cells on the
+raster's border are never outline: what lies past them was not scanned).
+It gives each an in-plane normal from the mask alone: the Sobel gradient of
+the top face's occupancy image, mapped into 3-D through the raster's axes.
+The axes are a least-squares fit of the points on their (profile, column)
+cells, and their lengths are the scan's one measurement, its (ds, dl)
+pitch: ds the step along a profile (to the next column), dl the step across
+profiles. `pipeline` derives every registration threshold from it.
+
+A calibration tilt or a tilted part shows side faces and hole walls too. A
+hit more than one pitch (the longer axis) off the fitted plane is not on the
+top face; such hits tilt the fit, so it is corrected once to the others, and
+the hits off the corrected plane are dropped (a scan without any keeps its
+fit bit for bit). No other stage drops a hit. `outline` reads only the hits'
+bounding window padded by one cell and clipped to the raster: past its edge
+lie misses or no raster, and the fit's axes do not depend on the window's
+shift. A line scanner measures no normals; `outline` returns the outline's.
 The scanner adds no outliers, and outlier removal would drop only outline
 points, so registration runs neither it nor a voxel grid.
 
@@ -52,17 +58,17 @@ def statistical_outlier_removal(cloud: PointCloud, mean_k: int, std_ratio: float
 
 
 def outline(cloud: PointCloud) -> tuple:
-    """(edge, normals, pitch) of a non-empty cloud with a hit mask: its
-    outline, the outline's (N, 3) unit in-plane normals pointing out of the
-    hit region, and the (ds, dl) pitch of its raster (module docstring). An
-    outline cell whose Sobel gradient vanishes has no normal and is dropped.
-    The outline carries no mask: nothing downstream reads one. Hits on one
-    line of the raster have no pitch and raise DegenerateFeatureError."""
+    """(edge, normals, pitch) of a non-empty cloud with a hit mask: its top
+    face's outline, the outline's (N, 3) unit in-plane normals pointing out
+    of the top face, and the (ds, dl) pitch of its raster (module docstring).
+    An outline cell whose Sobel gradient vanishes has no normal and is
+    dropped. The outline carries no mask: nothing downstream reads one. Hits
+    on one line of the raster have no pitch and raise DegenerateFeatureError."""
     hits = cloud.hits
     rows = np.flatnonzero(hits.any(axis=1))  # the profiles with a hit
     cols = np.flatnonzero(hits.any(axis=0))  # the columns with a hit
     # the hits' window, padded by one cell; slicing clips the far ends
-    hit = hits[max(rows[0] - 1, 0):rows[-1] + 2, max(cols[0] - 1, 0):cols[-1] + 2]
+    hit = hits[max(rows[0] - 1, 0):rows[-1] + 2, max(cols[0] - 1, 0):cols[-1] + 2].copy()
     profile, column = np.nonzero(hit)  # each point's cell in the window
     # raster axes: least squares of the points on (1, profile, column)
     design = np.column_stack([np.ones(len(cloud)), profile, column])
@@ -70,6 +76,14 @@ def outline(cloud: PointCloud) -> tuple:
     if rank < 3:
         raise DegenerateFeatureError("the hit cells lie on one line of the raster, "
                                      "so the scan's pitch is unknown")
+    # refit to the hits on the plane: the fit solves DᵀD fit = DᵀP, so dropping rows
+    # D_off, P_off moves it by -(DᵀD - D_offᵀD_off)⁻¹ D_offᵀ(P_off - D_off fit)
+    off = _off_plane(cloud.points, fit)
+    d_off = design[off]
+    fit -= np.linalg.solve(design.T @ design - d_off.T @ d_off,
+                           d_off.T @ (cloud.points[off] - d_off @ fit))
+    off = _off_plane(cloud.points, fit)
+    hit[profile[off], column[off]] = False  # the top face's cells are left
     axes = fit[1:].T  # (3, 2): the step to the next profile, to the next column
     pitch = (vector_norm(axes[:, 1]), vector_norm(axes[:, 0]))
     edge = hit & ~binary_erosion(hit, structure=np.ones((3, 3), dtype=bool), border_value=1)
@@ -87,6 +101,13 @@ def outline(cloud: PointCloud) -> tuple:
     normals = -(grad @ np.linalg.pinv(axes))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     return PointCloud(cloud.points[on]), normals, pitch
+
+
+def _off_plane(points: np.ndarray, fit: np.ndarray) -> np.ndarray:
+    """Which points lie more than a pitch (the longer axis) off the fit's plane."""
+    normal = np.cross(fit[1], fit[2])
+    normal /= vector_norm(normal)
+    return np.abs(points @ normal - fit[0] @ normal) > max(vector_norm(fit[1]), vector_norm(fit[2]))
 
 
 def voxel_downsample(cloud: PointCloud, voxel_size: float) -> PointCloud:

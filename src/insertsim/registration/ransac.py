@@ -96,8 +96,6 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
             # feature-triple hypothesis
             rows = rng.choice(len(pool), size=3, replace=False)
             ref_sample = knn[rows, rng.integers(0, k, size=3)]
-            if len(set(ref_sample.tolist())) < 3:
-                continue
             src = ref_pts[ref_sample]
             dst = scan_pts[pool[rows]]
             e_src = _edge_lengths(src)

@@ -191,11 +191,26 @@ def test_select_keeps_each_point_in_its_cell():
 
 # -- outline of a scan -------------------------------------------------------------
 
+def top_face_oracle(cloud: PointCloud) -> tuple:
+    """(on, fit): which points lie on the top face, and the fit of the points
+    on (1, profile, column) over their cells in the full raster, by normal
+    equations: fit every hit, drop the hits more than a pitch (the longer
+    fitted axis) off the fitted plane, fit the rest, and drop again."""
+    design = np.column_stack([np.ones(len(cloud)), np.argwhere(cloud.hits)])
+    on = np.ones(len(cloud), dtype=bool)
+    for _ in range(2):
+        fit = np.linalg.solve(design[on].T @ design[on], design[on].T @ cloud.points[on])
+        normal = np.cross(fit[1], fit[2])
+        depth = (cloud.points - fit[0]) @ (normal / np.linalg.norm(normal))
+        on = np.abs(depth) <= np.max(np.linalg.norm(fit[1:], axis=1))
+    return on, fit
+
+
 def outline_oracle(cloud: PointCloud) -> set:
-    """Cells of the outline by a loop: a hit cell off the raster's border
-    with a miss among its 8 neighbours."""
+    """Cells of the outline by a loop: a top-face cell off the raster's
+    border with a miss or a dropped hit among its 8 neighbours."""
     rows, cols = cloud.hits.shape
-    hit = set(map(tuple, np.argwhere(cloud.hits).tolist()))
+    hit = set(map(tuple, np.argwhere(cloud.hits)[top_face_oracle(cloud)[0]].tolist()))
     return {(p, c) for p, c in hit if 0 < p < rows - 1 and 0 < c < cols - 1
             and any((p + dp, c + dc) not in hit for dp in (-1, 0, 1) for dc in (-1, 0, 1))}
 
@@ -231,9 +246,9 @@ def test_outline_drops_cells_without_a_gradient():
 
 def test_outline_normals_point_out_of_the_plate_in_its_plane():
     """On the straight sides of a level plate the normal is the side's
-    outward axis; on a tilted plate every normal lies in the plate's plane,
-    to within the ~0.01 rad by which the hits on its side face, ~3% of the
-    points, turn the fitted raster axes."""
+    outward axis; on a tilted plate every normal lies in the plate's plane:
+    the raster axes are fitted to the top face's hits, without the ~3% of
+    them on its side faces that turned the axes by ~0.01 rad."""
     edge, normals, _ = outline(plate_scan("dense", "level", CalibrationError.none()))
     x, y = edge.points[:, 0], edge.points[:, 1]
     for axis, coord, other in ((0, x, y), (1, y, x)):
@@ -244,7 +259,24 @@ def test_outline_normals_point_out_of_the_plate_in_its_plane():
         assert np.min(np.einsum("ij,ij->i", normals[side], outward)) > np.cos(0.05)
     tilted = PLATE_POSES["tilted"]
     normals = outline(plate_scan("sparse", "tilted", CalibrationError.none()))[1]
-    assert np.max(np.abs(normals @ tilted.rotate_vector([0.0, 0.0, 1.0]))) < 0.02
+    assert np.max(np.abs(normals @ tilted.rotate_vector([0.0, 0.0, 1.0]))) < 1e-3
+
+
+@pytest.mark.parametrize("cal", ["none", "CAL"])
+@pytest.mark.parametrize("pose", ["level", "yaw+3", "tilted"])
+@pytest.mark.parametrize("scanner", ["dense", "sparse"])
+def test_outline_lies_on_the_top_face(scanner, pose, cal):
+    """A calibration tilt or a tilted plate shows the scanner the plate's
+    side faces and its hole wall, down to 1 mm below the top; the outline
+    keeps none of those hits. The tilted cases fail with a cut from the fit
+    over all hits, which the side hits turn, so they check the corrected fit."""
+    error = CAL if cal == "CAL" else CalibrationError.none()
+    edge, _, pitch = outline(plate_scan(scanner, pose, error))
+    # the scan is the true surface moved by the inverse mount offset
+    local = PLATE_POSES[pose].inverse().transform_points(
+        error.mount_offset.transform_points(edge.points))
+    assert len(edge) > 300
+    assert np.max(np.abs(local[:, 2] - PLATE.half_thickness)) < 1.5 * max(pitch)
 
 
 @pytest.mark.parametrize("scanner, pitch", [("dense", (12e-6, 25e-6)),
@@ -256,11 +288,9 @@ def test_raster_pitch_is_the_scanner_spacing(scanner, pitch):
 
 
 def pitch_oracle(cloud: PointCloud) -> tuple:
-    """(ds, dl) by the normal equations of the points on (1, profile, column)
-    over their cells in the full raster: the lengths of the column and the
+    """(ds, dl) of the top face's fit: the lengths of the column and the
     profile axis."""
-    design = np.column_stack([np.ones(len(cloud)), np.argwhere(cloud.hits)])
-    fit = np.linalg.solve(design.T @ design, design.T @ cloud.points)
+    fit = top_face_oracle(cloud)[1]
     return float(np.linalg.norm(fit[2])), float(np.linalg.norm(fit[1]))
 
 
