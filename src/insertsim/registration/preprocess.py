@@ -80,7 +80,11 @@ def outline(cloud: PointCloud) -> tuple:
     # D_off, P_off moves it by -(DᵀD - D_offᵀD_off)⁻¹ D_offᵀ(P_off - D_off fit)
     off = _off_plane(cloud.points, fit)
     d_off = design[off]
-    fit -= np.linalg.solve(design.T @ design - d_off.T @ d_off,
+    # DᵀD from the cells' integer sums: exact, as every partial sum stays below 2**53
+    sp, sc, spc = profile.sum(), column.sum(), profile @ column
+    gram = np.array([[len(profile), sp, sc], [sp, profile @ profile, spc],
+                     [sc, spc, column @ column]], dtype=float)
+    fit -= np.linalg.solve(gram - d_off.T @ d_off,
                            d_off.T @ (cloud.points[off] - d_off @ fit))
     off = _off_plane(cloud.points, fit)
     hit[profile[off], column[off]] = False  # the top face's cells are left

@@ -23,13 +23,34 @@ hypothesis as drawn, maps the reference cloud into the scan frame; refining
 it is ICP's job alone.
 
 A hypothesis scores the number of moved reference keypoints within the
-inlier threshold of some scan keypoint, from one query of the scan
-keypoints' KD-tree. Each KD-tree is built once, on first use, and kept: the
-descriptor tree by the FeatureCloud, the keypoint tree by its PointCloud.
+inlier threshold of some scan keypoint (its inliers); the run returns the
+first hypothesis to reach 90% of the reference keypoints, or else the first
+of the highest count. Most hypotheses are decided long before every point is
+queried, so scoring runs as two passes over the hypotheses, in draw order,
+and stops counting a hypothesis once its outliers exceed a budget:
+
+  1. Each hypothesis is tested only for the stop, with the budget
+     n_ref - ceil(0.9 n_ref). The first to finish within it reached the stop,
+     and every earlier one counted fewer, so it is the run's winner. Every
+     point of the winner was queried, so its inlier fraction is exact.
+  2. Only when none reaches the stop are the hypotheses scored again, with
+     the budget n_ref - (best + 1) for the highest count so far, best: a
+     hypothesis that exceeds it cannot count more than best, and one that
+     finishes within it counts more and is scored exactly. Ties keep the
+     earlier hypothesis.
+
+The result is the one full scoring gives, bit for bit: the tree returns the
+same distance for a point whatever batch it comes in, and a count does not
+depend on the order of its points. The moved keypoints are queried in
+`_SLICES` strided slices, because the reference keypoints lie in raster
+order and a contiguous prefix would cover one end of the part only. Each
+KD-tree is built once, on first use, and kept: the descriptor tree by the
+FeatureCloud, the keypoint tree by its PointCloud.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +64,7 @@ from insertsim.registration.rigid import kabsch_transform
 ITERATIONS = 2000       # hypotheses per run, at most
 _EDGE_SIMILARITY = 0.9  # min/max edge-length ratio accepted by the prerejector
 _DESC_KNN = 5           # correspondence candidates per pool keypoint
+_SLICES = 8             # strided slices a hypothesis is scored in
 R_PRIOR = np.eye(3)     # rotation of every prior-orientation hypothesis
 R_PRIOR.flags.writeable = False
 
@@ -58,6 +80,18 @@ def _edge_lengths(pts: np.ndarray) -> np.ndarray:
         np.linalg.norm(pts[1] - pts[2]),
         np.linalg.norm(pts[2] - pts[0]),
     ])
+
+
+def _inlier_count(tree, moved: np.ndarray, threshold: float, budget: int) -> int:
+    """Inliers among `moved`, the points within `threshold` of a point of
+    `tree`, or -1 as soon as more than `budget` of them are outliers."""
+    outliers = 0
+    for j in range(_SLICES):
+        d = tree.query(moved[j::_SLICES], distance_upper_bound=threshold)[0]
+        outliers += int(np.count_nonzero(np.isinf(d)))  # inf: no scan keypoint in reach
+        if outliers > budget:
+            return -1
+    return len(moved) - outliers
 
 
 def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
@@ -83,14 +117,10 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
     n_ref = len(ref_pts)
 
     min_edge = 3.0 * threshold
+    tree = scan.keypoints.tree
+    stop = math.ceil(0.9 * n_ref)  # the inlier count that ends the run
 
-    def score(R, t):
-        """Inlier count of a hypothesis."""
-        d = scan.keypoints.tree.query(ref_pts @ R.T + t, distance_upper_bound=threshold)[0]
-        return int(np.count_nonzero(np.isfinite(d)))
-
-    best_count = -1
-    best = None
+    scored = []  # pass 1: the first hypothesis to reach the stop wins
     for it in range(ITERATIONS):
         if it % 2 == 0:
             # feature-triple hypothesis
@@ -117,16 +147,21 @@ def ransac_register(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
             R = R_PRIOR
             t = scan_pts[pool[row]] - R @ ref_pts[knn[row, rng.integers(0, k)]]
 
-        count = score(R, t)
+        count = _inlier_count(tree, ref_pts @ R.T + t, threshold, n_ref - stop)
+        if count >= stop:
+            return RansacResult(Pose(t, quat_from_matrix(R)), count / n_ref)
+        scored.append((R, t))
+
+    if not scored:
+        raise RegistrationFailedError("RANSAC scored no hypothesis: each one was rejected "
+                                      "before scoring", None)
+
+    best_count = -1  # pass 2: the first of the highest count wins
+    for R, t in scored:
+        count = _inlier_count(tree, ref_pts @ R.T + t, threshold, n_ref - (best_count + 1))
         if count > best_count:
             best_count = count
             best = (R, t)
-            if count >= 0.9 * n_ref:
-                break
-
-    if best is None:
-        raise RegistrationFailedError("RANSAC scored no hypothesis: each one was rejected "
-                                      "before scoring", None)
 
     R, t = best
     return RansacResult(Pose(t, quat_from_matrix(R)), best_count / n_ref)

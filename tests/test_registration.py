@@ -605,6 +605,131 @@ def test_a_ransac_run_that_scores_nothing_fails_without_a_pose(monkeypatch):
     assert err.value.best is None
 
 
+def full_scoring_ransac(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
+                        seed: int) -> tuple:
+    """The reference for ransac_register: the same draws, prerejection and
+    gate, with every hypothesis scored in full by one query of all the moved
+    reference keypoints; the first to reach 90% of them ends the run, else
+    the first of the highest count wins. (result, hypotheses scored)"""
+    deviation = np.linalg.norm(scan.descriptors - scan.descriptors.mean(axis=0), axis=1)
+    pool = np.argsort(deviation, kind="stable")[-max(40, len(scan) // 10):]
+    k = min(ransac_module._DESC_KNN, len(ref))
+    knn = ref.descriptor_tree.query(scan.descriptors[pool], k=k)[1]
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0xAC]))
+    scan_pts, ref_pts = scan.keypoints.points, ref.keypoints.points
+    n_ref = len(ref_pts)
+    best_count, best, scored = -1, None, 0
+    for it in range(ransac_module.ITERATIONS):
+        if it % 2 == 0:
+            rows = rng.choice(len(pool), size=3, replace=False)
+            src = ref_pts[knn[rows, rng.integers(0, k, size=3)]]
+            dst = scan_pts[pool[rows]]
+            e_src = ransac_module._edge_lengths(src)
+            e_dst = ransac_module._edge_lengths(dst)
+            if np.any(e_dst < 3.0 * threshold):
+                continue
+            if np.any(np.minimum(e_src, e_dst) / np.maximum(e_src, e_dst)
+                      < ransac_module._EDGE_SIMILARITY):
+                continue
+            area = 0.5 * np.linalg.norm(np.cross(dst[1] - dst[0], dst[2] - dst[0]))
+            if area < 0.05 * float(np.max(e_dst)) ** 2:
+                continue
+            R, t = ransac_module.kabsch_transform(src, dst)
+            if not in_orientation_gate(ransac_module.quat_from_matrix(R)):
+                continue
+        else:
+            row = int(rng.integers(0, len(pool)))
+            R = ransac_module.R_PRIOR
+            t = scan_pts[pool[row]] - R @ ref_pts[knn[row, rng.integers(0, k)]]
+        d = scan.keypoints.tree.query(ref_pts @ R.T + t, distance_upper_bound=threshold)[0]
+        count = int(np.count_nonzero(np.isfinite(d)))
+        scored += 1
+        if count > best_count:
+            best_count, best = count, (R, t)
+            if count >= 0.9 * n_ref:
+                break
+    if best is None:
+        raise RegistrationFailedError("RANSAC scored no hypothesis", None)
+    R, t = best
+    return ransac_module.RansacResult(Pose(t, ransac_module.quat_from_matrix(R)),
+                                      best_count / n_ref), scored
+
+
+def assert_ransac_matches_full_scoring(scan: FeatureCloud, ref: FeatureCloud, threshold: float,
+                                       seed: int) -> int:
+    """ransac_register returns the reference's pose and inlier fraction bit
+    for bit; the number of hypotheses the reference scored."""
+    expected, scored = full_scoring_ransac(scan, ref, threshold, seed)
+    result = ransac_register(scan, ref, threshold, seed)
+    assert result.pose.position.tobytes() == expected.pose.position.tobytes()
+    assert result.pose.orientation.tobytes() == expected.pose.orientation.tobytes()
+    assert float.hex(result.inlier_fraction) == float.hex(expected.inlier_fraction)
+    return scored
+
+
+@pytest.fixture(scope="module")
+def dense_tail_call() -> tuple:
+    """The arguments of a long `dense_corrected` RANSAC run, seed 901 trial 19,
+    which scores 249 hypotheses before one reaches the 90% stop."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return ransac_register(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline_module, "ransac_register", recording)
+        workloads.Bench(workloads.WORKLOADS["dense_corrected"], 901).run_trial(19)
+    return calls[0]
+
+
+def test_ransac_matches_full_scoring_on_a_long_dense_run(dense_tail_call):
+    assert assert_ransac_matches_full_scoring(*dense_tail_call) >= 200
+
+
+def test_ransac_matches_full_scoring_when_no_hypothesis_reaches_the_stop(dense_tail_call,
+                                                                         monkeypatch):
+    """With 100 draws no hypothesis reaches the stop, so the run returns the
+    first of the highest count, rescored."""
+    monkeypatch.setattr(ransac_module, "ITERATIONS", 100)
+    assert assert_ransac_matches_full_scoring(*dense_tail_call) > 1
+    assert ransac_register(*dense_tail_call).inlier_fraction < 0.9
+
+
+@pytest.mark.parametrize("iterations", [20, ransac_module.ITERATIONS])
+@pytest.mark.parametrize("seed", range(4))
+def test_ransac_matches_full_scoring_on_fewer_keypoints_than_slices(seed, iterations,
+                                                                    monkeypatch):
+    """Six reference keypoints fill six of the eight slices, one point each.
+    Each run reaches the stop (all six) within 2000 draws; within 20, three
+    of the four do not, and the first of the highest count wins."""
+    monkeypatch.setattr(ransac_module, "ITERATIONS", iterations)
+    scan = compute_features(*terrain_cloud(), radius=6e-4)
+    few = np.linspace(0, len(scan) - 1, ransac_module._SLICES - 2).astype(int)
+    ref = FeatureCloud(PointCloud(scan.keypoints.points[few]), scan.descriptors[few])
+    assert assert_ransac_matches_full_scoring(scan, ref, RANSAC_THRESHOLD, seed) >= 1
+
+
+def test_ransac_scoring_nothing_raises_like_full_scoring(dense_tail_call, monkeypatch):
+    """One draw, a feature triple rejected before scoring: both raise."""
+    monkeypatch.setattr(ransac_module, "ITERATIONS", 1)
+    for run in (full_scoring_ransac, ransac_register):
+        with pytest.raises(RegistrationFailedError, match="RANSAC scored no hypothesis"):
+            run(*dense_tail_call)
+
+
+def test_ransac_queries_under_two_fifths_of_full_scoring_on_a_long_dense_run(dense_tail_call,
+                                                                              monkeypatch):
+    """Hypotheses are dropped once they cannot reach the stop: the long run
+    queries at most 40% of the points that full scoring queries."""
+    scan, ref, threshold, seed = dense_tail_call
+    scored = full_scoring_ransac(scan, ref, threshold, seed)[1]
+    log = []
+    monkeypatch.setitem(scan.keypoints.__dict__, "tree", QueryLog(scan.keypoints.tree, log))
+    ransac_register(scan, ref, threshold, seed)
+    assert sum(len(points) for _, points in log) <= 0.4 * scored * len(ref.keypoints.points)
+
+
 # -- ICP ----------------------------------------------------------------------
 
 def refine(scan: PointCloud, ref: PointCloud, initial_pose: Pose = Pose.identity()):
